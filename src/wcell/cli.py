@@ -40,7 +40,7 @@ def _load_graph(path: str) -> wg.SColoredGraph:
             return wg.from_json_str(fh.read())
     except OSError as exc:
         raise _UsageError(f"cannot read {path}: {exc}")
-    except (KeyError, ValueError) as exc:
+    except ValueError as exc:
         raise _UsageError(f"cannot parse {path}: {exc}")
 
 
@@ -77,6 +77,10 @@ def _cmd_verify(args) -> int:
     for name in names:
         if name not in wg.ALL_RULES:
             raise _UsageError(f"unknown rule {name!r}; choose from {', '.join(wg.ALL_RULES)}")
+    if "ordered" in names and not g.is_labelled():
+        raise _UsageError(
+            f"rule 'ordered' needs a (molecule, tableau) label on every vertex of {args.infile}"
+        )
     reports = wg.run_checks(g, names)
     if args.hecke:
         reports.append(hecke.verify_hecke_relations(g))
@@ -87,6 +91,8 @@ def _cmd_verify(args) -> int:
 
 def _cmd_oracle(args) -> int:
     n = args.n
+    if n < 1:
+        raise _UsageError(f"--n must be at least 1, got {n}")
     shapes = [_parse_shape(args.shape)] if args.shape else tb.partitions_of(n)
     if args.shape and sum(shapes[0]) != n:
         raise _UsageError(f"shape {args.shape} is not a partition of {n}")

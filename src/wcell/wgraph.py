@@ -13,10 +13,9 @@ failing graph can be inspected; the CLI maps reports to exit codes.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
-
-import numpy as np
 
 from . import knuth
 from . import tableaux as tb
@@ -427,73 +426,65 @@ def check_bonding(g: SColoredGraph) -> CheckReport:
     return CheckReport("bonding", not bad, tuple(bad))
 
 
-def _pattern_masks(g: SColoredGraph, i: int, j: int):
-    nv = g.num_vertices
-    mask_i = np.zeros(nv, dtype=bool)
-    mask_j = np.zeros(nv, dtype=bool)
-    for v in g.vertices():
-        has_i, has_j = i in g.tau[v], j in g.tau[v]
-        mask_i[v] = has_i and not has_j
-        mask_j[v] = has_j and not has_i
-    return mask_i, mask_j
-
-
-def _arc_matrix(g: SColoredGraph) -> np.ndarray:
-    """X[a, b] = mu(b, a): the weight on the pair regardless of arc-ness."""
-    nv = g.num_vertices
-    x = np.zeros((nv, nv), dtype=np.int64)
-    for (u, v), w in g.mu.items():
-        x[v, u] = w
-    return x
-
-
-def alternating_sums(g: SColoredGraph, r: int, i: int, j: int):
-    """Matrix of N^r sums for colour pattern (i, j), indexed (u, v).
+def alternating_sums(g: SColoredGraph, r: int, i: int, j: int) -> Counter:
+    """N^r sums for colour pattern (i, j), keyed (u, v); missing keys read 0.
 
     Entry (u, v) sums the weight products over directed paths from u to v
     whose r-1 interior vertices alternate between containing i but not j
-    and containing j but not i.  Only entries with i, j outside tau(u) and
+    and containing j but not i.  Every nonzero weight counts as a step,
+    whether or not it is an arc.  Only entries with i, j outside tau(u) and
     inside tau(v) are meaningful to the polygon rule.
+
+    The sums walk the weight columns from each u, so with W nonzero weights
+    and at most d in a column the cost is O(W d) for r = 2 and O(W d^2) for
+    r = 3, in exact integers.
     """
-    x = _arc_matrix(g)
-    mask_i, mask_j = _pattern_masks(g, i, j)
-    if r == 2:
-        return (x * mask_i[None, :]) @ x
-    if r == 3:
-        return (x * mask_i[None, :]) @ (x * mask_j[None, :]) @ x
-    raise ValueError("only r = 2 and r = 3 occur in type A")
+    if r not in (2, 3):
+        raise ValueError("only r = 2 and r = 3 occur in type A")
+    pat_i = [i in s and j not in s for s in g.tau]
+    pat_j = [j in s and i not in s for s in g.tau]
+    sums: Counter = Counter()
+    for u in g.vertices():
+        # weight products of the alternating paths from u to each last interior vertex
+        ends = {x: w for x, w in g.column(u).items() if pat_i[x]}
+        if r == 3:
+            step: Counter = Counter()
+            for x, w in ends.items():
+                for y, w2 in g.column(x).items():
+                    if pat_j[y]:
+                        step[y] += w * w2
+            ends = step
+        for x, w in ends.items():
+            for v, w2 in g.column(x).items():
+                sums[u, v] += w * w2
+    return sums
 
 
 def check_polygon(g: SColoredGraph, r: int) -> CheckReport:
     """N^r_{i,j} = N^r_{j,i} for the applicable generator pairs.
 
     r = 2 applies to every ordered pair i != j; r = 3 only to bonded pairs.
-    Stops at the first counterexample, reported as (u, v, i, j, r, N_ij, N_ji).
+    Stops at the first counterexample, reported as (u, v, i, j, r, N_ij, N_ji)
+    with the smallest (u, v) for the first failing pair.  Each pair costs two
+    calls of alternating_sums.
     """
-    nv = g.num_vertices
     for i in range(1, g.n - 1):
         for j in range(i + 1, g.n):
             if r == 3 and j - i != 1:
                 continue
             n_ij = alternating_sums(g, r, i, j)
             n_ji = alternating_sums(g, r, j, i)
-            diff = n_ij != n_ji
-            if not diff.any():
-                continue
-            mask_u = np.fromiter(
-                (i not in g.tau[v] and j not in g.tau[v] for v in range(nv)),
-                dtype=bool,
-                count=nv,
-            )
-            mask_v = np.fromiter(
-                (i in g.tau[v] and j in g.tau[v] for v in range(nv)),
-                dtype=bool,
-                count=nv,
-            )
-            diff &= mask_u[:, None] & mask_v[None, :]
-            if diff.any():
-                u, v = map(int, np.argwhere(diff)[0])
-                witness = (u, v, i, j, r, int(n_ij[u, v]), int(n_ji[u, v]))
+            both = {i, j}
+            diff = [
+                (u, v)
+                for (u, v) in n_ij.keys() | n_ji.keys()
+                if n_ij[u, v] != n_ji[u, v]
+                and not both & g.tau[u]
+                and both <= g.tau[v]
+            ]
+            if diff:
+                u, v = min(diff)
+                witness = (u, v, i, j, r, n_ij[u, v], n_ji[u, v])
                 return CheckReport(f"polygon-r{r}", False, (witness,))
     return CheckReport(f"polygon-r{r}", True)
 
@@ -580,21 +571,46 @@ def to_json_str(g: SColoredGraph) -> str:
     return json.dumps(to_json_obj(g), indent=2) + "\n"
 
 
+def _expect(x, kind: type, what: str):
+    """x itself, if it is a JSON value of the given type (a bool is no int)."""
+    if not isinstance(x, kind) or (kind is int and isinstance(x, bool)):
+        raise ValueError(f"{what} must be {kind.__name__}, got {x!r}")
+    return x
+
+
+def _field(obj: dict, key: str, kind: type):
+    if key not in obj:
+        raise ValueError(f"missing field {key!r}")
+    return _expect(obj[key], kind, f"field {key!r}")
+
+
 def from_json_obj(obj: dict) -> SColoredGraph:
-    n = obj["n"]
-    rows = sorted(obj["vertices"], key=lambda r: r["id"])
+    """Inverse of to_json_obj; raises ValueError on a document of the wrong shape."""
+    _expect(obj, dict, "graph document")
+    n = _field(obj, "n", int)
+    rows = [_expect(r, dict, "vertex") for r in _field(obj, "vertices", list)]
+    rows.sort(key=lambda r: _field(r, "id", int))
     if [r["id"] for r in rows] != list(range(len(rows))):
         raise ValueError("vertex ids must be 0..N-1")
-    tau = [frozenset(r["tau"]) for r in rows]
+    tau = [
+        frozenset(_expect(c, int, "colour") for c in _field(r, "tau", list))
+        for r in rows
+    ]
     labels = []
     any_label = False
     for r in rows:
-        if r.get("label") is None:
+        label = r.get("label")
+        if label is None:
             labels.append(None)
         else:
             any_label = True
-            labels.append((r["label"]["molecule"], tb.from_text(r["label"]["tableau"])))
-    mu = {(e["from"], e["to"]): e["w"] for e in obj["mu"]}
+            _expect(label, dict, "label")
+            t = tb.from_text(_field(label, "tableau", str))
+            labels.append((_field(label, "molecule", int), t))
+    mu = {}
+    for e in _field(obj, "mu", list):
+        _expect(e, dict, "weight entry")
+        mu[_field(e, "from", int), _field(e, "to", int)] = _field(e, "w", int)
     return SColoredGraph(n, tau, mu, tuple(labels) if any_label else None)
 
 

@@ -8,7 +8,8 @@ explicit path enumeration, tableau counts from enumeration of fillings.
 from itertools import permutations as itperm
 
 from wcell import tableaux as tb
-from wcell.permutations import Permutation, all_permutations, apply_s, length
+from wcell.hecke import KLTable, _shift_add
+from wcell.permutations import Permutation, all_permutations, apply_s, left_descents, length
 
 
 def brute_partitions(n):
@@ -92,8 +93,6 @@ def bruhat_closure(n):
 
 def dual_knuth_classes_on_group(n):
     """Equivalence classes of the two descent-pattern relations on S_n."""
-    from wcell.permutations import left_descents
-
     elems = list(all_permutations(n))
     adj = {w: set() for w in elems}
     for x in elems:
@@ -193,3 +192,71 @@ def all_skew_shapes(max_outer):
                 if sum(outer) - sum(inner) >= 1:
                     shapes.append(tb.SkewShape(outer, inner))
     return shapes
+
+
+def kl_table_slow(n: int) -> KLTable:
+    """Independent construction by inverting the bar involution directly.
+
+    Expands bar(H_w) over the standard basis, then solves the triangular
+    bar-invariance equations for coefficients in q^-1 Z[q^-1].  Exponential
+    and meant only to cross-check kl_table at very small n.
+    """
+    elements = sorted(all_permutations(n), key=length)
+    lengths = {w: length(w) for w in elements}
+    # r[w][y]: expansion of bar(H_w)
+    r: dict[Permutation, dict[Permutation, dict[int, int]]] = {}
+    for w in elements:
+        if lengths[w] == 0:
+            r[w] = {w: {0: 1}}
+            continue
+        s = min(left_descents(w))
+        v = apply_s(s, w)
+        acc: dict[Permutation, dict[int, int]] = {}
+        # bar(H_w) = (H_s - (q - q^-1)) bar(H_v); the H_y terms cancel when sy < y
+        for y, ry in r[v].items():
+            sy = apply_s(s, y)
+            dst = acc.setdefault(sy, {})
+            _shift_add(dst, ry, 0)
+            if not dst:
+                del acc[sy]
+            if lengths[sy] > lengths[y]:
+                dst = acc.setdefault(y, {})
+                _shift_add(dst, ry, 1, -1)
+                _shift_add(dst, ry, -1, 1)
+                if not dst:
+                    del acc[y]
+        r[w] = acc
+    bruhat_lists = {w: sorted(r[w], key=lengths.get, reverse=True) for w in elements}
+    h: dict[Permutation, dict[Permutation, dict[int, int]]] = {}
+    mu_pairs: dict[tuple[Permutation, Permutation], int] = {}
+    for w in elements:
+        hw: dict[Permutation, dict[int, int]] = {w: {0: 1}}
+        for y in bruhat_lists[w]:
+            if y == w:
+                continue
+            # f = sum over y < z <= w of r[z][y] * bar(h[z][w])
+            f: dict[int, int] = {}
+            for z, hz in hw.items():
+                rz = r[z].get(y)
+                if rz is None:
+                    continue
+                for e1, c1 in rz.items():
+                    for e2, c2 in hz.items():
+                        e = e1 - e2
+                        s2 = f.get(e, 0) + c1 * c2
+                        if s2:
+                            f[e] = s2
+                        else:
+                            del f[e]
+            # h - bar(h) = f with h supported in negative exponents
+            hy = {e: c for e, c in f.items() if e < 0}
+            if any(f.get(-e, 0) != -c for e, c in hy.items()) or f.get(0, 0):
+                raise AssertionError("bar-invariance system is inconsistent")
+            if hy:
+                hw[y] = hy
+        h[w] = hw
+        for y, hy in hw.items():
+            m = hy.get(-1, 0)
+            if m and y != w:
+                mu_pairs[(y, w)] = m
+    return KLTable(n, h, mu_pairs, lengths)

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -80,6 +83,74 @@ def test_verify_unparseable_file(tmp_path):
     bad = tmp_path / "junk.json"
     bad.write_text("{not json")
     assert run(["verify", "--in", str(bad)]) == 2
+
+
+_GOOD = {
+    "n": 3,
+    "vertices": [{"id": 0, "tau": [1], "label": None}, {"id": 1, "tau": [2], "label": None}],
+    "mu": [],
+}
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        [_GOOD],
+        {**_GOOD, "mu": 5},
+        {**_GOOD, "n": "3"},
+        {**_GOOD, "vertices": 5},
+        {**_GOOD, "vertices": [5]},
+        {**_GOOD, "vertices": [{"id": 0, "tau": [1.5], "label": None}]},
+        {**_GOOD, "vertices": [{"id": 0, "tau": ["x"], "label": None}]},
+        {**_GOOD, "vertices": [{"id": 0, "tau": 1, "label": None}]},
+        {**_GOOD, "vertices": [{"id": "0", "tau": [1], "label": None}]},
+        {**_GOOD, "vertices": [{"id": 0, "tau": [1], "label": 7}]},
+        {**_GOOD, "vertices": [{"id": 0, "tau": [1], "label": {"molecule": 0, "tableau": 1}}]},
+        {**_GOOD, "mu": [{"from": 0, "to": 1, "w": 1.5}]},
+        {**_GOOD, "mu": [{"from": 0, "to": 1, "w": "x"}]},
+        {**_GOOD, "mu": [{"from": 0, "to": 1, "w": True}]},
+        {**_GOOD, "mu": [{"from": 0.0, "to": 1, "w": 1}]},
+        {**_GOOD, "mu": [[0, 0, 1]]},
+        {"vertices": [], "mu": []},
+    ],
+)
+def test_malformed_graph_document_is_usage_error(tmp_path, capsys, doc):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert run(["verify", "--in", str(bad), "--rules", "admissible"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot parse") and "Traceback" not in err
+
+
+def test_ordered_on_unlabelled_graph_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(_GOOD))
+    for rules in ("all", "ordered", "admissible,ordered"):
+        assert run(["verify", "--in", str(path), "--rules", rules]) == 2
+        err = capsys.readouterr().err
+        assert "'ordered'" in err and "Traceback" not in err
+    assert run(["verify", "--in", str(path), "--rules", "admissible"]) == 0
+
+
+def test_oracle_rank_below_one_is_usage_error(capsys):
+    for n in ("0", "-1"):
+        assert run(["oracle", "--n", n]) == 2
+        captured = capsys.readouterr()
+        assert "--n must be at least 1" in captured.err and captured.out == ""
+
+
+def test_cli_import_leaves_numpy_out():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = "import sys, wcell.cli; print('numpy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_oracle_small_rank(capsys):

@@ -197,7 +197,7 @@ def test_bonding_duplicate_neighbour_fails():
 
 
 def test_rule_suite_passes_on_built_graphs(built):
-    for n in range(1, 8):
+    for n in range(1, 9):
         for lam in tb.partitions_of(n):
             for report in wg.run_checks(built(lam)):
                 assert report.ok, (lam, report.summary())
@@ -219,6 +219,12 @@ def test_polygon_sums_match_brute_force_exhaustively(built):
     graphs = [built(lam) for lam in tb.partitions_of(5)]
     graphs += [built(lam) for lam in tb.partitions_of(6)]
     graphs.append(hecke.kl_regular_graph(4))
+    # a negative weight on an arc makes some sums negative
+    g = built((3, 2))
+    mu = dict(g.mu)
+    mu[min(mu)] = -2
+    graphs.append(wg.SColoredGraph(g.n, g.tau, mu, g.labels))
+    assert any(x < 0 for x in wg.alternating_sums(graphs[-1], 2, 1, 2).values())
     for g in graphs:
         quads = []
         for u in g.vertices():
@@ -259,6 +265,22 @@ def test_polygon_reports_first_counterexample():
     u, v, i, j, r, nij, nji = report.violations[0]
     assert (u, v, r) == (0, 2, 2) and {i, j} == {1, 2}
     assert {nij, nji} == {0, 1}
+
+
+@pytest.mark.parametrize(
+    "mu",
+    [
+        # 2**32 * 2**32 wraps to 0 in int64 arithmetic
+        {(1, 0): 2**32, (2, 1): 2**32},
+        # a weight that does not fit in int64 at all
+        {(1, 0): 2**64, (2, 1): 1},
+    ],
+)
+def test_polygon_sums_are_exact_beyond_int64(mu):
+    g = wg.SColoredGraph(3, [set(), {1}, {1, 2}], mu)
+    report = wg.check_polygon(g, 2)
+    assert not report.ok
+    assert report.violations[0] == (0, 2, 1, 2, 2, 2**64, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,13 @@
 """Exact Hecke-algebra arithmetic and the Kazhdan-Lusztig oracle.
 
-Everything here works over Z[q, q^-1] with the quadratic relation
-H_s^2 = 1 + (q - q^-1) H_s.  The canonical basis elements C_w are computed
-by the usual recursion C_{sw} = C_s C_w - sum mu(y, w) C_y, which yields the
-coefficient polynomials h_{y,w} in q^-1 Z[q^-1], the mu values as their
-q^-1 coefficients, and the classical polynomials P_{y,w} after a change of
+The Hecke algebra is taken over Z[q, q^-1] with the quadratic relation
+H_s^2 = 1 + (q - q^-1) H_s.  verify_hecke_relations checks that a graph
+defines a module of it on integer matrices evaluated at one integer q,
+chosen large enough for the test to be exact.  The canonical basis
+elements C_w are computed by the usual recursion
+C_{sw} = C_s C_w - sum mu(y, w) C_y, which yields the coefficient
+polynomials h_{y,w} in q^-1 Z[q^-1], the mu values as their q^-1
+coefficients, and the classical polynomials P_{y,w} after a change of
 variable.  None of this is consulted by the cell builder; it exists to
 validate builder output on small ranks.
 
@@ -23,7 +26,7 @@ from functools import lru_cache
 from . import rsk
 from . import tableaux as tb
 from . import wgraph as wg
-from .laurent import LaurentPolynomial, ONE, Q, QINV
+from .laurent import LaurentPolynomial, ONE
 from .permutations import (
     Permutation,
     all_permutations,
@@ -47,87 +50,84 @@ class OracleBoundError(ValueError):
 # W-graph module matrices and relation checking
 
 
-def module_matrices(g: wg.SColoredGraph):
-    """One sparse matrix per generator, columns over LaurentPolynomial.
+def module_matrices(g: wg.SColoredGraph, q: int):
+    """One sparse integer matrix A_s = q T_s per generator, evaluated at q.
 
-    The column of v holds -q^-1 v when s colours v, and otherwise
-    q v plus mu(u, v) u for every u coloured by s.
+    The column of v holds -v when s colours v, and otherwise
+    q^2 v plus q mu(u, v) u for every u coloured by s.
     """
     mats = []
-    minus_qinv = -QINV
     for s in range(1, g.n):
         cols = []
         for v in g.vertices():
             if s in g.tau[v]:
-                col = {v: minus_qinv}
+                cols.append({v: -1})
             else:
-                col = {v: Q}
-                for u, w in g.column(v).items():
-                    if s in g.tau[u]:
-                        col[u] = col.get(u, LaurentPolynomial(0)) + w
-            cols.append(col)
+                col = {u: q * w for u, w in g.column(v).items() if s in g.tau[u]}
+                col[v] = q * q
+                cols.append(col)
         mats.append(cols)
     return mats
 
 
-def _apply(mat, col):
-    """Matrix times a sparse column vector."""
-    out: dict[int, LaurentPolynomial] = {}
-    for u, coeff in col.items():
-        for x, entry in mat[u].items():
-            acc = out.get(x)
-            acc = entry * coeff if acc is None else acc + entry * coeff
-            if acc.is_zero():
-                out.pop(x, None)
-            else:
-                out[x] = acc
+def _compose(mat_a, mat_b):
+    """Columns of A applied to each column of B."""
+    out = []
+    for col in mat_b:
+        acc: dict[int, int] = {}
+        for u, c in col.items():
+            for x, e in mat_a[u].items():
+                acc[x] = acc.get(x, 0) + e * c
+        out.append(acc)
     return out
 
 
-def _compose(mat_a, mat_b):
-    """Columns of A applied to each column of B."""
-    return [_apply(mat_a, col) for col in mat_b]
-
-
-def _mats_equal(mat_a, mat_b):
+def _first_difference(mat_a, mat_b):
+    """(u, v) for the first column v where A and B differ and its smallest row u."""
     for v, (ca, cb) in enumerate(zip(mat_a, mat_b)):
-        keys = set(ca) | set(cb)
-        for u in keys:
-            pa = ca.get(u, LaurentPolynomial(0))
-            pb = cb.get(u, LaurentPolynomial(0))
-            if pa != pb:
-                return (u, v, pa, pb)
+        if ca != cb:
+            rows = [u for u in ca.keys() | cb.keys() if ca.get(u, 0) != cb.get(u, 0)]
+            if rows:
+                return (min(rows), v)
     return None
 
 
 def verify_hecke_relations(g: wg.SColoredGraph) -> wg.CheckReport:
-    """Quadratic, commuting and braid identities for the generator matrices."""
-    mats = module_matrices(g)
+    """Quadratic, commuting and braid identities, checked exactly at one integer q.
+
+    With A_s = q T_s the relations read A_s^2 = q^2 I + (q^2 - 1) A_s,
+    A_s A_t = A_t A_s and A_s A_t A_s = A_t A_s A_t, and every entry of
+    LHS - RHS is a polynomial in Z[q].  Measure a column by the sum of the
+    absolute coefficients of its entries; this norm is submultiplicative.
+    Every entry of A_s is a monomial, so the largest column norm L of all
+    A_s (at least 1) is read off at q = 1, and each entry of LHS - RHS has
+    absolute coefficient sum at most B = 2 L^3 + 2 L + 1.  A nonzero integer
+    polynomial of degree d with coefficient sum at most B cannot vanish at
+    an integer q > B: its lower terms sum to at most (B - 1) q^(d-1) < q^d
+    in absolute value.  So evaluating at q = B + 1 is an exact test.
+    """
+    ones = module_matrices(g, 1)
+    norm = max((sum(map(abs, col.values())) for mat in ones for col in mat), default=1)
+    q = 2 * norm**3 + 2 * norm + 2
+    mats = module_matrices(g, q)
     bad = []
-    gap = Q - QINV
     for s, mat in enumerate(mats, start=1):
-        square = _compose(mat, mat)
-        expect = []
-        for v in g.vertices():
-            col = {u: p * gap for u, p in mat[v].items()}
-            col[v] = col.get(v, LaurentPolynomial(0)) + ONE
-            expect.append({u: p for u, p in col.items() if not p.is_zero()})
-        witness = _mats_equal(square, expect)
+        expect = [{u: (q * q - 1) * e for u, e in col.items()} for col in mat]
+        for v, col in enumerate(expect):
+            col[v] += q * q
+        witness = _first_difference(_compose(mat, mat), expect)
         if witness:
             bad.append(("quadratic", s, *witness))
     for s in range(1, g.n - 1):
         for t in range(s + 1, g.n):
             a, b = mats[s - 1], mats[t - 1]
             if t - s >= 2:
-                witness = _mats_equal(_compose(a, b), _compose(b, a))
-                if witness:
-                    bad.append(("commuting", s, t, *witness))
+                kind, lhs, rhs = "commuting", _compose(a, b), _compose(b, a)
             else:
-                aba = _compose(a, _compose(b, a))
-                bab = _compose(b, _compose(a, b))
-                witness = _mats_equal(aba, bab)
-                if witness:
-                    bad.append(("braid", s, t, *witness))
+                kind, lhs, rhs = "braid", _compose(a, _compose(b, a)), _compose(b, _compose(a, b))
+            witness = _first_difference(lhs, rhs)
+            if witness:
+                bad.append((kind, s, t, *witness))
     return wg.CheckReport("hecke-relations", not bad, tuple(bad[:10]))
 
 

@@ -597,27 +597,33 @@ def from_json_obj(obj: dict) -> SColoredGraph:
         for r in rows
     ]
     labels = []
-    any_label = False
+    targets = set()  # (size, offset) of the label tableaux
     for r in rows:
         label = r.get("label")
         if label is None:
             labels.append(None)
         else:
-            any_label = True
             _expect(label, dict, "label")
             t = tb.from_text(_field(label, "tableau", str))
+            targets.add((t.size, t.offset))
             labels.append((_field(label, "molecule", int), t))
+    if len(targets) > 1:
+        raise ValueError("label tableaux must all hold the same entries")
     mu = {}
     for e in _field(obj, "mu", list):
         _expect(e, dict, "weight entry")
         mu[_field(e, "from", int), _field(e, "to", int)] = _field(e, "w", int)
-    return SColoredGraph(n, tau, mu, tuple(labels) if any_label else None)
+    return SColoredGraph(n, tau, mu, tuple(labels) if targets else None)
 
 
 def from_json_str(s: str) -> SColoredGraph:
     import json
 
-    return from_json_obj(json.loads(s))
+    try:
+        obj = json.loads(s)
+    except RecursionError:
+        raise ValueError("document nested too deeply") from None
+    return from_json_obj(obj)
 
 
 def to_dot(g: SColoredGraph) -> str:

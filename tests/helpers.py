@@ -8,7 +8,9 @@ explicit path enumeration, tableau counts from enumeration of fillings.
 from itertools import permutations as itperm
 
 from wcell import tableaux as tb
+from wcell import wgraph as wg
 from wcell.hecke import KLTable, _shift_add
+from wcell.laurent import LaurentPolynomial, ONE, Q, QINV
 from wcell.permutations import Permutation, all_permutations, apply_s, left_descents, length
 
 
@@ -260,3 +262,93 @@ def kl_table_slow(n: int) -> KLTable:
             if m and y != w:
                 mu_pairs[(y, w)] = m
     return KLTable(n, h, mu_pairs, lengths)
+
+
+# ---------------------------------------------------------------------------
+# Hecke relations over Z[q, q^-1]: the symbolic reference for the exact
+# integer evaluation in hecke.verify_hecke_relations.  The names match the
+# library's so a test can swap this module in for wcell.hecke.
+
+
+def module_matrices(g: wg.SColoredGraph):
+    """One sparse matrix per generator, columns over LaurentPolynomial.
+
+    The column of v holds -q^-1 v when s colours v, and otherwise
+    q v plus mu(u, v) u for every u coloured by s.
+    """
+    mats = []
+    minus_qinv = -QINV
+    for s in range(1, g.n):
+        cols = []
+        for v in g.vertices():
+            if s in g.tau[v]:
+                col = {v: minus_qinv}
+            else:
+                col = {v: Q}
+                for u, w in g.column(v).items():
+                    if s in g.tau[u]:
+                        col[u] = col.get(u, LaurentPolynomial(0)) + w
+            cols.append(col)
+        mats.append(cols)
+    return mats
+
+
+def _apply(mat, col):
+    """Matrix times a sparse column vector."""
+    out: dict[int, LaurentPolynomial] = {}
+    for u, coeff in col.items():
+        for x, entry in mat[u].items():
+            acc = out.get(x)
+            acc = entry * coeff if acc is None else acc + entry * coeff
+            if acc.is_zero():
+                out.pop(x, None)
+            else:
+                out[x] = acc
+    return out
+
+
+def _compose(mat_a, mat_b):
+    """Columns of A applied to each column of B."""
+    return [_apply(mat_a, col) for col in mat_b]
+
+
+def _mats_equal(mat_a, mat_b):
+    for v, (ca, cb) in enumerate(zip(mat_a, mat_b)):
+        keys = set(ca) | set(cb)
+        for u in keys:
+            pa = ca.get(u, LaurentPolynomial(0))
+            pb = cb.get(u, LaurentPolynomial(0))
+            if pa != pb:
+                return (u, v, pa, pb)
+    return None
+
+
+def verify_hecke_relations(g: wg.SColoredGraph) -> wg.CheckReport:
+    """Quadratic, commuting and braid identities for the generator matrices."""
+    mats = module_matrices(g)
+    bad = []
+    gap = Q - QINV
+    for s, mat in enumerate(mats, start=1):
+        square = _compose(mat, mat)
+        expect = []
+        for v in g.vertices():
+            col = {u: p * gap for u, p in mat[v].items()}
+            col[v] = col.get(v, LaurentPolynomial(0)) + ONE
+            expect.append({u: p for u, p in col.items() if not p.is_zero()})
+        witness = _mats_equal(square, expect)
+        if witness:
+            bad.append(("quadratic", s, *witness))
+    for s in range(1, g.n - 1):
+        for t in range(s + 1, g.n):
+            a, b = mats[s - 1], mats[t - 1]
+            if t - s >= 2:
+                witness = _mats_equal(_compose(a, b), _compose(b, a))
+                if witness:
+                    bad.append(("commuting", s, t, *witness))
+            else:
+                aba = _compose(a, _compose(b, a))
+                bab = _compose(b, _compose(a, b))
+                witness = _mats_equal(aba, bab)
+                if witness:
+                    bad.append(("braid", s, t, *witness))
+    return wg.CheckReport("hecke-relations", not bad, tuple(bad[:10]))

@@ -112,11 +112,26 @@ _GOOD = {
         {**_GOOD, "mu": [{"from": 0.0, "to": 1, "w": 1}]},
         {**_GOOD, "mu": [[0, 0, 1]]},
         {"vertices": [], "mu": []},
+        {
+            **_GOOD,
+            "vertices": [
+                {"id": 0, "tau": [1], "label": {"molecule": 0, "tableau": "1"}},
+                {"id": 1, "tau": [2], "label": {"molecule": 0, "tableau": "1 2/3 4"}},
+            ],
+        },
     ],
 )
 def test_malformed_graph_document_is_usage_error(tmp_path, capsys, doc):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
+    assert run(["verify", "--in", str(bad), "--rules", "admissible"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot parse") and "Traceback" not in err
+
+
+def test_deeply_nested_document_is_usage_error(tmp_path, capsys):
+    bad = tmp_path / "deep.json"
+    bad.write_text("[" * 100000)
     assert run(["verify", "--in", str(bad), "--rules", "admissible"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: cannot parse") and "Traceback" not in err

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from helpers import kl_table_slow
@@ -20,6 +22,8 @@ from wcell.permutations import (
 
 
 def test_singleton_matrices():
+    import helpers as hecke  # the Laurent reference, under the library's names
+
     g = wg.SColoredGraph(2, [{1}], {})
     (mat,) = hecke.module_matrices(g)
     assert mat[0] == {0: -QINV}
@@ -31,6 +35,8 @@ def test_singleton_matrices():
 
 
 def test_shape_21_matrices_satisfy_quadratic(built):
+    import helpers as hecke  # the Laurent reference, under the library's names
+
     g = built((2, 1))
     for mat in hecke.module_matrices(g):
         square = hecke._compose(mat, mat)
@@ -56,6 +62,107 @@ def test_relations_fail_on_corruption(built):
     report = hecke.verify_hecke_relations(bad)
     assert not report.ok
     assert report.violations
+
+
+def test_singleton_integer_matrices():
+    q = 7
+    g = wg.SColoredGraph(2, [{1}], {})
+    assert hecke.module_matrices(g, q) == [[{0: -1}]]
+    g2 = wg.SColoredGraph(2, [set()], {})
+    assert hecke.module_matrices(g2, q) == [[{0: q * q}]]
+    assert hecke.verify_hecke_relations(g).ok
+    assert hecke.verify_hecke_relations(g2).ok
+
+
+@pytest.mark.parametrize("root", [1, 2, 3])
+def test_relation_polynomial_with_an_integer_root_fails(root):
+    # colours {2}, {1,2}, {}, {1}: the only nonzero entry of
+    # A_1 A_2 A_1 - A_2 A_1 A_2 is (1, 2), equal to q^2 (root q - 1)(q - root)
+    mu = {(1, 0): root, (3, 0): 1, (0, 2): 1, (0, 3): 1, (1, 3): root * root + 1}
+    g = wg.SColoredGraph(3, [{2}, {1, 2}, set(), {1}], mu)
+    a, b = hecke.module_matrices(g, root)
+    aba = hecke._compose(a, hecke._compose(b, a))
+    assert hecke._first_difference(aba, hecke._compose(b, hecke._compose(a, b))) is None
+    assert hecke.verify_hecke_relations(g).violations == (("braid", 1, 2, 1, 2),)
+
+
+def _corruptions(g, rng, count):
+    """count seeded single corruptions of g, cycling through five kinds."""
+    nv = g.num_vertices
+    keys = sorted(g.mu)
+    empty = [(u, v) for u in range(nv) for v in range(nv) if u != v and (u, v) not in g.mu]
+    out = []
+    for k in range(count):
+        tau, mu = list(g.tau), dict(g.mu)
+        kind = k % 5
+        if kind == 0 and keys:  # weight +-1
+            key = rng.choice(keys)
+            mu[key] += rng.choice((-1, 1))
+        elif kind == 1 and keys:  # deleted weight
+            del mu[rng.choice(keys)]
+        elif kind == 2 and empty:  # new weight
+            mu[rng.choice(empty)] = rng.choice((-1, 1, 2))
+        elif kind == 3 and (keys or empty):  # huge weight
+            mu[rng.choice(keys or empty)] = 2**70
+        elif g.n > 1:  # changed colour set
+            v = rng.randrange(nv)
+            colours = [s for s in range(1, g.n) if rng.random() < 0.5]
+            while frozenset(colours) == tau[v]:
+                colours = [s for s in range(1, g.n) if rng.random() < 0.5]
+            tau[v] = colours
+        else:
+            continue
+        out.append(wg.SColoredGraph(g.n, tau, mu, g.labels))
+    return out
+
+
+def test_integer_check_agrees_with_laurent_reference(built):
+    import helpers
+
+    rng = random.Random(20181807)
+    graphs, corrupted = [], []
+    for n in range(7):
+        for lam in tb.partitions_of(n):
+            graphs.append(built(lam))
+            corrupted.extend(_corruptions(built(lam), rng, 20))
+    assert len(corrupted) >= 500
+    outcomes = set()
+    for g in graphs + corrupted:
+        fast = hecke.verify_hecke_relations(g)
+        slow = helpers.verify_hecke_relations(g)
+        # witnesses end with (u, v) here and with (u, v, lhs, rhs) in the
+        # reference, which may name another differing row u of the column v
+        assert fast.ok == slow.ok
+        assert [(*w[:-2], w[-1]) for w in fast.violations] == [
+            (*w[:-4], w[-3]) for w in slow.violations
+        ]
+        outcomes.add(fast.ok)
+    assert outcomes == {True, False}
+
+
+def test_single_weight_corruptions_are_caught(built):
+    # each weight +-1 or 0, and weight 1 on each empty off-diagonal pair
+    cases = 0
+    for n in range(1, 6):
+        for lam in tb.partitions_of(n):
+            g = built(lam)
+            nv = g.num_vertices
+            for u in range(nv):
+                for v in range(nv):
+                    if u == v:
+                        continue
+                    w = g.weight(u, v)
+                    for new in (w - 1, w + 1, 0) if w else (1,):
+                        bad = wg.SColoredGraph(g.n, g.tau, {**g.mu, (u, v): new}, g.labels)
+                        reports = wg.run_checks(bad) + [hecke.verify_hecke_relations(bad)]
+                        assert not all(r.ok for r in reports), (lam, u, v, new)
+                        cases += 1
+    assert cases == 222
+
+
+@pytest.mark.parametrize("lam", [(3, 3, 2, 1), (4, 3, 2, 1)])
+def test_relations_beyond_the_oracle(built, lam):
+    assert hecke.verify_hecke_relations(built(lam)).ok
 
 
 # ---------------------------------------------------------------------------

@@ -324,7 +324,7 @@ def test_ordered_requires_labels():
 
 
 def test_json_roundtrip_is_bit_identical(built):
-    for lam in [(2, 1), (2, 2), (3, 2)]:
+    for lam in [(), (1,), (2, 1), (2, 2), (3, 2)]:
         g = built(lam)
         s = wg.to_json_str(g)
         again = wg.to_json_str(wg.from_json_str(s))

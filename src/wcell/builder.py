@@ -11,120 +11,112 @@ descent set.  Three classes of weights are populated:
       contained in D(u) -- the weight is forced by the polygon rule, and
       mu_probable evaluates the forcing identity.
 
-Every other weight is zero.  The probable-pair identity refers only to
-weights whose target tableau is lexicographically smaller than t, provided
-the pair is first replaced by its canonical favourable representative, so
-the table is filled one lex-column at a time.  Within a column the pairs
-are independent: nothing reads the column being written.
+Every other weight is zero.  Tableaux are used only to set the cell up.
+Its vertices are 0..N-1 in increasing lexicographic order, and a CellIndex
+holds the column word of each vertex (the column of each entry 1..n, which
+determines the tableau), the dict from word to vertex, the descent bitmasks
+and the one weight table, cols[t] = {u: mu(u, t)}, the layout of
+SColoredGraph.column.  The probable pairs are evaluated on these integers
+alone: s_i t is the word with the letters of i and i+1 exchanged.
+
+The probable-pair identity refers only to weights whose target is
+lexicographically smaller than t, once the pair is replaced by its
+canonical favourable representative, so the table is filled one lex-column
+at a time.  Within a column the pairs are independent.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import knuth
 from . import tableaux as tb
 from . import wgraph as wg
-from .tableaux import StandardTableau
 
 
-@dataclass
-class MuTable:
-    """Sparse weight table over lex-indexed standard tableaux of one shape.
+class CellIndex(NamedTuple):
+    words: list[tuple[int, ...]]  # column word of each vertex
+    index: dict[tuple[int, ...], int]  # vertex of each word
+    masks: list[int]  # bit d set when d is a descent of the vertex
+    cols: list[dict[int, int]]  # cols[t][u] = mu(u, t); absent entries are zero
 
-    ``cols[t][u]`` holds mu(u, t) for tableau indices u, t; absent entries
-    are zero.  Lookups made on behalf of a probable-pair evaluation assert
-    that the referenced column lies strictly below the pair's own column in
-    the lexicographic order, which is the well-foundedness of the schedule.
+
+def _mask(t) -> int:
+    return sum(1 << d for d in t.descents)
+
+
+def _swap(word, e: int):
+    """The word of s_e t: the letters of the entries e and e+1 exchanged."""
+    return word[: e - 1] + (word[e], word[e - 1]) + word[e + 1 :]
+
+
+def cell_index(tabs) -> CellIndex:
+    """The index of the tableaux tabs, with the weights (a) and (b) filled in."""
+    words = [t.column_word for t in tabs]
+    index = {w: v for v, w in enumerate(words)}
+    cols: list[dict[int, int]] = [{} for _ in tabs]
+    for it, t in enumerate(tabs):
+        for mv in knuth.dk_moves_from(t):
+            io = index[(mv.target if mv.source == t else mv.source).column_word]
+            cols[it][io] = cols[io][it] = 1
+        for i in t.descent_data().sa:
+            u = tb.swap_adjacent(t, i)
+            if t.descents < u.descents:
+                cols[it][index[u.column_word]] = 1
+    return CellIndex(words, index, [_mask(t) for t in tabs], cols)
+
+
+def mu_probable(iu: int, it: int, cell: CellIndex, rep=None) -> int:
+    """Weight mu(iu, it) of a probable pair of vertices, via the polygon-rule identity.
+
+    The pair is replaced by its favourable representative (iu0, it0), whose
+    words graft knuth.favourable_prefix onto the tails of the two words.
+    With i the restriction number and j the largest strong descent of t0,
+    the identity eliminates the unknown from the equality of alternating
+    path sums of length two (when the generators i and j commute, and in
+    the commuting j - i = 1 subcase) or of length three (otherwise).  Every
+    weight it consults lies in a column below it, so it is already final.
+
+    A member of knuth.favourable_set may be passed as a vertex pair rep;
+    the result does not depend on the choice.
     """
-
-    tabs: tuple[StandardTableau, ...]
-    index: dict[StandardTableau, int] = field(init=False)
-    cols: dict[int, dict[int, int]] = field(init=False)
-
-    def __post_init__(self):
-        self.index = {t: i for i, t in enumerate(self.tabs)}
-        self.cols = {}
-
-    def get(self, u: int, t: int) -> int:
-        return self.cols.get(t, {}).get(u, 0)
-
-    def set(self, u: int, t: int, w: int) -> None:
-        if u == t:
-            raise ValueError("no self-weights")
-        if w:
-            self.cols.setdefault(t, {})[u] = w
-        else:
-            self.cols.get(t, {}).pop(u, None)
-
-    def column(self, t: int) -> dict[int, int]:
-        return self.cols.get(t, {})
-
-
-def _checked_get(table: MuTable, u: int, t: int, limit: int) -> int:
-    if t >= limit:
-        raise AssertionError(
-            f"schedule violation: lookup of column {t} while building column {limit}"
-        )
-    return table.get(u, t)
-
-
-def mu_probable(u: StandardTableau, t: StandardTableau, table: MuTable, rep=None) -> int:
-    """Weight mu(u, t) of a probable pair, via the polygon-rule identity.
-
-    The pair is replaced by a favourable representative (u0, t0); with i the
-    restriction number and j the largest strong descent of t0, the identity
-    eliminates the unknown from the equality of alternating path sums of
-    length two (when the generators i and j commute, and in the commuting
-    j - i = 1 subcase) or of length three (otherwise).  Every weight it
-    consults has target lexicographically below t, so it is already final.
-
-    A representative from the favourable set may be passed explicitly; the
-    result does not depend on the choice.
-    """
-    limit = table.index[t]
-    u0, t0 = rep if rep is not None else knuth.favourable_rep(u, t)
-    i = knuth.restriction_number(u0, t0)
-    sd = sorted(t0.descent_data().sd)
-    if not sd:
-        raise AssertionError("probable pair with strong-descent-free target")
-    j = sd[-1]
-    if i >= j:
+    words, index, masks, cols = cell
+    uw, tw = words[iu], words[it]
+    i, prefix = knuth.favourable_prefix(uw, tw)
+    iu0, it0 = rep if rep is not None else (index[prefix + uw[i:]], index[prefix + tw[i:]])
+    t0 = words[it0]
+    j = max((e for e in range(i + 1, len(t0)) if t0[e - 1] > t0[e]), default=None)
+    if j is None:
         raise AssertionError("restriction number must precede max strong descent")
-    iu0 = table.index[u0]
-    tabs = table.tabs
-    if j - i >= 2 or t0.col_of(j - 1) < t0.col_of(j + 1):
-        h = i
-        v = tb.swap_adjacent(t0, j)
-        iv = table.index[v]
-        it0 = table.index[t0]
-        if iv >= limit:
+    iv = index[_swap(t0, j)]
+    if j - i >= 2 or t0[j - 2] < t0[j]:
+        if iv >= it:
             raise AssertionError("schedule violation: column of s_j t0 not final")
-        total = 0
-        for ix, w_xv in table.column(iv).items():
-            pattern = tabs[ix].descents & {h, j}
-            if pattern == {h}:
-                total += w_xv * _checked_get(table, iu0, ix, limit)
-            elif pattern == {j} and ix != it0:
-                total -= w_xv * _checked_get(table, iu0, ix, limit)
-        return total
-    if t0.col_of(j - 1) == t0.col_of(j + 1):
-        raise AssertionError("entries j-1 and j+1 cannot share a column here")
-    v = tb.swap_adjacent(t0, j)
-    w = tb.swap_adjacent(v, j - 1)
-    iv = table.index[v]
-    iw = table.index[w]
-    if iw >= limit:
-        raise AssertionError("schedule violation: column of s_{j-1} s_j t0 not final")
+        base, plus, minus, skip, neighbour = iv, i, j, it0, False
+    else:
+        if t0[j - 2] == t0[j]:
+            raise AssertionError("entries j-1 and j+1 cannot share a column here")
+        iw = index[_swap(words[iv], j - 1)]
+        if iw >= it:
+            raise AssertionError("schedule violation: column of s_{j-1} s_j t0 not final")
+        base, plus, minus, skip, neighbour = iw, j, j - 1, iv, True
+    both = (1 << plus) | (1 << minus)
     total = 0
-    for iy, w_yw in table.column(iw).items():
-        pattern = tabs[iy].descents & {j - 1, j}
-        if pattern == {j}:
-            nb = table.index[knuth.k_neighbour(tabs[iy], j - 1)]
-            total += w_yw * _checked_get(table, iu0, nb, limit)
-        elif pattern == {j - 1} and iy != iv:
-            nb = table.index[knuth.k_neighbour(tabs[iy], j - 1)]
-            total -= w_yw * _checked_get(table, iu0, nb, limit)
+    for x, w in cols[base].items():
+        pattern = masks[x] & both
+        if pattern == 1 << plus:
+            sign = 1
+        elif pattern == 1 << minus and x != skip:
+            sign = -1
+        else:
+            continue
+        if neighbour:
+            x = index[_swap(words[x], knuth.neighbour_swap(words[x], j - 1))]
+        if x >= it:
+            raise AssertionError(
+                f"schedule violation: lookup of column {x} while building column {it}"
+            )
+        total += sign * w * cols[x].get(iu0, 0)
     return total
 
 
@@ -134,12 +126,8 @@ def probable_pairs(tabs) -> list[tuple[int, int]]:
     Grouped by target, targets in increasing lexicographic order.
     """
     by_mask: dict[int, list[int]] = {}
-    masks = []
-    for idx, t in enumerate(tabs):
-        mask = 0
-        for d in t.descents:
-            mask |= 1 << d
-        masks.append(mask)
+    masks = [_mask(t) for t in tabs]
+    for idx, mask in enumerate(masks):
         by_mask.setdefault(mask, []).append(idx)
     n = tabs[0].size if tabs else 0
     universe = ((1 << n) - 1) & ~1  # bits 1..n-1
@@ -165,31 +153,12 @@ def build_cell_graph(lam) -> wg.SColoredGraph:
     """
     lam = tb.check_partition(lam) if lam else ()
     tabs = tuple(tb.enumerate_std(lam))
-    table = MuTable(tabs)
-    # (a) simple edges from dual Knuth moves
-    for it, t in enumerate(tabs):
-        for mv in knuth.dk_moves_from(t):
-            other = mv.target if mv.source == t else mv.source
-            io = table.index[other]
-            table.set(io, it, 1)
-            table.set(it, io, 1)
-    # (b) covers u = s_i t > t with descents strictly growing
-    for it, t in enumerate(tabs):
-        dt = t.descents
-        for i in t.descent_data().sa:
-            u = tb.swap_adjacent(t, i)
-            if dt < u.descents:
-                table.set(table.index[u], it, 1)
+    cell = cell_index(tabs)
     # (c) probable pairs, one lex-column at a time
     for iu, it in probable_pairs(tabs):
-        w = mu_probable(tabs[iu], tabs[it], table)
+        w = mu_probable(iu, it, cell)
         if w:
-            table.set(iu, it, w)
-    tau = [t.descents for t in tabs]
-    mu = {
-        (u, t): w
-        for t, col in table.cols.items()
-        for u, w in col.items()
-    }
+            cell.cols[it][iu] = w
+    mu = {(u, t): w for t, col in enumerate(cell.cols) for u, w in col.items()}
     labels = tuple((0, t) for t in tabs)
-    return wg.SColoredGraph(sum(lam) if lam else 1, tau, mu, labels)
+    return wg.SColoredGraph(sum(lam) if lam else 1, [t.descents for t in tabs], mu, labels)

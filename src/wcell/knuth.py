@@ -5,7 +5,9 @@ subject to a descent-pattern constraint; these moves are exactly the simple
 edges of the cell graphs built elsewhere in this package.  On top of the
 moves this module provides k-neighbours, restriction numbers of tableau
 pairs, favourable pairs with the witness set F(u, t), approximates A(u, t),
-and paired dual Knuth equivalence classes.
+and paired dual Knuth equivalence classes.  The k-neighbour and the
+canonical favourable pair are decided on column words (neighbour_swap,
+favourable_prefix), which the cell builder calls directly.
 """
 
 from __future__ import annotations
@@ -81,16 +83,24 @@ def k_neighbour(t: StandardTableau, k: int) -> StandardTableau:
     Requires exactly one of k, k+1 to be a descent of t, and k+2 to lie in
     the target of t.
     """
-    d = t.descents
-    if len(d & {k, k + 1}) != 1:
+    if len(t.descents & {k, k + 1}) != 1:
         raise ValueError(f"need exactly one of {k},{k+1} in the descent set")
     if not (t.min_entry <= k and k + 2 <= t.max_entry):
         raise ValueError(f"entries {k},{k+1},{k+2} must all lie in the target")
-    ck, ck1, ck2 = t.col_of(k), t.col_of(k + 1), t.col_of(k + 2)
+    return tb.swap_adjacent(t, t.offset + neighbour_swap(t.column_word, k - t.offset))
+
+
+def neighbour_swap(cols, k: int) -> int:
+    """The entry, k or k+1, that k_neighbour exchanges with its successor.
+
+    cols[e - 1] is the column of the e-th entry; only the columns of the
+    entries k, k+1 and k+2 are read.
+    """
+    ck, ck1, ck2 = cols[k - 1], cols[k], cols[k + 1]
     if (ck < ck2 <= ck1) or (ck1 < ck2 <= ck):
-        return tb.swap_adjacent(t, k)
+        return k
     if (ck1 <= ck < ck2) or (ck2 <= ck < ck1):
-        return tb.swap_adjacent(t, k + 1)
+        return k + 1
     raise ValueError(f"no neighbour at index {k}")  # unreachable for valid input
 
 
@@ -142,6 +152,24 @@ def _prefix_with_top(xi, box, fill) -> StandardTableau:
     return StandardTableau(SkewShape(xi), base.boxes + (box,), 0, _checked=True)
 
 
+def _prefix_shape(uw, tw):
+    """(k, xi, boxes) for the column words of two distinct tableaux.
+
+    k is the restriction number: the words agree exactly on their first k
+    letters, which fill the shape xi (column heights).  boxes are the
+    removable boxes of xi between the boxes of k+1 in the two tableaux, in
+    increasing column order.
+    """
+    k = next((e for e, (a, b) in enumerate(zip(uw, tw)) if a != b), None)
+    if k is None:
+        raise ValueError("the pair must consist of two distinct tableaux")
+    xi = [0] * max(uw + tw)
+    for c in uw[:k]:
+        xi[c - 1] += 1
+    p, q = uw[k], tw[k]
+    return k, xi, _between_boxes(xi, (xi[p - 1] + 1, p), (xi[q - 1] + 1, q))
+
+
 def favourable_set(u: StandardTableau, t: StandardTableau):
     """All favourable pairs obtained from (u, t) by rearranging the common prefix.
 
@@ -152,38 +180,38 @@ def favourable_set(u: StandardTableau, t: StandardTableau):
     """
     if u == t:
         raise ValueError("favourable_set needs a pair of distinct tableaux")
-    k = restriction_number(u, t)
-    w = tb.restrict_leq(u, u.offset + k)
-    xi = w.shape.outer
-    bu = u.box_of(u.offset + k + 1)
-    bt = t.box_of(t.offset + k + 1)
+    k, xi, boxes = _prefix_shape(u.column_word, t.column_word)
     out = []
-    for box in sorted(_between_boxes(xi, bu, bt), key=lambda b: b[1]):
+    for box in boxes:
         for wp in tb.enumerate_std(xi):
-            if wp.box_of(k) != box:
-                continue
-            out.append((_graft(wp, u, k), _graft(wp, t, k)))
+            if wp.box_of(k) == box:
+                out.append((_graft(wp, u, k), _graft(wp, t, k)))
     return out
 
 
-def favourable_rep(u: StandardTableau, t: StandardTableau):
-    """The canonical member of favourable_set(u, t).
+def favourable_prefix(uw, tw):
+    """(k, prefix): the canonical common prefix of the favourable pair of two words.
 
-    Deterministic choice: take the between-box of smallest column, fill the
-    rest of the prefix shape minimally, and place k on the chosen box.
+    uw and tw are the column words of two distinct tableaux and k is their
+    restriction number.  prefix is the column word of a filling of the
+    shape of their first k entries: k goes on the between-box of smallest
+    column, and the rest is filled minimally.  Grafting prefix onto uw[k:]
+    and tw[k:] gives the canonical favourable pair.
     """
-    if u == t:
-        raise ValueError("favourable_rep needs a pair of distinct tableaux")
-    k = restriction_number(u, t)
-    w = tb.restrict_leq(u, u.offset + k)
-    xi = w.shape.outer
-    bu = u.box_of(u.offset + k + 1)
-    bt = t.box_of(t.offset + k + 1)
-    boxes = _between_boxes(xi, bu, bt)
+    k, xi, boxes = _prefix_shape(uw, tw)
     if not boxes:
         raise ValueError("no removable box between the two addable boxes")
-    box = min(boxes, key=lambda b: b[1])
-    wp = _prefix_with_top(xi, box, tb.tau_min)
+    m = boxes[0][1]
+    xi[m - 1] -= 1
+    return k, tuple(c for c, h in enumerate(xi, 1) for _ in range(h)) + (m,)
+
+
+def favourable_rep(u: StandardTableau, t: StandardTableau):
+    """The canonical member of favourable_set(u, t); see favourable_prefix."""
+    if u == t:
+        raise ValueError("favourable_rep needs a pair of distinct tableaux")
+    k, prefix = favourable_prefix(u.column_word, t.column_word)
+    wp = tb.from_column_word(prefix)
     return _graft(wp, u, k), _graft(wp, t, k)
 
 

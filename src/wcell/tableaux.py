@@ -255,6 +255,15 @@ class StandardTableau:
     def col_of(self, e: int) -> int:
         return self._cols[e - self.offset - 1]
 
+    @property
+    def column_word(self) -> tuple[int, ...]:
+        """The column of each entry, smallest entry first.
+
+        For a normal shape the word determines the tableau: the row of an
+        entry is the number of entries up to it in its column.
+        """
+        return self._cols
+
     def entry_at(self, box):
         try:
             return self.entries()[self.boxes.index(tuple(box))]
@@ -586,6 +595,17 @@ def from_rows(rows, offset=None) -> StandardTableau:
         for j, e in enumerate(row, start=1):
             pos[e] = (i, j)
     return StandardTableau(shape, [pos[e] for e in sorted(pos)], offset)
+
+
+def from_column_word(cols, offset: int = 0) -> StandardTableau:
+    """The normal-shape tableau whose entry offset+1+k lies in column cols[k]."""
+    heights: list[int] = []
+    boxes = []
+    for c in cols:
+        heights += [0] * (c - len(heights))
+        heights[c - 1] += 1
+        boxes.append((heights[c - 1], c))
+    return StandardTableau(SkewShape(tuple(heights)), boxes, offset)
 
 
 def from_text(s: str) -> StandardTableau:

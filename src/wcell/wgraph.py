@@ -467,10 +467,16 @@ def check_polygon(g: SColoredGraph, r: int) -> CheckReport:
     Stops at the first counterexample, reported as (u, v, i, j, r, N_ij, N_ji)
     with the smallest (u, v) for the first failing pair.  Each pair costs two
     calls of alternating_sums.
+
+    Only generators in the colour of some row u of a nonzero weight mu(u, v)
+    are tried.  A path sum can end only at such a vertex, and the rule
+    compares only sums whose end is coloured by both i and j, so a pair
+    with i or j outside those colours cannot fail.
     """
-    for i in range(1, g.n - 1):
-        for j in range(i + 1, g.n):
-            if r == 3 and j - i != 1:
+    gens = sorted(set().union(*(g.tau[u] for u, _ in g.mu)))
+    for i in gens:
+        for j in gens:
+            if j <= i or (r == 3 and j - i != 1):
                 continue
             n_ij = alternating_sums(g, r, i, j)
             n_ji = alternating_sums(g, r, j, i)
@@ -588,6 +594,8 @@ def from_json_obj(obj: dict) -> SColoredGraph:
     """Inverse of to_json_obj; raises ValueError on a document of the wrong shape."""
     _expect(obj, dict, "graph document")
     n = _field(obj, "n", int)
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
     rows = [_expect(r, dict, "vertex") for r in _field(obj, "vertices", list)]
     rows.sort(key=lambda r: _field(r, "id", int))
     if [r["id"] for r in rows] != list(range(len(rows))):

@@ -10,8 +10,10 @@ from itertools import permutations as itperm
 from wcell import tableaux as tb
 from wcell import wgraph as wg
 from wcell.hecke import KLTable, _shift_add
+from wcell.knuth import _between_boxes, _graft, _prefix_with_top, restriction_number
 from wcell.laurent import LaurentPolynomial, ONE, Q, QINV
 from wcell.permutations import Permutation, all_permutations, apply_s, left_descents, length
+from wcell.tableaux import StandardTableau
 
 
 def brute_partitions(n):
@@ -352,3 +354,29 @@ def verify_hecke_relations(g: wg.SColoredGraph) -> wg.CheckReport:
                 if witness:
                     bad.append(("braid", s, t, *witness))
     return wg.CheckReport("hecke-relations", not bad, tuple(bad[:10]))
+
+
+# ---------------------------------------------------------------------------
+# The canonical favourable pair built from tableau objects: the reference
+# for knuth.favourable_rep, which grafts a prefix computed on column words.
+
+
+def favourable_rep(u: StandardTableau, t: StandardTableau):
+    """The canonical member of favourable_set(u, t).
+
+    Deterministic choice: take the between-box of smallest column, fill the
+    rest of the prefix shape minimally, and place k on the chosen box.
+    """
+    if u == t:
+        raise ValueError("favourable_rep needs a pair of distinct tableaux")
+    k = restriction_number(u, t)
+    w = tb.restrict_leq(u, u.offset + k)
+    xi = w.shape.outer
+    bu = u.box_of(u.offset + k + 1)
+    bt = t.box_of(t.offset + k + 1)
+    boxes = _between_boxes(xi, bu, bt)
+    if not boxes:
+        raise ValueError("no removable box between the two addable boxes")
+    box = min(boxes, key=lambda b: b[1])
+    wp = _prefix_with_top(xi, box, tb.tau_min)
+    return _graft(wp, u, k), _graft(wp, t, k)

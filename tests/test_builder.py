@@ -1,3 +1,7 @@
+import hashlib
+import json
+import os
+
 import pytest
 
 from wcell import builder, hecke, knuth
@@ -71,10 +75,11 @@ def test_mu_probable_matches_oracle_values(built):
         tabs = tuple(tb.enumerate_std(lam))
         g = built(lam)
         oracle = hecke.kl_left_cell_graph(lam)
-        table = builder.MuTable(tabs)
-        table.cols = {it: dict(g.column(it)) for it in g.vertices()}
+        cell = builder.cell_index(tabs)
+        for it in g.vertices():
+            cell.cols[it].update(g.column(it))
         for iu, it in builder.probable_pairs(tabs):
-            got = builder.mu_probable(tabs[iu], tabs[it], table)
+            got = builder.mu_probable(iu, it, cell)
             assert got == oracle.weight(iu, it), (lam, iu, it)
             assert got >= 0
 
@@ -84,13 +89,15 @@ def test_mu_probable_independent_of_representative(built):
         for lam in tb.partitions_of(n):
             tabs = tuple(tb.enumerate_std(lam))
             g = built(lam)
-            table = builder.MuTable(tabs)
-            table.cols = {it: dict(g.column(it)) for it in g.vertices()}
+            cell = builder.cell_index(tabs)
+            for it in g.vertices():
+                cell.cols[it].update(g.column(it))
             for iu, it in builder.probable_pairs(tabs):
                 u, t = tabs[iu], tabs[it]
-                reference = builder.mu_probable(u, t, table)
-                for rep in knuth.favourable_set(u, t):
-                    assert builder.mu_probable(u, t, table, rep=rep) == reference
+                reference = builder.mu_probable(iu, it, cell)
+                for u0, t0 in knuth.favourable_set(u, t):
+                    rep = (cell.index[u0.column_word], cell.index[t0.column_word])
+                    assert builder.mu_probable(iu, it, cell, rep=rep) == reference
 
 
 def test_final_graph_edges_are_simple_and_bipartite(built):
@@ -131,8 +138,21 @@ def test_arc_transport_on_final_graphs(built):
 def test_schedule_assertions_are_active():
     tabs = tuple(tb.enumerate_std((3, 2)))
     (iu, it), = builder.probable_pairs(tabs)
-    # a table indexed against the lexicographic order puts every referenced
+    # an index built against the lexicographic order puts every referenced
     # column above the pair's own column, so the schedule guard must fire
-    table = builder.MuTable(tuple(reversed(tabs)))
-    with pytest.raises(AssertionError):
-        builder.mu_probable(tabs[iu], tabs[it], table)
+    reverse = tuple(reversed(tabs))
+    cell = builder.cell_index(reverse)
+    with pytest.raises(AssertionError, match="schedule violation"):
+        builder.mu_probable(reverse.index(tabs[iu]), reverse.index(tabs[it]), cell)
+
+
+def test_built_graphs_match_committed_digests(built):
+    # SHA-256 of to_json_str for every shape with n <= 8, written before the
+    # builder moved to integer vertex indices: the graphs must stay bit-identical
+    path = os.path.join(os.path.dirname(__file__), "built_digests.json")
+    with open(path) as fh:
+        pinned = json.load(fh)
+    assert len(pinned) == sum(len(tb.partitions_of(n)) for n in range(1, 9)) == 66
+    for key, digest in pinned.items():
+        text = wg.to_json_str(built(tuple(map(int, key.split(",")))))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, key

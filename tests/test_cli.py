@@ -1,7 +1,10 @@
+import ast
 import json
 import os
+import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -112,6 +115,8 @@ _GOOD = {
         {**_GOOD, "mu": [{"from": 0.0, "to": 1, "w": 1}]},
         {**_GOOD, "mu": [[0, 0, 1]]},
         {"vertices": [], "mu": []},
+        {"n": 0, "vertices": [], "mu": []},
+        {"n": -5, "vertices": [{"id": 0, "tau": [], "label": None}], "mu": []},
         {
             **_GOOD,
             "vertices": [
@@ -127,6 +132,18 @@ def test_malformed_graph_document_is_usage_error(tmp_path, capsys, doc):
     assert run(["verify", "--in", str(bad), "--rules", "admissible"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: cannot parse") and "Traceback" not in err
+
+
+def test_verify_of_a_wide_one_vertex_document_is_quick(tmp_path):
+    # the polygon rule and the Hecke check skip the generators that colour
+    # no vertex, so n = 3000 costs no n^2 generator pairs here
+    path = tmp_path / "wide.json"
+    doc = {"n": 3000, "vertices": [{"id": 0, "tau": [], "label": None}], "mu": []}
+    path.write_text(json.dumps(doc))
+    rules = "admissible,compatibility,simplicity,bonding,polygon"
+    start = time.perf_counter()
+    assert run(["verify", "--in", str(path), "--rules", rules, "--hecke"]) == 0
+    assert time.perf_counter() - start < 10
 
 
 def test_deeply_nested_document_is_usage_error(tmp_path, capsys):
@@ -166,6 +183,20 @@ def test_cli_import_leaves_numpy_out():
         check=True,
     )
     assert out.stdout.strip() == "False"
+
+
+def test_package_imports_only_the_standard_library():
+    package = pathlib.Path(__file__).parent.parent / "src" / "wcell"
+    modules = sorted(package.rglob("*.py"))
+    imported = set()
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    assert len(modules) >= 10 and {"dataclasses", "argparse"} <= imported
+    assert {m for m in imported if m != "wcell" and m not in sys.stdlib_module_names} == set()
 
 
 def test_oracle_small_rank(capsys):

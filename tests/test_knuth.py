@@ -1,6 +1,7 @@
 import pytest
 
-from wcell import knuth
+import helpers
+from wcell import builder, knuth
 from wcell import tableaux as tb
 
 
@@ -168,6 +169,19 @@ def test_favourable_rep_is_a_member():
         members = knuth.favourable_set(u, t)
         if members:
             assert knuth.favourable_rep(u, t) in members
+
+
+def test_favourable_rep_matches_tableau_reference():
+    # every ordered pair of distinct tableaux with n <= 6 (6454 pairs), and
+    # every probable pair with n = 7, 8 (986 pairs)
+    pairs = [(u, t) for n in range(1, 7) for u, t in _pairs_same_n(n) if u != t]
+    for n in (7, 8):
+        for lam in tb.partitions_of(n):
+            tabs = tb.enumerate_std(lam)
+            pairs += [(tabs[iu], tabs[it]) for iu, it in builder.probable_pairs(tabs)]
+    assert len(pairs) == 6454 + 986
+    for u, t in pairs:
+        assert knuth.favourable_rep(u, t) == helpers.favourable_rep(u, t), (u, t)
 
 
 def test_descent_transport_on_favourable_members():

@@ -11,13 +11,13 @@ descent set.  Three classes of weights are populated:
       contained in D(u) -- the weight is forced by the polygon rule, and
       mu_probable evaluates the forcing identity.
 
-Every other weight is zero.  Tableaux are used only to set the cell up.
-Its vertices are 0..N-1 in increasing lexicographic order, and a CellIndex
-holds the column word of each vertex (the column of each entry 1..n, which
+Every other weight is zero.  Tableaux are used only to enumerate and label
+the vertices 0..N-1, in increasing lexicographic order.  A CellIndex holds
+the column word of each vertex (the column of each entry 1..n, which
 determines the tableau), the dict from word to vertex, the descent bitmasks
 and the one weight table, cols[t] = {u: mu(u, t)}, the layout of
-SColoredGraph.column.  The probable pairs are evaluated on these integers
-alone: s_i t is the word with the letters of i and i+1 exchanged.
+SColoredGraph.column.  The rest runs on these integers: s_i t is the word
+with the letters of i and i+1 exchanged.
 
 The probable-pair identity refers only to weights whose target is
 lexicographically smaller than t, once the pair is replaced by its
@@ -41,29 +41,37 @@ class CellIndex(NamedTuple):
     cols: list[dict[int, int]]  # cols[t][u] = mu(u, t); absent entries are zero
 
 
-def _mask(t) -> int:
-    return sum(1 << d for d in t.descents)
-
-
 def _swap(word, e: int):
     """The word of s_e t: the letters of the entries e and e+1 exchanged."""
     return word[: e - 1] + (word[e], word[e - 1]) + word[e + 1 :]
 
 
 def cell_index(tabs) -> CellIndex:
-    """The index of the tableaux tabs, with the weights (a) and (b) filled in."""
+    """The index of the tableaux tabs, with the weights (a) and (b) filled in.
+
+    Each ascent i of each vertex t is tried once.  When the word with the
+    letters of i and i+1 exchanged is a vertex u = s_i t, D(u) is D(t) with
+    i added and possibly i - 1 or i + 1 taken away:
+      - t loses i - 1: {i-1} flips to {i} on {i-1, i}, a first-kind move;
+      - t loses i + 1: {i+1} flips to {i} on {i, i+1}, a second-kind move;
+      - t loses nothing: D(t) is strictly inside D(u), a cover.
+    A move gives mu(u, t) = mu(t, u) = 1, a cover mu(u, t) = 1 only.  Every
+    dual Knuth move has i as an ascent at exactly one end, so each edge is
+    seen once.
+    """
     words = [t.column_word for t in tabs]
     index = {w: v for v, w in enumerate(words)}
-    cols: list[dict[int, int]] = [{} for _ in tabs]
-    for it, t in enumerate(tabs):
-        for mv in knuth.dk_moves_from(t):
-            io = index[(mv.target if mv.source == t else mv.source).column_word]
-            cols[it][io] = cols[io][it] = 1
-        for i in t.descent_data().sa:
-            u = tb.swap_adjacent(t, i)
-            if t.descents < u.descents:
-                cols[it][index[u.column_word]] = 1
-    return CellIndex(words, index, [_mask(t) for t in tabs], cols)
+    masks = [sum(1 << d for d in t.descents) for t in tabs]
+    cols: list[dict[int, int]] = [{} for _ in words]
+    for it, w in enumerate(words):
+        for i in range(1, len(w)):
+            if w[i - 1] < w[i]:
+                iu = index.get(_swap(w, i))
+                if iu is not None:
+                    cols[it][iu] = 1
+                    if masks[it] & ~masks[iu]:
+                        cols[iu][it] = 1
+    return CellIndex(words, index, masks, cols)
 
 
 def mu_probable(iu: int, it: int, cell: CellIndex, rep=None) -> int:
@@ -120,25 +128,25 @@ def mu_probable(iu: int, it: int, cell: CellIndex, rep=None) -> int:
     return total
 
 
-def probable_pairs(tabs) -> list[tuple[int, int]]:
-    """Index pairs (u, t) with u < t in dominance and D(t) strictly inside D(u).
+def probable_pairs(cell: CellIndex) -> list[tuple[int, int]]:
+    """Vertex pairs (u, t) with u < t in dominance and D(t) strictly inside D(u).
 
     Grouped by target, targets in increasing lexicographic order.
     """
+    words, masks = cell.words, cell.masks
     by_mask: dict[int, list[int]] = {}
-    masks = [_mask(t) for t in tabs]
-    for idx, mask in enumerate(masks):
-        by_mask.setdefault(mask, []).append(idx)
-    n = tabs[0].size if tabs else 0
+    for v, mask in enumerate(masks):
+        by_mask.setdefault(mask, []).append(v)
+    n = len(words[0]) if words else 0
     universe = ((1 << n) - 1) & ~1  # bits 1..n-1
     out = []
-    for it, t in enumerate(tabs):
+    for it, tw in enumerate(words):
         mask = masks[it]
         free = universe & ~mask
         sub = free
         while sub:
             for iu in by_mask.get(mask | sub, ()):
-                if tb.extended_dominance_leq(tabs[iu], t) and iu != it:
+                if tb.column_dominance_leq(words[iu], tw):
                     out.append((iu, it))
             sub = (sub - 1) & free
     return out
@@ -155,7 +163,7 @@ def build_cell_graph(lam) -> wg.SColoredGraph:
     tabs = tuple(tb.enumerate_std(lam))
     cell = cell_index(tabs)
     # (c) probable pairs, one lex-column at a time
-    for iu, it in probable_pairs(tabs):
+    for iu, it in probable_pairs(cell):
         w = mu_probable(iu, it, cell)
         if w:
             cell.cols[it][iu] = w

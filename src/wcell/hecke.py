@@ -39,7 +39,11 @@ DEFAULT_ORACLE_MAX = 6
 
 
 def oracle_bound() -> int:
-    return int(os.environ.get("WCELL_ORACLE_MAX", DEFAULT_ORACLE_MAX))
+    raw = os.environ.get("WCELL_ORACLE_MAX", DEFAULT_ORACLE_MAX)
+    try:
+        return int(raw)
+    except ValueError:
+        raise OracleBoundError(f"WCELL_ORACLE_MAX must be an integer, got {raw!r}") from None
 
 
 class OracleBoundError(ValueError):

@@ -33,13 +33,11 @@ def _move_kinds(a: StandardTableau, b: StandardTableau, k: int):
     da, db = a.descents, b.descents
     kinds = []
     # first kind: pattern at {k-1, k} flips from {k-1} to {k}
-    if k - 1 >= a.min_entry:
-        if da & {k - 1, k} == {k - 1} and db & {k - 1, k} == {k}:
-            kinds.append(1)
+    if da & {k - 1, k} == {k - 1} and db & {k - 1, k} == {k}:
+        kinds.append(1)
     # second kind: pattern at {k, k+1} flips from {k+1} to {k}
-    if k + 1 <= a.max_entry - 1:
-        if da & {k, k + 1} == {k + 1} and db & {k, k + 1} == {k}:
-            kinds.append(2)
+    if da & {k, k + 1} == {k + 1} and db & {k, k + 1} == {k}:
+        kinds.append(2)
     return kinds
 
 

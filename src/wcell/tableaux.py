@@ -196,7 +196,7 @@ class StandardTableau:
     Instances are immutable and hashable; equality is structural.
     """
 
-    __slots__ = ("shape", "offset", "boxes", "_cols", "_rows", "_dset", "_prefix")
+    __slots__ = ("shape", "offset", "boxes", "_cols", "_rows", "_dset")
 
     def __init__(self, shape: SkewShape, boxes, offset: int = 0, _checked: bool = False):
         boxes = tuple(boxes)
@@ -206,7 +206,6 @@ class StandardTableau:
         object.__setattr__(self, "_cols", tuple(b[1] for b in boxes))
         object.__setattr__(self, "_rows", tuple(b[0] for b in boxes))
         object.__setattr__(self, "_dset", None)
-        object.__setattr__(self, "_prefix", None)
         if not _checked:
             self._validate()
 
@@ -321,19 +320,6 @@ class StandardTableau:
     @property
     def descents(self) -> frozenset[int]:
         return self.descent_data().d
-
-    def dominance_prefix(self):
-        """Row m, column k holds #{first m entries in columns <= k}."""
-        if self._prefix is None:
-            width = len(self.shape.outer)
-            rows = []
-            acc = [0] * (width + 1)
-            for c in self._cols:
-                for k in range(c, width + 1):
-                    acc[k] += 1
-                rows.append(tuple(acc[1:]))
-            object.__setattr__(self, "_prefix", tuple(rows))
-        return self._prefix
 
 
 @dataclass(frozen=True)
@@ -496,19 +482,6 @@ def lex_compare(u: StandardTableau, t: StandardTableau) -> int:
     return -1 if ku < kt else (0 if ku == kt else 1)
 
 
-def _prefix_leq(pu, pt, width_u: int, width_t: int) -> bool:
-    # u <= t  iff  t's prefix counts never exceed u's (column convention).
-    width = max(width_u, width_t)
-    for m in range(len(pu)):
-        row_u, row_t = pu[m], pt[m]
-        for k in range(width):
-            cu = row_u[k] if k < width_u else m + 1
-            ct = row_t[k] if k < width_t else m + 1
-            if ct > cu:
-                return False
-    return True
-
-
 def tableau_dominance_leq(u: StandardTableau, t: StandardTableau) -> bool:
     """u <= t for same-shape tableaux; equals the Bruhat order on perm."""
     if u.shape != t.shape or u.offset != t.offset:
@@ -520,12 +493,27 @@ def extended_dominance_leq(u: StandardTableau, t: StandardTableau) -> bool:
     """u <= t in the extended dominance order (shapes may differ)."""
     if u.size != t.size or u.offset != t.offset:
         raise ValueError("extended dominance requires the same target")
-    return _prefix_leq(
-        u.dominance_prefix(),
-        t.dominance_prefix(),
-        len(u.shape.outer),
-        len(t.shape.outer),
-    )
+    return column_dominance_leq(u.column_word, t.column_word)
+
+
+def column_dominance_leq(uw, tw) -> bool:
+    """u <= t in extended dominance, from the column words of u and t.
+
+    u <= t when no prefix of t's word has more letters <= k than the same
+    prefix of u's word, for any column k.  One walk keeps lead[k], the lead
+    of u over t in the letters <= k so far, and stops when one goes negative.
+    """
+    lead = [0] * (max(uw + tw, default=0) + 1)
+    for a, b in zip(uw, tw):
+        if a < b:
+            for k in range(a, b):
+                lead[k] += 1
+        elif b < a:
+            for k in range(b, a):
+                lead[k] -= 1
+                if lead[k] < 0:
+                    return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -380,3 +380,40 @@ def favourable_rep(u: StandardTableau, t: StandardTableau):
     box = min(boxes, key=lambda b: b[1])
     wp = _prefix_with_top(xi, box, tb.tau_min)
     return _graft(wp, u, k), _graft(wp, t, k)
+
+
+# ---------------------------------------------------------------------------
+# Extended dominance from prefix-count matrices: the reference for
+# tableaux.extended_dominance_leq, which walks the two column words once.
+
+
+def dominance_prefix(t: StandardTableau):
+    """Row m, column k holds #{first m entries in columns <= k}."""
+    width = len(t.shape.outer)
+    rows = []
+    acc = [0] * (width + 1)
+    for c in t.column_word:
+        for k in range(c, width + 1):
+            acc[k] += 1
+        rows.append(tuple(acc[1:]))
+    return tuple(rows)
+
+
+def _prefix_leq(pu, pt, width_u: int, width_t: int) -> bool:
+    # u <= t  iff  t's prefix counts never exceed u's (column convention).
+    width = max(width_u, width_t)
+    for m in range(len(pu)):
+        row_u, row_t = pu[m], pt[m]
+        for k in range(width):
+            cu = row_u[k] if k < width_u else m + 1
+            ct = row_t[k] if k < width_t else m + 1
+            if ct > cu:
+                return False
+    return True
+
+
+def extended_dominance_leq(u: StandardTableau, t: StandardTableau) -> bool:
+    """u <= t in the extended dominance order, from the prefix matrices."""
+    return _prefix_leq(
+        dominance_prefix(u), dominance_prefix(t), len(u.shape.outer), len(t.shape.outer)
+    )

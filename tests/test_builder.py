@@ -35,12 +35,12 @@ def test_no_probable_pairs_below_rank_five():
     for n in range(1, 5):
         for lam in tb.partitions_of(n):
             tabs = tuple(tb.enumerate_std(lam))
-            assert builder.probable_pairs(tabs) == []
+            assert builder.probable_pairs(builder.cell_index(tabs)) == []
 
 
 def test_probable_pairs_exist_from_rank_five():
     total = sum(
-        len(builder.probable_pairs(tuple(tb.enumerate_std(lam))))
+        len(builder.probable_pairs(builder.cell_index(tuple(tb.enumerate_std(lam)))))
         for lam in tb.partitions_of(5)
     )
     assert total > 0
@@ -50,7 +50,7 @@ def test_probable_pair_defining_properties():
     for n in (5, 6):
         for lam in tb.partitions_of(n):
             tabs = tuple(tb.enumerate_std(lam))
-            listed = set(builder.probable_pairs(tabs))
+            listed = set(builder.probable_pairs(builder.cell_index(tabs)))
             for iu, u in enumerate(tabs):
                 for it, t in enumerate(tabs):
                     expected = (
@@ -78,7 +78,7 @@ def test_mu_probable_matches_oracle_values(built):
         cell = builder.cell_index(tabs)
         for it in g.vertices():
             cell.cols[it].update(g.column(it))
-        for iu, it in builder.probable_pairs(tabs):
+        for iu, it in builder.probable_pairs(builder.cell_index(tabs)):
             got = builder.mu_probable(iu, it, cell)
             assert got == oracle.weight(iu, it), (lam, iu, it)
             assert got >= 0
@@ -92,7 +92,7 @@ def test_mu_probable_independent_of_representative(built):
             cell = builder.cell_index(tabs)
             for it in g.vertices():
                 cell.cols[it].update(g.column(it))
-            for iu, it in builder.probable_pairs(tabs):
+            for iu, it in builder.probable_pairs(builder.cell_index(tabs)):
                 u, t = tabs[iu], tabs[it]
                 reference = builder.mu_probable(iu, it, cell)
                 for u0, t0 in knuth.favourable_set(u, t):
@@ -137,7 +137,7 @@ def test_arc_transport_on_final_graphs(built):
 
 def test_schedule_assertions_are_active():
     tabs = tuple(tb.enumerate_std((3, 2)))
-    (iu, it), = builder.probable_pairs(tabs)
+    (iu, it), = builder.probable_pairs(builder.cell_index(tabs))
     # an index built against the lexicographic order puts every referenced
     # column above the pair's own column, so the schedule guard must fire
     reverse = tuple(reversed(tabs))

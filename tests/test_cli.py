@@ -171,6 +171,22 @@ def test_oracle_rank_below_one_is_usage_error(capsys):
         assert "--n must be at least 1" in captured.err and captured.out == ""
 
 
+def test_non_integer_oracle_bound_is_usage_error():
+    # a fresh process: kl_table is cached, so an earlier in-process oracle
+    # call of the same rank would never read the bound
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-m", "wcell.cli", "oracle", "--n", "3"],
+        env=dict(os.environ, PYTHONPATH=path, WCELL_ORACLE_MAX="abc"),
+        capture_output=True,
+        text=True,
+    )
+    assert out.returncode == 2
+    assert "WCELL_ORACLE_MAX" in out.stderr and "'abc'" in out.stderr
+    assert "Traceback" not in out.stderr
+
+
 def test_cli_import_leaves_numpy_out():
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))

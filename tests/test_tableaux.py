@@ -1,6 +1,7 @@
 import pytest
 
 from helpers import act, all_skew_shapes, brute_partitions, compositions, lex_geq_composition
+from helpers import extended_dominance_leq as dominance_reference
 from wcell import tableaux as tb
 from wcell.permutations import bruhat_leq, identity
 
@@ -228,6 +229,25 @@ def test_tau_min_is_lex_minimal():
         tabs = tb.enumerate_std(lam)
         tmin = tb.tau_min(lam)
         assert all(t == tmin or tb.lex_compare(tmin, t) == -1 for t in tabs)
+
+
+def test_extended_dominance_matches_prefix_matrix_reference():
+    # every ordered pair of equal-size tableaux with n <= 6, shapes differing
+    # or not, and every ordered pair of equal-size skew tableaux of outer size
+    # at most 5, their targets starting at 3
+    groups = [
+        [t for lam in tb.partitions_of(n) for t in tb.enumerate_std(lam)] for n in range(1, 7)
+    ]
+    skew = [t for s in all_skew_shapes(5) if not s.is_normal for t in tb.enumerate_std(s, 2)]
+    groups += [[t for t in skew if t.size == m] for m in range(1, 5)]
+    pairs = [(u, t) for tabs in groups for u in tabs for t in tabs]
+    assert len(pairs) == 6573 + 3621
+    outcomes = set()
+    for u, t in pairs:
+        expected = dominance_reference(u, t)
+        assert tb.extended_dominance_leq(u, t) == expected, (u, t)
+        outcomes.add(expected)
+    assert outcomes == {True, False}
 
 
 def test_dominance_errors():

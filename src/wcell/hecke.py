@@ -54,14 +54,14 @@ class OracleBoundError(ValueError):
 # W-graph module matrices and relation checking
 
 
-def module_matrices(g: wg.SColoredGraph, q: int):
-    """One sparse integer matrix A_s = q T_s per generator, evaluated at q.
+def module_matrices(g: wg.SColoredGraph, q: int, gens):
+    """One sparse integer matrix A_s = q T_s per generator s in gens, evaluated at q.
 
     The column of v holds -v when s colours v, and otherwise
     q^2 v plus q mu(u, v) u for every u coloured by s.
     """
     mats = []
-    for s in range(1, g.n):
+    for s in gens:
         cols = []
         for v in g.vertices():
             if s in g.tau[v]:
@@ -113,27 +113,30 @@ def verify_hecke_relations(g: wg.SColoredGraph) -> wg.CheckReport:
     A generator s that colours no vertex has A_s = q^2 I exactly, which
     satisfies the quadratic relation and commutes with every A_t, so those
     checks are skipped for it.  The braid relations are checked for every
-    bonded pair: there A_s A_t A_s = q^4 A_t must still equal
-    A_t A_s A_t = q^2 A_t^2.
+    bonded pair with at least one generator colouring some vertex: there
+    A_s A_t A_s = q^4 A_t must still equal A_t A_s A_t = q^2 A_t^2.  So only
+    generators within distance 1 of a colour get a matrix, and the cost
+    does not grow with n beyond the colours in use.
     """
-    ones = module_matrices(g, 1)
+    coloured = sorted(set().union(*g.tau))
+    gens = sorted({t for s in coloured for t in (s - 1, s, s + 1) if 1 <= t <= g.n - 1})
+    ones = module_matrices(g, 1, gens)
     norm = max((sum(map(abs, col.values())) for mat in ones for col in mat), default=1)
     q = 2 * norm**3 + 2 * norm + 2
-    mats = module_matrices(g, q)
-    coloured = sorted(set().union(*g.tau))
+    mats = dict(zip(gens, module_matrices(g, q, gens)))
     bad = []
     for s in coloured:
-        mat = mats[s - 1]
+        mat = mats[s]
         expect = [{u: (q * q - 1) * e for u, e in col.items()} for col in mat]
         for v, col in enumerate(expect):
             col[v] += q * q
         witness = _first_difference(_compose(mat, mat), expect)
         if witness:
             bad.append(("quadratic", s, *witness))
-    braids = {(s, s + 1) for s in range(1, g.n - 1)}
+    braids = {(t, t + 1) for s in coloured for t in (s - 1, s) if 1 <= t <= g.n - 2}
     commuting = {(s, t) for s in coloured for t in coloured if t - s >= 2}
     for s, t in sorted(braids | commuting):
-        a, b = mats[s - 1], mats[t - 1]
+        a, b = mats[s], mats[t]
         if t - s >= 2:
             kind, lhs, rhs = "commuting", _compose(a, b), _compose(b, a)
         else:
@@ -150,25 +153,28 @@ def verify_hecke_relations(g: wg.SColoredGraph) -> wg.CheckReport:
 
 @dataclass(frozen=True)
 class KLTable:
-    """Canonical-basis coefficients for S_n.
+    """Canonical-basis coefficients for S_n on one integer element index.
 
-    ``h[w][y]`` is the coefficient of the standard basis element indexed by
-    y in the canonical basis element of w, stored as a raw exponent ->
-    coefficient dict.  ``mu_pairs[(y, w)]`` holds the nonzero mu values for
-    y < w.
+    ``perms`` lists the elements of S_n by length, lexicographically within
+    a length, and ``index`` maps each element to its position there; the
+    other fields are keyed by these positions.  ``h[w][y]`` is the
+    coefficient of the standard basis element H_y in the canonical basis
+    element C_w, stored as a raw exponent -> coefficient dict.
+    ``mu_pairs[(y, w)]`` holds the nonzero mu values for y < w, and
+    ``lengths[w]`` is the length of ``perms[w]``.  ``mu`` and
+    ``kl_polynomial`` take permutations.
     """
 
     n: int
+    perms: list
+    index: dict
     h: dict
     mu_pairs: dict
-    lengths: dict
+    lengths: list
 
     def mu(self, y: Permutation, w: Permutation) -> int:
-        if y == w:
-            return 0
-        if self.lengths[y] > self.lengths[w]:
-            y, w = w, y
-        return self.mu_pairs.get((y, w), 0)
+        a, b = self.index[y], self.index[w]
+        return self.mu_pairs.get((a, b) if a < b else (b, a), 0)
 
     def kl_polynomial(self, y: Permutation, w: Permutation) -> LaurentPolynomial:
         """Classical P_{y,w}, in the classical variable (nonnegative powers).
@@ -177,10 +183,11 @@ class KLTable:
         """
         if y == w:
             return ONE
-        hy = self.h.get(w, {}).get(y)
+        a, b = self.index[y], self.index[w]
+        hy = self.h[b].get(a)
         if hy is None:
             return LaurentPolynomial(0)
-        delta = self.lengths[w] - self.lengths[y]
+        delta = self.lengths[b] - self.lengths[a]
         coeffs = {}
         for e, c in hy.items():
             k2 = e + delta
@@ -189,18 +196,19 @@ class KLTable:
             coeffs[k2 // 2] = c
         return LaurentPolynomial(coeffs)
 
-    def bruhat_below(self, w: Permutation):
-        return self.h[w].keys()
 
-
-def _shift_add(acc: dict, h: dict, k: int, scale: int = 1) -> None:
+def _shift_add(acc: dict, key, h: dict, k: int, scale: int = 1) -> None:
+    """acc[key] += scale q^k h, dropping zero terms and an emptied entry."""
+    dst = acc.setdefault(key, {})
     for e, c in h.items():
         e2 = e + k
-        s = acc.get(e2, 0) + scale * c
+        s = dst.get(e2, 0) + scale * c
         if s:
-            acc[e2] = s
+            dst[e2] = s
         else:
-            del acc[e2]
+            del dst[e2]
+    if not dst:
+        del acc[key]
 
 
 @lru_cache(maxsize=None)
@@ -211,38 +219,28 @@ def kl_table(n: int, max_n: int | None = None) -> KLTable:
         raise OracleBoundError(
             f"n={n} exceeds the oracle bound {bound}; raise WCELL_ORACLE_MAX to override"
         )
-    elements = sorted(all_permutations(n), key=length)
-    lengths = {w: length(w) for w in elements}
-    h: dict[Permutation, dict[Permutation, dict[int, int]]] = {}
-    mu_pairs: dict[tuple[Permutation, Permutation], int] = {}
-    for w in elements:
-        lw = lengths[w]
-        if lw == 0:
-            h[w] = {w: {0: 1}}
-            continue
-        s = min(left_descents(w))
-        v = apply_s(s, w)
-        cv = h[v]
-        acc: dict[Permutation, dict[int, int]] = {}
+    perms = sorted(all_permutations(n), key=length)
+    index = {w: k for k, w in enumerate(perms)}
+    # left[s - 1][w] is the index of s w.  Index order refines length and
+    # l(sw) = l(w) +- 1, so s is a left descent of w exactly when
+    # left[s - 1][w] < w.
+    left = [[index[apply_s(s, w)] for w in perms] for s in range(1, n)]
+    h: dict[int, dict[int, dict[int, int]]] = {0: {0: {0: 1}}}
+    mu_pairs: dict[tuple[int, int], int] = {}
+    for w in range(1, len(perms)):
+        # multiplication by the smallest left descent s of w
+        s_times = next(row for row in left if row[w] < w)
+        cv = h[s_times[w]]
+        acc: dict[int, dict[int, int]] = {}
         for y, hy in cv.items():
-            sy = apply_s(s, y)
-            up = lengths[sy] > lengths[y]
-            dst = acc.setdefault(sy, {})
-            _shift_add(dst, hy, 0)
-            if not dst:
-                del acc[sy]
-            dst = acc.setdefault(y, {})
-            _shift_add(dst, hy, -1 if up else 1)
-            if not dst:
-                del acc[y]
+            sy = s_times[y]
+            _shift_add(acc, sy, hy, 0)
+            _shift_add(acc, y, hy, -1 if sy > y else 1)
         for y, hy in cv.items():
             m = hy.get(-1, 0)
-            if m and lengths[apply_s(s, y)] < lengths[y]:
+            if m and s_times[y] < y:
                 for z, hz in h[y].items():
-                    dst = acc.setdefault(z, {})
-                    _shift_add(dst, hz, 0, -m)
-                    if not dst:
-                        del acc[z]
+                    _shift_add(acc, z, hz, 0, -m)
         if acc.get(w) != {0: 1}:
             raise AssertionError("canonical recursion lost unitriangularity")
         h[w] = acc
@@ -250,67 +248,51 @@ def kl_table(n: int, max_n: int | None = None) -> KLTable:
             m = hy.get(-1, 0)
             if m and y != w:
                 mu_pairs[(y, w)] = m
-    return KLTable(n, h, mu_pairs, lengths)
+    return KLTable(n, perms, index, h, mu_pairs, [length(w) for w in perms])
 
 
 # ---------------------------------------------------------------------------
 # oracle graphs
 
 
-def _live_mu(tau, mu):
-    return {
-        (u, v): w for (u, v), w in mu.items() if w and not tau[u] <= tau[v]
-    }
+def _oracle_graph(table: KLTable, elements, labels) -> wg.SColoredGraph:
+    """The W-graph on the given elements: left descent sets as colours and
+    mu values as weights, stored only where they define arcs."""
+    tau = [left_descents(w) for w in elements]
+    mu: dict[tuple[int, int], int] = {}
+    for a, wa in enumerate(elements):
+        for b, wb in enumerate(elements):
+            if not tau[a] <= tau[b]:
+                m = table.mu(wa, wb)
+                if m:
+                    mu[(a, b)] = m
+    return wg.SColoredGraph(table.n, tau, mu, labels)
 
 
 def kl_left_cell_graph(lam, max_n: int | None = None) -> wg.SColoredGraph:
     """The left-cell graph on the reading words of STD(lam), labelled by tableaux.
 
-    Vertices follow the lexicographic order of the tableaux, colours are
-    left descent sets, and weights come from the mu table, symmetrised and
-    then restricted to pairs that actually define arcs.
+    Vertices follow the lexicographic order of the tableaux.
     """
     lam = tb.check_partition(lam)
-    n = sum(lam)
-    table = kl_table(n, max_n)
+    table = kl_table(sum(lam), max_n)
     tabs = tb.enumerate_std(lam)
-    words = [tb.word(t) for t in tabs]
-    tau = [left_descents(w) for w in words]
-    mu: dict[tuple[int, int], int] = {}
-    for a in range(len(tabs)):
-        for b in range(len(tabs)):
-            if a == b:
-                continue
-            m = table.mu(words[a], words[b])
-            if m:
-                mu[(a, b)] = m
-    labels = tuple((0, t) for t in tabs)
-    return wg.SColoredGraph(n, tau, _live_mu(tau, mu), labels)
+    return _oracle_graph(table, [tb.word(t) for t in tabs], tuple((0, t) for t in tabs))
 
 
 def kl_regular_graph(n: int, max_n: int | None = None) -> wg.SColoredGraph:
     """The full left W-graph of S_n, labelled by Robinson-Schensted pairs.
 
-    Vertex labels are (recording-class index, insertion tableau); weights
-    are symmetrised mu values restricted to arcs.
+    Vertices follow the one-line order; a vertex label is (recording-class
+    index, insertion tableau).
     """
     table = kl_table(n, max_n)
-    elements = sorted(all_permutations(n), key=lambda w: w.images)
-    tau = [left_descents(w) for w in elements]
+    elements = sorted(table.perms, key=lambda w: w.images)
     pairs = [rsk.rs(w) for w in elements]
     q_index: dict = {}
     for _p, qtab in pairs:
         q_index.setdefault(qtab, len(q_index))
-    labels = tuple((q_index[qtab], p) for p, qtab in pairs)
-    mu: dict[tuple[int, int], int] = {}
-    for a, wa in enumerate(elements):
-        for b, wb in enumerate(elements):
-            if a == b:
-                continue
-            m = table.mu(wa, wb)
-            if m:
-                mu[(a, b)] = m
-    return wg.SColoredGraph(n, tau, _live_mu(tau, mu), labels)
+    return _oracle_graph(table, elements, tuple((q_index[qtab], p) for p, qtab in pairs))
 
 
 def graphs_equal_under(g1: wg.SColoredGraph, g2: wg.SColoredGraph, bijection) -> bool:

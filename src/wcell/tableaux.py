@@ -130,17 +130,6 @@ def removable_boxes(lam: Partition):
     return out
 
 
-def addable_boxes(lam: Partition):
-    """Boxes (i, j) whose addition gives a partition diagram."""
-    out = []
-    for j in range(1, len(lam) + 2):
-        cur = lam[j - 1] if j <= len(lam) else 0
-        prev = lam[j - 2] if j >= 2 else None
-        if prev is None or cur < prev:
-            out.append((cur + 1, j))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # shapes and tableaux
 
@@ -262,12 +251,6 @@ class StandardTableau:
         entry is the number of entries up to it in its column.
         """
         return self._cols
-
-    def entry_at(self, box):
-        try:
-            return self.entries()[self.boxes.index(tuple(box))]
-        except ValueError:
-            raise KeyError(f"box {box} not filled") from None
 
     def __eq__(self, other):
         return (

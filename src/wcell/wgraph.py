@@ -400,13 +400,18 @@ def check_simplicity(g: SColoredGraph) -> CheckReport:
 
 
 def check_bonding(g: SColoredGraph) -> CheckReport:
-    """Simply-laced bonding: unique opposite-pattern neighbour across each bond."""
+    """Simply-laced bonding: unique opposite-pattern neighbour across each bond.
+
+    Only bonds (i, i+1) with i or i+1 in some colour are tried: for any
+    other bond every vertex has neither, so there is nothing to check.
+    """
     bad = []
     edges_at: dict[int, list[int]] = {v: [] for v in g.vertices()}
     for u, v in g.simple_edges():
         edges_at[u].append(v)
         edges_at[v].append(u)
-    for i in range(1, g.n - 1):
+    coloured = set().union(*g.tau)
+    for i in sorted({s for c in coloured for s in (c - 1, c) if 1 <= s <= g.n - 2}):
         j = i + 1
         for v in g.vertices():
             has_i = i in g.tau[v]

@@ -9,7 +9,6 @@ from itertools import permutations as itperm
 
 from wcell import tableaux as tb
 from wcell import wgraph as wg
-from wcell.hecke import KLTable, _shift_add
 from wcell.knuth import _between_boxes, _graft, _prefix_with_top, restriction_number
 from wcell.laurent import LaurentPolynomial, ONE, Q, QINV
 from wcell.permutations import Permutation, all_permutations, apply_s, left_descents, length
@@ -198,12 +197,24 @@ def all_skew_shapes(max_outer):
     return shapes
 
 
-def kl_table_slow(n: int) -> KLTable:
+def _shift_add(acc: dict, h: dict, k: int, scale: int = 1) -> None:
+    for e, c in h.items():
+        e2 = e + k
+        s = acc.get(e2, 0) + scale * c
+        if s:
+            acc[e2] = s
+        else:
+            del acc[e2]
+
+
+def kl_table_slow(n: int):
     """Independent construction by inverting the bar involution directly.
 
     Expands bar(H_w) over the standard basis, then solves the triangular
-    bar-invariance equations for coefficients in q^-1 Z[q^-1].  Exponential
-    and meant only to cross-check kl_table at very small n.
+    bar-invariance equations for coefficients in q^-1 Z[q^-1].  Returns
+    (h, mu_pairs) keyed by permutations, laid out like the fields of
+    hecke.KLTable.  Exponential and meant only to cross-check kl_table at
+    very small n.
     """
     elements = sorted(all_permutations(n), key=length)
     lengths = {w: length(w) for w in elements}
@@ -263,7 +274,7 @@ def kl_table_slow(n: int) -> KLTable:
             m = hy.get(-1, 0)
             if m and y != w:
                 mu_pairs[(y, w)] = m
-    return KLTable(n, h, mu_pairs, lengths)
+    return h, mu_pairs
 
 
 # ---------------------------------------------------------------------------

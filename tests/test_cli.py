@@ -7,7 +7,10 @@ import sys
 import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from wcell import builder
+from wcell import wgraph as wg
 from wcell.cli import run
 
 
@@ -135,15 +138,77 @@ def test_malformed_graph_document_is_usage_error(tmp_path, capsys, doc):
 
 
 def test_verify_of_a_wide_one_vertex_document_is_quick(tmp_path):
-    # the polygon rule and the Hecke check skip the generators that colour
-    # no vertex, so n = 3000 costs no n^2 generator pairs here
+    # the rules and the Hecke check try only generators within distance 1
+    # of a colour, so a document without colours costs nothing in n
     path = tmp_path / "wide.json"
-    doc = {"n": 3000, "vertices": [{"id": 0, "tau": [], "label": None}], "mu": []}
-    path.write_text(json.dumps(doc))
     rules = "admissible,compatibility,simplicity,bonding,polygon"
-    start = time.perf_counter()
-    assert run(["verify", "--in", str(path), "--rules", rules, "--hecke"]) == 0
-    assert time.perf_counter() - start < 10
+    for n in (3000, 10**9):
+        doc = {"n": n, "vertices": [{"id": 0, "tau": [], "label": None}], "mu": []}
+        path.write_text(json.dumps(doc))
+        start = time.perf_counter()
+        assert run(["verify", "--in", str(path), "--rules", rules, "--hecke"]) == 0
+        assert time.perf_counter() - start < 10
+
+
+_FUZZ_SHAPES = ((1,), (2,), (1, 1), (2, 1), (3, 1), (2, 2), (2, 1, 1), (3, 2), (3, 1, 1))
+_JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 12),
+    st.floats(allow_nan=False),
+    st.text(max_size=6),
+    st.lists(st.integers(-1, 6), max_size=3),
+    st.dictionaries(st.sampled_from(["id", "tau", "label", "from", "to", "w"]), st.integers(-1, 6)),
+)
+
+
+def _slots(x, path=()):
+    """Paths to every entry of the nested dicts and lists of a JSON value."""
+    items = x.items() if isinstance(x, dict) else enumerate(x) if isinstance(x, list) else ()
+    for k, v in items:
+        yield path + (k,)
+        yield from _slots(v, path + (k,))
+
+
+@st.composite
+def _mutated_documents(draw):
+    """The document of a small built graph with a few keys removed, values
+    swapped for junk, lists grown and n redrawn."""
+    lam = draw(st.sampled_from(_FUZZ_SHAPES))
+    doc = json.loads(wg.to_json_str(builder.build_cell_graph(lam)))
+    for _ in range(draw(st.integers(1, 4))):
+        *parent_path, key = draw(st.sampled_from(list(_slots(doc))))
+        parent = doc
+        for k in parent_path:
+            parent = parent[k]
+        action = draw(st.sampled_from(["remove", "junk", "grow", "n"]))
+        value = parent[key]
+        if action == "remove":
+            del parent[key]
+        elif action == "junk":
+            parent[key] = draw(_JUNK)
+        elif action == "grow" and isinstance(value, list):
+            value.extend(draw(st.lists(st.sampled_from(value) if value else _JUNK, max_size=3)))
+        elif action == "n":
+            doc["n"] = draw(st.integers(-2, 10))
+        if not doc:
+            break
+    return doc
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=_mutated_documents())
+def test_mutated_graph_documents_keep_the_exit_code_contract(tmp_path, capsys, doc):
+    path, dot = tmp_path / "doc.json", tmp_path / "doc.dot"
+    path.write_text(json.dumps(doc))
+    unlabelled = "admissible,compatibility,simplicity,bonding,polygon"
+    for argv in (
+        ["verify", "--in", str(path), "--rules", "all", "--hecke"],
+        ["verify", "--in", str(path), "--rules", unlabelled, "--hecke"],
+        ["export", "--in", str(path), "--dot", str(dot)],
+    ):
+        assert run(argv) in (0, 1, 2)
+        assert "Traceback" not in capsys.readouterr().err
 
 
 def test_deeply_nested_document_is_usage_error(tmp_path, capsys):

@@ -67,9 +67,9 @@ def test_relations_fail_on_corruption(built):
 def test_singleton_integer_matrices():
     q = 7
     g = wg.SColoredGraph(2, [{1}], {})
-    assert hecke.module_matrices(g, q) == [[{0: -1}]]
+    assert hecke.module_matrices(g, q, [1]) == [[{0: -1}]]
     g2 = wg.SColoredGraph(2, [set()], {})
-    assert hecke.module_matrices(g2, q) == [[{0: q * q}]]
+    assert hecke.module_matrices(g2, q, [1]) == [[{0: q * q}]]
     assert hecke.verify_hecke_relations(g).ok
     assert hecke.verify_hecke_relations(g2).ok
 
@@ -80,7 +80,7 @@ def test_relation_polynomial_with_an_integer_root_fails(root):
     # A_1 A_2 A_1 - A_2 A_1 A_2 is (1, 2), equal to q^2 (root q - 1)(q - root)
     mu = {(1, 0): root, (3, 0): 1, (0, 2): 1, (0, 3): 1, (1, 3): root * root + 1}
     g = wg.SColoredGraph(3, [{2}, {1, 2}, set(), {1}], mu)
-    a, b = hecke.module_matrices(g, root)
+    a, b = hecke.module_matrices(g, root, [1, 2])
     aba = hecke._compose(a, hecke._compose(b, a))
     assert hecke._first_difference(aba, hecke._compose(b, hecke._compose(a, b))) is None
     assert hecke.verify_hecke_relations(g).violations == (("braid", 1, 2, 1, 2),)
@@ -174,17 +174,18 @@ def test_cover_polynomials_are_one():
     for w, row in table.h.items():
         for y in row:
             if table.lengths[w] - table.lengths[y] == 1:
-                assert table.kl_polynomial(y, w) == ONE
+                assert table.kl_polynomial(table.perms[y], table.perms[w]) == ONE
 
 
 def test_table_respects_bruhat_support():
     table = hecke.kl_table(4)
     for w, row in table.h.items():
+        pw = table.perms[w]
         for y in row:
-            assert bruhat_leq(y, w)
+            assert bruhat_leq(table.perms[y], pw)
         for y in all_permutations(4):
-            if y not in row:
-                assert not bruhat_leq(y, w) or table.kl_polynomial(y, w) == 0
+            if table.index[y] not in row:
+                assert not bruhat_leq(y, pw) or table.kl_polynomial(y, pw) == 0
 
 
 def test_degree_bound_and_constant_term():
@@ -193,7 +194,7 @@ def test_degree_bound_and_constant_term():
         for y in row:
             if y == w:
                 continue
-            p = table.kl_polynomial(y, w)
+            p = table.kl_polynomial(table.perms[y], table.perms[w])
             delta = table.lengths[w] - table.lengths[y]
             assert p.coefficient(0) == 1
             assert p.valuation >= 0
@@ -201,11 +202,38 @@ def test_degree_bound_and_constant_term():
 
 
 def test_fast_table_equals_fixed_point_table():
-    for n in range(1, 5):
+    for n in range(1, 6):
         fast = hecke.kl_table(n)
-        slow = kl_table_slow(n)
-        assert fast.h == slow.h
-        assert fast.mu_pairs == slow.mu_pairs
+        slow_h, slow_mu = kl_table_slow(n)
+        perm = fast.perms
+        assert {
+            perm[w]: {perm[y]: hy for y, hy in row.items()} for w, row in fast.h.items()
+        } == slow_h
+        assert {(perm[y], perm[w]): m for (y, w), m in fast.mu_pairs.items()} == slow_mu
+
+
+def test_table_recursion_runs_on_the_integer_index(monkeypatch):
+    # S_6 is built once (720 permutations) and s w once per generator and
+    # element (5 * 720 calls of apply_s); the recursion builds no permutation
+    from wcell.permutations import Permutation
+
+    counts = {"apply_s": 0, "Permutation": 0}
+    apply_s, init = hecke.apply_s, Permutation.__init__
+
+    def counted_apply_s(s, w):
+        counts["apply_s"] += 1
+        return apply_s(s, w)
+
+    def counted_init(self, images):
+        counts["Permutation"] += 1
+        init(self, images)
+
+    monkeypatch.setattr(hecke, "apply_s", counted_apply_s)
+    monkeypatch.setattr(Permutation, "__init__", counted_init)
+    table = hecke.kl_table.__wrapped__(6)
+    assert counts == {"apply_s": 5 * 720, "Permutation": 720 + 5 * 720}
+    assert [length(w) for w in table.perms] == table.lengths == sorted(table.lengths)
+    assert all(table.index[w] == k for k, w in enumerate(table.perms))
 
 
 def test_first_nontrivial_kl_polynomials():
@@ -213,11 +241,12 @@ def test_first_nontrivial_kl_polynomials():
     # 4231: the classical pairs plus their left-descent propagations down to
     # the identity, all equal to 1 + q
     table = hecke.kl_table(4)
+    perm = table.perms
     nontrivial = {
-        (y.images, w.images): table.kl_polynomial(y, w)
+        (perm[y].images, perm[w].images): table.kl_polynomial(perm[y], perm[w])
         for w, row in table.h.items()
         for y in row
-        if y != w and table.kl_polynomial(y, w) != ONE
+        if y != w and table.kl_polynomial(perm[y], perm[w]) != ONE
     }
     assert nontrivial == {
         ((1, 2, 3, 4), (3, 4, 1, 2)): ONE + Q,

@@ -13,7 +13,6 @@ failing graph can be inspected; the CLI maps reports to exit codes.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
@@ -431,38 +430,54 @@ def check_bonding(g: SColoredGraph) -> CheckReport:
     return CheckReport("bonding", not bad, tuple(bad))
 
 
-def alternating_sums(g: SColoredGraph, r: int, i: int, j: int) -> Counter:
-    """N^r sums for colour pattern (i, j), keyed (u, v); missing keys read 0.
+def polygon_sums(g: SColoredGraph, r: int, i: int, j: int):
+    """N^r_{i,j} and N^r_{j,i} from each start, on the entries the rule reads.
 
-    Entry (u, v) sums the weight products over directed paths from u to v
-    whose r-1 interior vertices alternate between containing i but not j
-    and containing j but not i.  Every nonzero weight counts as a step,
-    whether or not it is an arc.  Only entries with i, j outside tau(u) and
-    inside tau(v) are meaningful to the polygon rule.
-
-    The sums walk the weight columns from each u, so with W nonzero weights
-    and at most d in a column the cost is O(W d) for r = 2 and O(W d^2) for
-    r = 3, in exact integers.
+    Yields (u, n_ij, n_ji) in increasing u for each vertex u with i, j
+    outside tau(u) and a weight into a vertex holding just one of them (no
+    other u starts a path).  n_ij maps each end v with i, j in tau(v) to
+    the sum of the weight products over directed paths from u to v whose
+    r-1 interior vertices alternate between containing i but not j and
+    containing j but not i, starting with i; n_ji starts with j.  Ends with
+    a zero sum may be missing.  Every nonzero weight counts as a step,
+    whether or not it is an arc.
     """
     if r not in (2, 3):
         raise ValueError("only r = 2 and r = 3 occur in type A")
-    pat_i = [i in s and j not in s for s in g.tau]
-    pat_j = [j in s and i not in s for s in g.tau]
-    sums: Counter = Counter()
+    # 0: neither of i, j; 1: i only; 2: j only; 3: both
+    pat = [(i in s) | (j in s) << 1 for s in g.tau]
+    column = g.column
     for u in g.vertices():
-        # weight products of the alternating paths from u to each last interior vertex
-        ends = {x: w for x, w in g.column(u).items() if pat_i[x]}
+        if pat[u]:
+            continue
+        # weight products of the walks to each last interior vertex, keyed
+        # by the pattern of the first one: 1 for N_ij, 2 for N_ji
+        walks: dict[int, dict] = {1: {}, 2: {}}
+        for x, w in column(u).items():
+            p = pat[x]
+            if p == 1 or p == 2:
+                walks[p][x] = w
+        if not (walks[1] or walks[2]):
+            continue
         if r == 3:
-            step: Counter = Counter()
-            for x, w in ends.items():
-                for y, w2 in g.column(x).items():
-                    if pat_j[y]:
-                        step[y] += w * w2
-            ends = step
-        for x, w in ends.items():
-            for v, w2 in g.column(x).items():
-                sums[u, v] += w * w2
-    return sums
+            # one more interior step, into the other pattern
+            step: dict[int, dict] = {1: {}, 2: {}}
+            for p in (1, 2):
+                acc = step[p]
+                for x, w in walks[p].items():
+                    for y, w2 in column(x).items():
+                        if pat[y] == 3 - p:
+                            acc[y] = acc.get(y, 0) + w * w2
+            walks = step
+        sums = []
+        for mid in (walks[1], walks[2]):
+            acc = {}
+            for x, w in mid.items():
+                for v, w2 in column(x).items():
+                    if pat[v] == 3:
+                        acc[v] = acc.get(v, 0) + w * w2
+            sums.append(acc)
+        yield u, sums[0], sums[1]
 
 
 def check_polygon(g: SColoredGraph, r: int) -> CheckReport:
@@ -470,8 +485,16 @@ def check_polygon(g: SColoredGraph, r: int) -> CheckReport:
 
     r = 2 applies to every ordered pair i != j; r = 3 only to bonded pairs.
     Stops at the first counterexample, reported as (u, v, i, j, r, N_ij, N_ji)
-    with the smallest (u, v) for the first failing pair.  Each pair costs two
-    calls of alternating_sums.
+    with the smallest (u, v) for the first failing pair.
+
+    The rule compares N_ij(u, v) with N_ji(u, v) only where i, j are outside
+    tau(u) and inside tau(v), so each pair costs one pass of polygon_sums:
+    it starts only from such u, walks both orders from the same column of
+    u, and keeps only such ends v.  With W nonzero weights and at most d in
+    a column, a pair costs O(W d) for r = 2 and O(W d^2) for r = 3, in exact
+    integers, and usually far less, since few vertices start a walk.  The
+    starts come in increasing u and the smallest differing end of the first
+    start that differs is taken, which is the smallest differing (u, v).
 
     Only generators in the colour of some row u of a nonzero weight mu(u, v)
     are tried.  A path sum can end only at such a vertex, and the rule
@@ -483,20 +506,16 @@ def check_polygon(g: SColoredGraph, r: int) -> CheckReport:
         for j in gens:
             if j <= i or (r == 3 and j - i != 1):
                 continue
-            n_ij = alternating_sums(g, r, i, j)
-            n_ji = alternating_sums(g, r, j, i)
-            both = {i, j}
-            diff = [
-                (u, v)
-                for (u, v) in n_ij.keys() | n_ji.keys()
-                if n_ij[u, v] != n_ji[u, v]
-                and not both & g.tau[u]
-                and both <= g.tau[v]
-            ]
-            if diff:
-                u, v = min(diff)
-                witness = (u, v, i, j, r, n_ij[u, v], n_ji[u, v])
-                return CheckReport(f"polygon-r{r}", False, (witness,))
+            for u, n_ij, n_ji in polygon_sums(g, r, i, j):
+                if n_ij == n_ji:
+                    continue
+                diff = [
+                    v for v in n_ij.keys() | n_ji.keys() if n_ij.get(v, 0) != n_ji.get(v, 0)
+                ]
+                if diff:
+                    v = min(diff)
+                    witness = (u, v, i, j, r, n_ij.get(v, 0), n_ji.get(v, 0))
+                    return CheckReport(f"polygon-r{r}", False, (witness,))
     return CheckReport(f"polygon-r{r}", True)
 
 

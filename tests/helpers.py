@@ -5,6 +5,7 @@ paths it checks: orders come from transitive closures, path sums from
 explicit path enumeration, tableau counts from enumeration of fillings.
 """
 
+from collections import Counter
 from itertools import permutations as itperm
 
 from wcell import tableaux as tb
@@ -158,6 +159,94 @@ def alternating_sum_slow(g, r, i, j, u, v):
     else:
         raise ValueError(r)
     return total
+
+
+def alternating_sums(g: wg.SColoredGraph, r: int, i: int, j: int) -> Counter:
+    """N^r sums for colour pattern (i, j), keyed (u, v); missing keys read 0.
+
+    Entry (u, v) sums the weight products over directed paths from u to v
+    whose r-1 interior vertices alternate between containing i but not j
+    and containing j but not i.  Every nonzero weight counts as a step,
+    whether or not it is an arc.  Only entries with i, j outside tau(u) and
+    inside tau(v) are meaningful to the polygon rule.
+
+    The sums walk the weight columns from each u, so with W nonzero weights
+    and at most d in a column the cost is O(W d) for r = 2 and O(W d^2) for
+    r = 3, in exact integers.
+    """
+    if r not in (2, 3):
+        raise ValueError("only r = 2 and r = 3 occur in type A")
+    pat_i = [i in s and j not in s for s in g.tau]
+    pat_j = [j in s and i not in s for s in g.tau]
+    sums: Counter = Counter()
+    for u in g.vertices():
+        # weight products of the alternating paths from u to each last interior vertex
+        ends = {x: w for x, w in g.column(u).items() if pat_i[x]}
+        if r == 3:
+            step: Counter = Counter()
+            for x, w in ends.items():
+                for y, w2 in g.column(x).items():
+                    if pat_j[y]:
+                        step[y] += w * w2
+            ends = step
+        for x, w in ends.items():
+            for v, w2 in g.column(x).items():
+                sums[u, v] += w * w2
+    return sums
+
+
+def check_polygon(g: wg.SColoredGraph, r: int) -> wg.CheckReport:
+    """The polygon rule over whole alternating_sums tables, two per pair."""
+    gens = sorted(set().union(*(g.tau[u] for u, _ in g.mu)))
+    for i in gens:
+        for j in gens:
+            if j <= i or (r == 3 and j - i != 1):
+                continue
+            n_ij = alternating_sums(g, r, i, j)
+            n_ji = alternating_sums(g, r, j, i)
+            both = {i, j}
+            diff = [
+                (u, v)
+                for (u, v) in n_ij.keys() | n_ji.keys()
+                if n_ij[u, v] != n_ji[u, v]
+                and not both & g.tau[u]
+                and both <= g.tau[v]
+            ]
+            if diff:
+                u, v = min(diff)
+                witness = (u, v, i, j, r, n_ij[u, v], n_ji[u, v])
+                return wg.CheckReport(f"polygon-r{r}", False, (witness,))
+    return wg.CheckReport(f"polygon-r{r}", True)
+
+
+def corruptions(g, rng, count):
+    """count seeded single corruptions of g, cycling through five kinds."""
+    nv = g.num_vertices
+    keys = sorted(g.mu)
+    empty = [(u, v) for u in range(nv) for v in range(nv) if u != v and (u, v) not in g.mu]
+    out = []
+    for k in range(count):
+        tau, mu = list(g.tau), dict(g.mu)
+        kind = k % 5
+        if kind == 0 and keys:  # weight +-1
+            key = rng.choice(keys)
+            mu[key] += rng.choice((-1, 1))
+        elif kind == 1 and keys:  # deleted weight
+            del mu[rng.choice(keys)]
+        elif kind == 2 and empty:  # new weight
+            mu[rng.choice(empty)] = rng.choice((-1, 1, 2))
+        elif kind == 3 and (keys or empty):  # huge weight
+            mu[rng.choice(keys or empty)] = 2**70
+        elif g.n > 1:  # changed colour set
+            v = rng.randrange(nv)
+            colours = [s for s in range(1, g.n) if rng.random() < 0.5]
+            while frozenset(colours) == tau[v]:
+                colours = [s for s in range(1, g.n) if rng.random() < 0.5]
+            tau[v] = colours
+        else:
+            continue
+        out.append(wg.SColoredGraph(g.n, tau, mu, g.labels))
+    return out
 
 
 def skew_reading_word(t):

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from helpers import kl_table_slow
+from helpers import corruptions, kl_table_slow
 from wcell import hecke, rsk
 from wcell import tableaux as tb
 from wcell import wgraph as wg
@@ -86,36 +86,6 @@ def test_relation_polynomial_with_an_integer_root_fails(root):
     assert hecke.verify_hecke_relations(g).violations == (("braid", 1, 2, 1, 2),)
 
 
-def _corruptions(g, rng, count):
-    """count seeded single corruptions of g, cycling through five kinds."""
-    nv = g.num_vertices
-    keys = sorted(g.mu)
-    empty = [(u, v) for u in range(nv) for v in range(nv) if u != v and (u, v) not in g.mu]
-    out = []
-    for k in range(count):
-        tau, mu = list(g.tau), dict(g.mu)
-        kind = k % 5
-        if kind == 0 and keys:  # weight +-1
-            key = rng.choice(keys)
-            mu[key] += rng.choice((-1, 1))
-        elif kind == 1 and keys:  # deleted weight
-            del mu[rng.choice(keys)]
-        elif kind == 2 and empty:  # new weight
-            mu[rng.choice(empty)] = rng.choice((-1, 1, 2))
-        elif kind == 3 and (keys or empty):  # huge weight
-            mu[rng.choice(keys or empty)] = 2**70
-        elif g.n > 1:  # changed colour set
-            v = rng.randrange(nv)
-            colours = [s for s in range(1, g.n) if rng.random() < 0.5]
-            while frozenset(colours) == tau[v]:
-                colours = [s for s in range(1, g.n) if rng.random() < 0.5]
-            tau[v] = colours
-        else:
-            continue
-        out.append(wg.SColoredGraph(g.n, tau, mu, g.labels))
-    return out
-
-
 def test_integer_check_agrees_with_laurent_reference(built):
     import helpers
 
@@ -124,7 +94,7 @@ def test_integer_check_agrees_with_laurent_reference(built):
     for n in range(7):
         for lam in tb.partitions_of(n):
             graphs.append(built(lam))
-            corrupted.extend(_corruptions(built(lam), rng, 20))
+            corrupted.extend(corruptions(built(lam), rng, 20))
     assert len(corrupted) >= 500
     outcomes = set()
     for g in graphs + corrupted:
@@ -163,6 +133,25 @@ def test_single_weight_corruptions_are_caught(built):
 @pytest.mark.parametrize("lam", [(3, 3, 2, 1), (4, 3, 2, 1)])
 def test_relations_beyond_the_oracle(built, lam):
     assert hecke.verify_hecke_relations(built(lam)).ok
+
+
+@pytest.mark.parametrize("lam", [(3, 3, 2, 1), (4, 3, 2, 1)])
+def test_rules_beyond_the_oracle(built, lam):
+    for report in wg.run_checks(built(lam)):
+        assert report.ok, (lam, report.summary())
+
+
+def test_polygon_catches_a_weight_corruption_beyond_the_oracle(built):
+    import helpers
+
+    g = built((4, 3, 2, 1))
+    key = random.Random(4321).choice(sorted(g.mu))
+    bad = wg.SColoredGraph(g.n, g.tau, {**g.mu, key: g.mu[key] + 1}, g.labels)
+    reports = [wg.check_polygon(bad, r) for r in (2, 3)]
+    assert [(rep.ok, rep.violations) for rep in reports] == [
+        (rep.ok, rep.violations) for rep in (helpers.check_polygon(bad, r) for r in (2, 3))
+    ]
+    assert not reports[0].ok
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from helpers import alternating_sum_slow
+import helpers
+from helpers import alternating_sum_slow, corruptions
 from wcell import hecke
 from wcell import tableaux as tb
 from wcell import wgraph as wg
@@ -209,13 +210,13 @@ def test_rule_suite_passes_on_built_graphs(built):
 
 def _check_polygon_pairs(g, quadruples):
     for (u, v, i, j, r) in quadruples:
-        fast_ij = wg.alternating_sums(g, r, i, j)[u, v]
-        fast_ji = wg.alternating_sums(g, r, j, i)[u, v]
+        fast_ij = helpers.alternating_sums(g, r, i, j)[u, v]
+        fast_ji = helpers.alternating_sums(g, r, j, i)[u, v]
         assert fast_ij == alternating_sum_slow(g, r, i, j, u, v)
         assert fast_ji == alternating_sum_slow(g, r, j, i, u, v)
 
 
-def test_polygon_sums_match_brute_force_exhaustively(built):
+def _polygon_test_graphs(built):
     graphs = [built(lam) for lam in tb.partitions_of(5)]
     graphs += [built(lam) for lam in tb.partitions_of(6)]
     graphs.append(hecke.kl_regular_graph(4))
@@ -224,7 +225,12 @@ def test_polygon_sums_match_brute_force_exhaustively(built):
     mu = dict(g.mu)
     mu[min(mu)] = -2
     graphs.append(wg.SColoredGraph(g.n, g.tau, mu, g.labels))
-    assert any(x < 0 for x in wg.alternating_sums(graphs[-1], 2, 1, 2).values())
+    return graphs
+
+
+def test_polygon_sums_match_brute_force_exhaustively(built):
+    graphs = _polygon_test_graphs(built)
+    assert any(x < 0 for x in helpers.alternating_sums(graphs[-1], 2, 1, 2).values())
     for g in graphs:
         quads = []
         for u in g.vertices():
@@ -251,6 +257,48 @@ def test_polygon_sums_match_brute_force_sampled(built):
             if j == i + 1:
                 quads.append((u, v, i, j, 3))
         _check_polygon_pairs(g, quads)
+
+
+def test_polygon_kernel_matches_reference_on_read_entries(built):
+    # every entry the rule reads: i, j outside tau(u) and inside tau(v)
+    negative = False
+    for g in _polygon_test_graphs(built):
+        for i in range(1, g.n - 1):
+            for j in range(i + 1, g.n):
+                for r in (2, 3) if j == i + 1 else (2,):
+                    ref_ij = helpers.alternating_sums(g, r, i, j)
+                    ref_ji = helpers.alternating_sums(g, r, j, i)
+                    starts = [u for u in g.vertices() if not {i, j} & g.tau[u]]
+                    ends = [v for v in g.vertices() if {i, j} <= g.tau[v]]
+                    got = {u: (n_ij, n_ji) for u, n_ij, n_ji in wg.polygon_sums(g, r, i, j)}
+                    assert list(got) == sorted(got) and set(got) <= set(starts)
+                    assert all(set(n_ij) | set(n_ji) <= set(ends) for n_ij, n_ji in got.values())
+                    for u in starts:
+                        n_ij, n_ji = got.get(u, ({}, {}))
+                        for v in ends:
+                            assert n_ij.get(v, 0) == ref_ij[u, v], (g.n, u, v, i, j, r)
+                            assert n_ji.get(v, 0) == ref_ji[u, v], (g.n, u, v, j, i, r)
+                            negative |= ref_ij[u, v] < 0 or ref_ji[u, v] < 0
+    assert negative
+
+
+def test_polygon_reports_match_reference(built):
+    # every shape with n <= 7 and 20 seeded single corruptions of each
+    rng = random.Random(18070457)
+    outcomes, huge, recoloured = set(), False, False
+    for n in range(1, 8):
+        for lam in tb.partitions_of(n):
+            g = built(lam)
+            for h in [g] + corruptions(g, rng, 20):
+                for r in (2, 3):
+                    fast = wg.check_polygon(h, r)
+                    slow = helpers.check_polygon(h, r)
+                    assert (fast.ok, fast.violations) == (slow.ok, slow.violations), (lam, r)
+                    outcomes.add(fast.ok)
+                    huge |= any(abs(x) >= 2**70 for w in fast.violations for x in w[5:])
+                    recoloured |= not fast.ok and h.tau != g.tau
+    assert outcomes == {True, False}
+    assert huge and recoloured
 
 
 def test_polygon_reports_first_counterexample():

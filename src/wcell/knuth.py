@@ -8,6 +8,11 @@ pairs, favourable pairs with the witness set F(u, t), approximates A(u, t),
 and paired dual Knuth equivalence classes.  The k-neighbour and the
 canonical favourable pair are decided on column words (neighbour_swap,
 favourable_prefix), which the cell builder calls directly.
+
+The cell builder and molecule typing do not enumerate moves here: they read
+the dual Knuth edges off the ascent swaps of column words in
+builder.cell_index.  dk_moves_from, on tableau objects, serves the lemma
+code (paired_classes, and rsk.dual_equivalent on skew shapes) and the tests.
 """
 
 from __future__ import annotations
@@ -52,16 +57,6 @@ def dk_moves_from(t: StandardTableau) -> list[DKMove]:
         for kind in _move_kinds(other, t, k):
             moves.append(DKMove(other, t, kind, k))
     return moves
-
-
-def dk_neighbours(t: StandardTableau) -> list[StandardTableau]:
-    """Tableaux joined to t by a dual Knuth move in either direction."""
-    seen = []
-    for mv in dk_moves_from(t):
-        other = mv.target if mv.source == t else mv.source
-        if other not in seen:
-            seen.append(other)
-    return seen
 
 
 def is_dk_edge(u: StandardTableau, t: StandardTableau) -> bool:

@@ -8,6 +8,7 @@ those two values wherever they occur in the image sequence.
 
 from __future__ import annotations
 
+from bisect import insort
 from itertools import combinations, permutations as _itperm
 
 
@@ -127,20 +128,9 @@ def bruhat_leq(x: Permutation, y: Permutation) -> bool:
     xs: list[int] = []
     ys: list[int] = []
     for k in range(x.n - 1):
-        _insort(xs, xi[k])
-        _insort(ys, yi[k])
+        insort(xs, xi[k])
+        insort(ys, yi[k])
         for a, b in zip(xs, ys):
             if a > b:
                 return False
     return True
-
-
-def _insort(acc: list[int], v: int) -> None:
-    lo, hi = 0, len(acc)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if acc[mid] < v:
-            lo = mid + 1
-        else:
-            hi = mid
-    acc.insert(lo, v)

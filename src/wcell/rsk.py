@@ -9,6 +9,7 @@ the shape, which is the convention every caller of this module relies on.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from . import knuth
@@ -34,25 +35,14 @@ def rs(w: Permutation):
                 qrows.append([step])
                 break
             row = prows[r]
-            k = _first_greater(row, value)
-            if k is None:
+            k = bisect_right(row, value)
+            if k == len(row):
                 row.append(value)
                 qrows[r].append(step)
                 break
             row[k], value = value, row[k]
             r += 1
     return tb.from_rows(prows), tb.from_rows(qrows)
-
-
-def _first_greater(row: list[int], value: int):
-    lo, hi = 0, len(row)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if row[mid] <= value:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo if lo < len(row) else None
 
 
 def rs_inverse(p: StandardTableau, q: StandardTableau) -> Permutation:
@@ -67,21 +57,10 @@ def rs_inverse(p: StandardTableau, q: StandardTableau) -> Permutation:
         r, c = q.box_of(step)
         value = prows[r - 1].pop()
         for row in reversed(prows[: r - 1]):
-            k = _last_smaller(row, value)
+            k = bisect_left(row, value) - 1
             row[k], value = value, row[k]
         images[step - 1] = value
     return Permutation(images)
-
-
-def _last_smaller(row: list[int], value: int) -> int:
-    lo, hi = 0, len(row)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if row[mid] < value:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo - 1
 
 
 # ---------------------------------------------------------------------------
@@ -154,10 +133,11 @@ def dual_equivalent(u: StandardTableau, t: StandardTableau) -> bool:
     frontier = [u]
     while frontier:
         cur = frontier.pop()
-        for nb in knuth.dk_neighbours(cur):
-            if nb == t:
-                return True
-            if nb not in seen:
-                seen.add(nb)
-                frontier.append(nb)
+        for mv in knuth.dk_moves_from(cur):
+            for nb in (mv.source, mv.target):
+                if nb == t:
+                    return True
+                if nb not in seen:
+                    seen.add(nb)
+                    frontier.append(nb)
     return False

@@ -319,14 +319,6 @@ class DescentData:
         return self.sd | self.wd
 
 
-def descent_data(t: StandardTableau) -> DescentData:
-    return t.descent_data()
-
-
-def descents(t: StandardTableau) -> frozenset[int]:
-    return t.descent_data().d
-
-
 # ---------------------------------------------------------------------------
 # distinguished fillings
 

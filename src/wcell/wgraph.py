@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from . import knuth
 from . import tableaux as tb
 from .tableaux import StandardTableau
 
@@ -209,24 +208,37 @@ def cells(g: SColoredGraph) -> CellDecomposition:
     return CellDecomposition(tuple(blocks), tuple(block_of), tuple(closure))
 
 
+def _simple_adjacency(g: SColoredGraph) -> list[list[int]]:
+    """The simple-edge neighbours of each vertex."""
+    edges_at: list[list[int]] = [[] for _ in g.vertices()]
+    for u, v in g.simple_edges():
+        edges_at[u].append(v)
+        edges_at[v].append(u)
+    return edges_at
+
+
+def _components(edges_at) -> list[frozenset[int]]:
+    """Connected components of an adjacency list, ordered by least vertex."""
+    parts: list[frozenset[int]] = []
+    seen: set[int] = set()
+    for root in range(len(edges_at)):
+        if root in seen:
+            continue
+        part = {root}
+        frontier = [root]
+        while frontier:
+            for u in edges_at[frontier.pop()]:
+                if u not in part:
+                    part.add(u)
+                    frontier.append(u)
+        seen |= part
+        parts.append(frozenset(part))
+    return parts
+
+
 def simple_parts(g: SColoredGraph) -> list[frozenset[int]]:
     """Connected components after deleting arcs and non-simple edges."""
-    parent = list(range(g.num_vertices))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v in g.simple_edges():
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-    groups: dict[int, set[int]] = {}
-    for v in g.vertices():
-        groups.setdefault(find(v), set()).add(v)
-    return sorted((frozenset(s) for s in groups.values()), key=min)
+    return _components(_simple_adjacency(g))
 
 
 class MoleculeTypingError(ValueError):
@@ -240,52 +252,44 @@ class MoleculeTypingError(ValueError):
         )
 
 
-def _try_type(g: SColoredGraph, part: frozenset[int], lam) -> Optional[dict]:
-    """Map STD(lam) onto the part, preserving colours and simple edges."""
-    tabs = tb.enumerate_std(lam)
-    if len(tabs) != len(part):
+def _try_type(g: SColoredGraph, part: frozenset[int], lam, edges_at) -> Optional[list[int]]:
+    """Map STD(lam) onto the part, preserving colours and simple edges.
+
+    edges_at[v] lists the simple-edge neighbours of v.  The dual Knuth edges
+    of STD(lam) are the weights of builder.cell_index present in both
+    directions.  On success the result maps each index vertex k to a part
+    vertex.
+    """
+    from .builder import cell_index  # builder imports this module
+
+    cell = cell_index(tb.enumerate_std(lam))
+    cols, masks = cell.cols, cell.masks
+    if len(cols) != len(part):
         return None
-    adj: dict[int, list[int]] = {v: [] for v in part}
-    for u, v in g.simple_edges():
-        if u in part and v in part:
-            adj[u].append(v)
-            adj[v].append(u)
-    d_min = tb.descents(tabs[0])
-    seeds = [v for v in part if g.tau[v] == d_min]
-    tmin = min(tabs, key=tb.lex_key)
-    for seed in seeds:
-        mapping = {tmin: seed}
-        frontier = [tmin]
+    dk = [[u for u in col if t in cols[u]] for t, col in enumerate(cols)]
+    if sum(map(len, dk)) != sum(len(edges_at[v]) for v in part):
+        return None
+    colour = {v: sum(1 << d for d in g.tau[v]) for v in part}
+    # vertex 0 is the lex-minimal tableau
+    for seed in (v for v in part if colour[v] == masks[0]):
+        image: list[Optional[int]] = [None] * len(cols)
+        image[0] = seed
+        frontier = [0]
         ok = True
         while frontier and ok:
             t = frontier.pop()
-            for nb in knuth.dk_neighbours(t):
-                want = tb.descents(nb)
-                candidates = [
-                    x for x in adj[mapping[t]] if g.tau[x] == want
-                ]
-                if len(candidates) != 1:
+            for nb in dk[t]:
+                found = [x for x in edges_at[image[t]] if colour[x] == masks[nb]]
+                if len(found) != 1 or image[nb] not in (None, found[0]):
                     ok = False
                     break
-                if nb in mapping:
-                    if mapping[nb] != candidates[0]:
-                        ok = False
-                        break
-                else:
-                    mapping[nb] = candidates[0]
+                if image[nb] is None:
+                    image[nb] = found[0]
                     frontier.append(nb)
-        if not ok or len(mapping) != len(part):
-            continue
-        if len(set(mapping.values())) != len(part):
-            continue
-        # edges must correspond exactly both ways
-        edge_count = sum(len(a) for a in adj.values()) // 2
-        dk_edges = set()
-        for t in mapping:
-            for nb in knuth.dk_neighbours(t):
-                dk_edges.add(frozenset((mapping[t], mapping[nb])))
-        if len(dk_edges) == edge_count:
-            return mapping
+        # equal edge counts make a colour-preserving bijection onto the part
+        # carry the dual Knuth edges onto all of its simple edges
+        if ok and None not in image and len(set(image)) == len(part):
+            return image
     return None
 
 
@@ -293,26 +297,26 @@ def molecule_types(g: SColoredGraph):
     """Assign to each simple part the shape of the matching dual-equivalence graph.
 
     Returns (parts, types) where types[k] is the partition for parts[k].
-    Typing is a seeded search: the minimal tableau must land on a vertex
-    whose colour matches its descent set, and the unique-neighbour property
-    of molecular graphs then forces the rest of the correspondence.
+    Typing is a seeded search on builder.cell_index: the lex-minimal
+    tableau must land on a vertex whose colour matches its descent set, and
+    the unique-neighbour property of molecular graphs then forces the rest
+    of the correspondence along the dual Knuth edges of the index.  A shape
+    whose edge count differs from the part's is rejected before any search.
     """
-    parts = simple_parts(g)
-    n = g.n
+    edges_at = _simple_adjacency(g)
+    parts = _components(edges_at)
     types = []
     for part in parts:
-        found = None
         tried = []
-        for lam in tb.partitions_of(n):
+        for lam in tb.partitions_of(g.n):
             if tb.hook_count(lam) != len(part):
                 continue
             tried.append(lam)
-            if _try_type(g, part, lam) is not None:
-                found = lam
+            if _try_type(g, part, lam, edges_at) is not None:
+                types.append(lam)
                 break
-        if found is None:
+        else:
             raise MoleculeTypingError(part, tried)
-        types.append(found)
     return parts, types
 
 
@@ -405,10 +409,7 @@ def check_bonding(g: SColoredGraph) -> CheckReport:
     other bond every vertex has neither, so there is nothing to check.
     """
     bad = []
-    edges_at: dict[int, list[int]] = {v: [] for v in g.vertices()}
-    for u, v in g.simple_edges():
-        edges_at[u].append(v)
-        edges_at[v].append(u)
+    edges_at = _simple_adjacency(g)
     coloured = set().union(*g.tau)
     for i in sorted({s for c in coloured for s in (c - 1, c) if 1 <= s <= g.n - 2}):
         j = i + 1
@@ -519,22 +520,14 @@ def check_polygon(g: SColoredGraph, r: int) -> CheckReport:
     return CheckReport(f"polygon-r{r}", True)
 
 
-def _is_cover(u: StandardTableau, t: StandardTableau):
-    """i such that u = s_i t > t, if any."""
-    if u.shape != t.shape or u.offset != t.offset or u == t:
-        return None
-    diff = [e for e in t.entries() if t.box_of(e) != u.box_of(e)]
-    if len(diff) != 2 or diff[1] != diff[0] + 1:
-        return None
-    i = diff[0]
-    return i if i in t.descent_data().sa else None
-
-
 def check_ordered(g: SColoredGraph) -> CheckReport:
     """Every nonzero weight points down the extended dominance order.
 
     The one exception is a weight from t up to s_i t > t inside a single
-    molecule.  Requires every vertex to carry a (molecule, tableau) label.
+    molecule, decided on column words: the shapes are equal, and the words
+    differ only by exchanging the letters at k and k+1, an ascent of t's
+    word (the entry k+1 lies in a column left of k+2).  Requires every
+    vertex to carry a (molecule, tableau) label.
     """
     if not g.is_labelled():
         raise ValueError("check_ordered requires labelled vertices")
@@ -544,8 +537,14 @@ def check_ordered(g: SColoredGraph) -> CheckReport:
         alpha, t = g.labels[cv]
         if tb.extended_dominance_leq(u, t) and u != t:
             continue
-        if alpha == beta and _is_cover(u, t) is not None:
-            continue
+        if alpha == beta and u.shape == t.shape:
+            # equal shapes give equal letter counts, so a first difference
+            # k has a successor
+            uw, tw = u.column_word, t.column_word
+            k = next((k for k, (a, b) in enumerate(zip(uw, tw)) if a != b), None)
+            if k is not None and tw[k] < tw[k + 1]:
+                if uw == tw[:k] + (tw[k + 1], tw[k]) + tw[k + 2 :]:
+                    continue
         bad.append((cu, cv, w))
         if len(bad) >= _MAX_WITNESSES:
             break

@@ -8,6 +8,7 @@ explicit path enumeration, tableau counts from enumeration of fillings.
 from collections import Counter
 from itertools import permutations as itperm
 
+from wcell import knuth
 from wcell import tableaux as tb
 from wcell import wgraph as wg
 from wcell.knuth import _between_boxes, _graft, _prefix_with_top, restriction_number
@@ -517,3 +518,132 @@ def extended_dominance_leq(u: StandardTableau, t: StandardTableau) -> bool:
     return _prefix_leq(
         dominance_prefix(u), dominance_prefix(t), len(u.shape.outer), len(t.shape.outer)
     )
+
+
+# ---------------------------------------------------------------------------
+# Molecule typing and the ordered rule on tableau objects: the references
+# for wgraph.molecule_types, which matches the dual Knuth edges of
+# builder.cell_index, and for wgraph.check_ordered, which decides covers on
+# column words.
+
+
+def dk_neighbours(t: StandardTableau):
+    """Tableaux joined to t by a dual Knuth move in either direction."""
+    seen = []
+    for mv in knuth.dk_moves_from(t):
+        other = mv.target if mv.source == t else mv.source
+        if other not in seen:
+            seen.append(other)
+    return seen
+
+
+def simple_parts(g: wg.SColoredGraph):
+    """Connected components of the simple edges, by union-find."""
+    parent = list(range(g.num_vertices))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for u, v in g.simple_edges():
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[ru] = rv
+    groups = {}
+    for v in g.vertices():
+        groups.setdefault(find(v), set()).add(v)
+    return sorted((frozenset(s) for s in groups.values()), key=min)
+
+
+def try_type(g: wg.SColoredGraph, part, lam):
+    """Map STD(lam) onto the part, walking dual Knuth moves of tableau objects."""
+    tabs = tb.enumerate_std(lam)
+    if len(tabs) != len(part):
+        return None
+    adj = {v: [] for v in part}
+    for u, v in g.simple_edges():
+        if u in part and v in part:
+            adj[u].append(v)
+            adj[v].append(u)
+    d_min = tabs[0].descents
+    tmin = min(tabs, key=tb.lex_key)
+    for seed in [v for v in part if g.tau[v] == d_min]:
+        mapping = {tmin: seed}
+        frontier = [tmin]
+        ok = True
+        while frontier and ok:
+            t = frontier.pop()
+            for nb in dk_neighbours(t):
+                candidates = [x for x in adj[mapping[t]] if g.tau[x] == nb.descents]
+                if len(candidates) != 1:
+                    ok = False
+                    break
+                if nb in mapping:
+                    if mapping[nb] != candidates[0]:
+                        ok = False
+                        break
+                else:
+                    mapping[nb] = candidates[0]
+                    frontier.append(nb)
+        if not ok or len(mapping) != len(part):
+            continue
+        if len(set(mapping.values())) != len(part):
+            continue
+        # edges must correspond exactly both ways
+        edge_count = sum(len(a) for a in adj.values()) // 2
+        dk_edges = set()
+        for t in mapping:
+            for nb in dk_neighbours(t):
+                dk_edges.add(frozenset((mapping[t], mapping[nb])))
+        if len(dk_edges) == edge_count:
+            return mapping
+    return None
+
+
+def molecule_types(g: wg.SColoredGraph):
+    """(parts, types) as wgraph.molecule_types, typing through try_type."""
+    parts = simple_parts(g)
+    types = []
+    for part in parts:
+        tried = []
+        for lam in tb.partitions_of(g.n):
+            if tb.hook_count(lam) != len(part):
+                continue
+            tried.append(lam)
+            if try_type(g, part, lam) is not None:
+                types.append(lam)
+                break
+        else:
+            raise wg.MoleculeTypingError(part, tried)
+    return parts, types
+
+
+def is_cover(u: StandardTableau, t: StandardTableau):
+    """i such that u = s_i t > t, if any, from the boxes of the entries."""
+    if u.shape != t.shape or u.offset != t.offset or u == t:
+        return None
+    diff = [e for e in t.entries() if t.box_of(e) != u.box_of(e)]
+    if len(diff) != 2 or diff[1] != diff[0] + 1:
+        return None
+    i = diff[0]
+    return i if i in t.descent_data().sa else None
+
+
+def check_ordered(g: wg.SColoredGraph) -> wg.CheckReport:
+    """The ordered rule as wgraph.check_ordered, with covers from is_cover."""
+    if not g.is_labelled():
+        raise ValueError("check_ordered requires labelled vertices")
+    bad = []
+    for (cu, cv), w in sorted(g.mu.items()):
+        beta, u = g.labels[cu]
+        alpha, t = g.labels[cv]
+        if tb.extended_dominance_leq(u, t) and u != t:
+            continue
+        if alpha == beta and is_cover(u, t) is not None:
+            continue
+        bad.append((cu, cv, w))
+        if len(bad) >= 20:
+            break
+    return wg.CheckReport("ordered", not bad, tuple(bad))

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from wcell import builder
+from wcell import hecke
 from wcell import wgraph as wg
 from wcell.cli import run
 
@@ -294,6 +295,24 @@ def test_oracle_single_shape(capsys):
     assert run(["oracle", "--n", "5", "--shape", "3,1,1"]) == 0
     assert capsys.readouterr().out.strip() == "shape 3,1,1: EQUAL"
     assert run(["oracle", "--n", "5", "--shape", "3,1"]) == 2
+
+
+def test_builder_equals_oracle_at_rank_7():
+    # kl_table(7) peaks near 1 GB, so this runs only where WCELL_ORACLE_MAX
+    # admits rank 7, in a fresh process that hands the memory back
+    if hecke.oracle_bound() < 7:
+        pytest.skip("needs WCELL_ORACLE_MAX >= 7")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-m", "wcell.cli", "oracle", "--n", "7"],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+    )
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    assert len(lines) == 15 and all(line.endswith(": EQUAL") for line in lines)
 
 
 def test_rsk_command(capsys):

@@ -57,7 +57,7 @@ def test_every_incomparable_cover_is_a_dual_knuth_edge():
     for n in range(2, 9):
         for lam in tb.partitions_of(n):
             for t in tb.enumerate_std(lam):
-                for i in tb.descent_data(t).sa:
+                for i in t.descent_data().sa:
                     u = tb.swap_adjacent(t, i)
                     dt, du = t.descents, u.descents
                     assert not du <= dt
@@ -319,7 +319,7 @@ def test_favourable_probable_restriction_below_max_strong_descent():
                     if not knuth.is_favourable(u, t):
                         continue
                     i = knuth.restriction_number(u, t)
-                    sd = tb.descent_data(t).sd
+                    sd = t.descent_data().sd
                     assert sd, (u, t)
                     assert i < max(sd)
 
@@ -335,6 +335,6 @@ def test_existence_lemma_distinct_columns():
                     if not knuth.is_favourable(u, t):
                         continue
                     i = knuth.restriction_number(u, t)
-                    sd = tb.descent_data(t).sd
+                    sd = t.descent_data().sd
                     if i + 1 == max(sd):
                         assert t.col_of(i + 2) != t.col_of(i)

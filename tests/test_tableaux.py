@@ -81,7 +81,7 @@ def test_enumerate_std_skew():
 
 def test_descents_of_minimal_tableau():
     t = tb.tau_min((3, 2))
-    data = tb.descent_data(t)
+    data = t.descent_data()
     assert data.d == {1, 2, 4}
     assert data.sd == frozenset()
 
@@ -89,23 +89,23 @@ def test_descents_of_minimal_tableau():
 def test_descents_single_column_and_single_row():
     n = 5
     col = tb.tau_min((n,))
-    data = tb.descent_data(col)
+    data = col.descent_data()
     assert data.d == data.wd == frozenset(range(1, n))
     row = tb.tau_min((1,) * n)
-    assert tb.descents(row) == frozenset()
+    assert row.descents == frozenset()
 
 
 def test_minimal_iff_no_strong_descents():
     for lam in tb.partitions_of(5):
         for t in tb.enumerate_std(lam):
-            assert (t == tb.tau_min(lam)) == (not tb.descent_data(t).sd)
+            assert (t == tb.tau_min(lam)) == (not t.descent_data().sd)
 
 
 def test_descent_sets_partition_the_index_range():
     for lam in tb.partitions_of(6):
         tmin = tb.tau_min(lam)
         for t in tb.enumerate_std(lam):
-            data = tb.descent_data(t)
+            data = t.descent_data()
             blocks = [data.sa, data.sd, data.wa, data.wd]
             assert frozenset().union(*blocks) == frozenset(range(1, 6))
             assert sum(len(b) for b in blocks) == 5
@@ -115,7 +115,7 @@ def test_descent_sets_partition_the_index_range():
         for h in lam:
             expected |= set(range(pos + 1, pos + h))
             pos += h
-        assert tb.descents(tmin) == expected == tb.descent_data(tmin).wd
+        assert tmin.descents == expected == tmin.descent_data().wd
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +299,7 @@ def test_critical_remark_characterisation():
                     if t.col_of(m + 1) != t.col_of(m) + 1:
                         continue
                     tail = tb.restrict_gt(t, m - 1)
-                    data = tb.descent_data(t)
+                    data = t.descent_data()
                     cond1 = (m + 2 <= n and t.col_of(m) == t.col_of(m + 2)) or (
                         m + 1 not in data.sd
                     )

@@ -117,6 +117,84 @@ def test_molecule_typing_failure_is_structured():
         wg.molecule_types(g)
 
 
+def _shuffled(g, rng):
+    """g with its vertices renumbered by a seeded permutation."""
+    perm = list(g.vertices())
+    rng.shuffle(perm)
+    tau = [None] * g.num_vertices
+    labels = None if g.labels is None else [None] * g.num_vertices
+    for v in g.vertices():
+        tau[perm[v]] = g.tau[v]
+        if labels is not None:
+            labels[perm[v]] = g.labels[v]
+    mu = {(perm[u], perm[v]): w for (u, v), w in g.mu.items()}
+    return wg.SColoredGraph(g.n, tau, mu, labels)
+
+
+def _with_extra_edge(g):
+    """g plus one simple edge that only an edge count can detect, or None.
+
+    The ends have incomparable colours, and neither carries the colour of
+    a neighbour of the other, so every colour test along the old edges
+    still passes.
+    """
+    adj = {v: set() for v in g.vertices()}
+    for u, v in g.simple_edges():
+        adj[u].add(v)
+        adj[v].add(u)
+    for u in g.vertices():
+        for v in range(u + 1, g.num_vertices):
+            tu, tv = g.tau[u], g.tau[v]
+            if v in adj[u] or tu <= tv or tv <= tu:
+                continue
+            if tv in {g.tau[x] for x in adj[u]} or tu in {g.tau[x] for x in adj[v]}:
+                continue
+            mu = dict(g.mu)
+            mu[u, v] = mu[v, u] = 1
+            return wg.SColoredGraph(g.n, g.tau, mu, g.labels)
+    return None
+
+
+def _reference_family(built, regular_ranks):
+    """Built graphs of n <= 7, regular graphs, a union, shuffles, corruptions."""
+    rng = random.Random(1807)
+    shapes = [built(lam) for n in range(1, 8) for lam in tb.partitions_of(n)]
+    graphs = shapes + [hecke.kl_regular_graph(n) for n in regular_ranks]
+    graphs.append(graph_union(built((2, 1)), built((3,))))
+    graphs += [_shuffled(g, rng) for g in graphs]
+    for g in shapes:
+        graphs += corruptions(g, rng, 10)
+    graphs += [h for h in map(_with_extra_edge, shapes) if h is not None]
+    return graphs
+
+
+def _typing(molecule_types, g):
+    try:
+        return molecule_types(g)
+    except wg.MoleculeTypingError as exc:
+        return "error", exc.part, exc.tried
+
+
+def test_molecule_types_match_reference(built):
+    errors = 0
+    for g in _reference_family(built, (4, 5)):
+        got = _typing(wg.molecule_types, g)
+        assert got == _typing(helpers.molecule_types, g)
+        errors += got[0] == "error"
+    assert errors
+
+
+def test_simple_edges_read_once_per_typing(built, monkeypatch):
+    g = built((3, 2, 1))
+    calls = []
+    simple_edges = wg.SColoredGraph.simple_edges
+    monkeypatch.setattr(
+        wg.SColoredGraph, "simple_edges", lambda self: calls.append(1) or simple_edges(self)
+    )
+    wg.molecule_types(g)
+    assert len(calls) == 1
+
+
 # ---------------------------------------------------------------------------
 # restriction
 
@@ -359,6 +437,22 @@ def test_ordered_detects_corruption(built):
     report = wg.check_ordered(bad)
     assert not report.ok
     assert (lexmax, lexmin, 1) in report.violations
+
+
+def test_ordered_reports_match_reference(built):
+    one = tb.from_text("1")
+    # two vertices with the same label: a weight between them is no cover
+    twins = wg.SColoredGraph(1, [set(), set()], {(0, 1): 1}, [(0, one), (0, one)])
+    # one of these weights goes up a dual Knuth move, but across molecules
+    pair = graph_union(built((2, 1)), built((2, 1)))
+    across = wg.SColoredGraph(pair.n, pair.tau, {**pair.mu, (2, 1): 1, (3, 0): 1}, pair.labels)
+    outcomes = set()
+    for g in _reference_family(built, (2, 3, 4, 5)) + [twins, across]:
+        fast, slow = wg.check_ordered(g), helpers.check_ordered(g)
+        assert (fast.ok, fast.violations) == (slow.ok, slow.violations)
+        outcomes.add(fast.ok)
+    assert outcomes == {True, False}
+    assert not wg.check_ordered(twins).ok and not wg.check_ordered(across).ok
 
 
 def test_ordered_requires_labels():

@@ -8,8 +8,9 @@ elements C_w are computed by the usual recursion
 C_{sw} = C_s C_w - sum mu(y, w) C_y, which yields the coefficient
 polynomials h_{y,w} in q^-1 Z[q^-1], the mu values as their q^-1
 coefficients, and the classical polynomials P_{y,w} after a change of
-variable.  None of this is consulted by the cell builder; it exists to
-validate builder output on small ranks.
+variable, as coefficient tuples on integer positions of the elements, for
+n up to the one bound WCELL_ORACLE_MAX.  None of this is consulted by the
+cell builder; it exists to validate builder output on small ranks.
 
 Graphs produced here store only weights that define arcs (the weight is
 dropped when tau(u) is contained in tau(v)), since other entries do not
@@ -26,14 +27,7 @@ from functools import lru_cache
 from . import rsk
 from . import tableaux as tb
 from . import wgraph as wg
-from .laurent import LaurentPolynomial, ONE
-from .permutations import (
-    Permutation,
-    all_permutations,
-    apply_s,
-    left_descents,
-    length,
-)
+from .permutations import all_permutations, apply_s, left_descents, length
 
 DEFAULT_ORACLE_MAX = 6
 
@@ -104,7 +98,8 @@ def verify_hecke_relations(g: wg.SColoredGraph) -> wg.CheckReport:
     LHS - RHS is a polynomial in Z[q].  Measure a column by the sum of the
     absolute coefficients of its entries; this norm is submultiplicative.
     Every entry of A_s is a monomial, so the largest column norm L of all
-    A_s (at least 1) is read off at q = 1, and each entry of LHS - RHS has
+    A_s at q = 1 is 1 + sum |mu(u, v)| over u coloured by s, for s not in
+    tau(v), or 1 if there is no such v; and each entry of LHS - RHS has
     absolute coefficient sum at most B = 2 L^3 + 2 L + 1.  A nonzero integer
     polynomial of degree d with coefficient sum at most B cannot vanish at
     an integer q > B: its lower terms sum to at most (B - 1) q^(d-1) < q^d
@@ -120,8 +115,11 @@ def verify_hecke_relations(g: wg.SColoredGraph) -> wg.CheckReport:
     """
     coloured = sorted(set().union(*g.tau))
     gens = sorted({t for s in coloured for t in (s - 1, s, s + 1) if 1 <= t <= g.n - 1})
-    ones = module_matrices(g, 1, gens)
-    norm = max((sum(map(abs, col.values())) for mat in ones for col in mat), default=1)
+    norm = max(
+        (1 + sum(abs(w) for u, w in g.column(v).items() if s in g.tau[u])
+         for s in gens for v in g.vertices() if s not in g.tau[v]),
+        default=1,
+    )
     q = 2 * norm**3 + 2 * norm + 2
     mats = dict(zip(gens, module_matrices(g, q, gens)))
     bad = []
@@ -134,7 +132,11 @@ def verify_hecke_relations(g: wg.SColoredGraph) -> wg.CheckReport:
         if witness:
             bad.append(("quadratic", s, *witness))
     braids = {(t, t + 1) for s in coloured for t in (s - 1, s) if 1 <= t <= g.n - 2}
-    commuting = {(s, t) for s in coloured for t in coloured if t - s >= 2}
+    # A weight mu(u, x) enters A_s only when s is in tau(u) \ tau(x); outside
+    # their union R every A_s is diagonal, and diagonal matrices commute, so a
+    # commuting pair can fail only if s or t lies in R.
+    reach = set().union(*(g.tau[u] - g.tau[x] for u, x in g.mu))
+    commuting = {(min(s, t), max(s, t)) for s in reach for t in coloured if abs(s - t) >= 2}
     for s, t in sorted(braids | commuting):
         a, b = mats[s], mats[t]
         if t - s >= 2:
@@ -161,8 +163,8 @@ class KLTable:
     coefficient of the standard basis element H_y in the canonical basis
     element C_w, stored as a raw exponent -> coefficient dict.
     ``mu_pairs[(y, w)]`` holds the nonzero mu values for y < w, and
-    ``lengths[w]`` is the length of ``perms[w]``.  ``mu`` and
-    ``kl_polynomial`` take permutations.
+    ``lengths[w]`` is the length of ``perms[w]``.  ``kl_polynomial`` takes
+    positions and returns a coefficient tuple; n is at most ``oracle_bound()``.
     """
 
     n: int
@@ -172,29 +174,22 @@ class KLTable:
     mu_pairs: dict
     lengths: list
 
-    def mu(self, y: Permutation, w: Permutation) -> int:
-        a, b = self.index[y], self.index[w]
-        return self.mu_pairs.get((a, b) if a < b else (b, a), 0)
+    def kl_polynomial(self, y: int, w: int) -> tuple[int, ...]:
+        """Classical P_{y,w} for positions y and w, constant term first.
 
-    def kl_polynomial(self, y: Permutation, w: Permutation) -> LaurentPolynomial:
-        """Classical P_{y,w}, in the classical variable (nonnegative powers).
-
-        Zero when y is not below w in the Bruhat order; P_{w,w} = 1.
+        () when y is not below w in the Bruhat order; P_{w,w} = (1,).
         """
-        if y == w:
-            return ONE
-        a, b = self.index[y], self.index[w]
-        hy = self.h[b].get(a)
+        hy = self.h[w].get(y)
         if hy is None:
-            return LaurentPolynomial(0)
-        delta = self.lengths[b] - self.lengths[a]
+            return ()
+        delta = self.lengths[w] - self.lengths[y]
         coeffs = {}
         for e, c in hy.items():
             k2 = e + delta
             if k2 < 0 or k2 % 2:
                 raise AssertionError("canonical coefficient fails the parity bound")
             coeffs[k2 // 2] = c
-        return LaurentPolynomial(coeffs)
+        return tuple(coeffs.get(k, 0) for k in range(max(coeffs) + 1))
 
 
 def _shift_add(acc: dict, key, h: dict, k: int, scale: int = 1) -> None:
@@ -212,9 +207,9 @@ def _shift_add(acc: dict, key, h: dict, k: int, scale: int = 1) -> None:
 
 
 @lru_cache(maxsize=None)
-def kl_table(n: int, max_n: int | None = None) -> KLTable:
+def kl_table(n: int) -> KLTable:
     """Full canonical-basis table for S_n via the C_s C_w recursion."""
-    bound = oracle_bound() if max_n is None else max_n
+    bound = oracle_bound()
     if n > bound:
         raise OracleBoundError(
             f"n={n} exceeds the oracle bound {bound}; raise WCELL_ORACLE_MAX to override"
@@ -259,34 +254,35 @@ def _oracle_graph(table: KLTable, elements, labels) -> wg.SColoredGraph:
     """The W-graph on the given elements: left descent sets as colours and
     mu values as weights, stored only where they define arcs."""
     tau = [left_descents(w) for w in elements]
+    ids = [table.index[w] for w in elements]
     mu: dict[tuple[int, int], int] = {}
-    for a, wa in enumerate(elements):
-        for b, wb in enumerate(elements):
+    for a, ia in enumerate(ids):
+        for b, ib in enumerate(ids):
             if not tau[a] <= tau[b]:
-                m = table.mu(wa, wb)
+                m = table.mu_pairs.get((ia, ib) if ia < ib else (ib, ia))
                 if m:
                     mu[(a, b)] = m
     return wg.SColoredGraph(table.n, tau, mu, labels)
 
 
-def kl_left_cell_graph(lam, max_n: int | None = None) -> wg.SColoredGraph:
+def kl_left_cell_graph(lam) -> wg.SColoredGraph:
     """The left-cell graph on the reading words of STD(lam), labelled by tableaux.
 
     Vertices follow the lexicographic order of the tableaux.
     """
     lam = tb.check_partition(lam)
-    table = kl_table(sum(lam), max_n)
+    table = kl_table(sum(lam))
     tabs = tb.enumerate_std(lam)
     return _oracle_graph(table, [tb.word(t) for t in tabs], tuple((0, t) for t in tabs))
 
 
-def kl_regular_graph(n: int, max_n: int | None = None) -> wg.SColoredGraph:
+def kl_regular_graph(n: int) -> wg.SColoredGraph:
     """The full left W-graph of S_n, labelled by Robinson-Schensted pairs.
 
     Vertices follow the one-line order; a vertex label is (recording-class
     index, insertion tableau).
     """
-    table = kl_table(n, max_n)
+    table = kl_table(n)
     elements = sorted(table.perms, key=lambda w: w.images)
     pairs = [rsk.rs(w) for w in elements]
     q_index: dict = {}

@@ -252,17 +252,14 @@ class MoleculeTypingError(ValueError):
         )
 
 
-def _try_type(g: SColoredGraph, part: frozenset[int], lam, edges_at) -> Optional[list[int]]:
-    """Map STD(lam) onto the part, preserving colours and simple edges.
+def _try_type(g: SColoredGraph, part: frozenset[int], cell, edges_at) -> Optional[list[int]]:
+    """Map the vertices of cell onto the part, preserving colours and simple edges.
 
-    edges_at[v] lists the simple-edge neighbours of v.  The dual Knuth edges
-    of STD(lam) are the weights of builder.cell_index present in both
-    directions.  On success the result maps each index vertex k to a part
-    vertex.
+    edges_at[v] lists the simple-edge neighbours of v.  cell is a
+    builder.cell_index, whose dual Knuth edges are its weights present in
+    both directions.  On success the result maps each index vertex k to a
+    part vertex.
     """
-    from .builder import cell_index  # builder imports this module
-
-    cell = cell_index(tb.enumerate_std(lam))
     cols, masks = cell.cols, cell.masks
     if len(cols) != len(part):
         return None
@@ -302,9 +299,13 @@ def molecule_types(g: SColoredGraph):
     the unique-neighbour property of molecular graphs then forces the rest
     of the correspondence along the dual Knuth edges of the index.  A shape
     whose edge count differs from the part's is rejected before any search.
+    Each shape's index is built once per call.
     """
+    from .builder import cell_index  # builder imports this module
+
     edges_at = _simple_adjacency(g)
     parts = _components(edges_at)
+    indexes: dict = {}
     types = []
     for part in parts:
         tried = []
@@ -312,7 +313,9 @@ def molecule_types(g: SColoredGraph):
             if tb.hook_count(lam) != len(part):
                 continue
             tried.append(lam)
-            if _try_type(g, part, lam, edges_at) is not None:
+            if lam not in indexes:
+                indexes[lam] = cell_index(tb.enumerate_std(lam))
+            if _try_type(g, part, indexes[lam], edges_at) is not None:
                 types.append(lam)
                 break
         else:

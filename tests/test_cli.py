@@ -140,11 +140,12 @@ def test_malformed_graph_document_is_usage_error(tmp_path, capsys, doc):
 
 def test_verify_of_a_wide_one_vertex_document_is_quick(tmp_path):
     # the rules and the Hecke check try only generators within distance 1
-    # of a colour, so a document without colours costs nothing in n
+    # of a colour, so a document without colours costs nothing in n; with
+    # every colour but no weight, the Hecke check tries no commuting pair
     path = tmp_path / "wide.json"
     rules = "admissible,compatibility,simplicity,bonding,polygon"
-    for n in (3000, 10**9):
-        doc = {"n": n, "vertices": [{"id": 0, "tau": [], "label": None}], "mu": []}
+    for n, tau in ((3000, []), (10**9, []), (3000, list(range(1, 3000)))):
+        doc = {"n": n, "vertices": [{"id": 0, "tau": tau, "label": None}], "mu": []}
         path.write_text(json.dumps(doc))
         start = time.perf_counter()
         assert run(["verify", "--in", str(path), "--rules", rules, "--hecke"]) == 0
@@ -279,6 +280,22 @@ def test_package_imports_only_the_standard_library():
                 imported.add(node.module.split(".")[0])
     assert len(modules) >= 10 and {"dataclasses", "argparse"} <= imported
     assert {m for m in imported if m != "wcell" and m not in sys.stdlib_module_names} == set()
+
+
+def test_only_the_laurent_module_imports_it():
+    package = pathlib.Path(__file__).parent.parent / "src" / "wcell"
+    importers = set()
+    for path in package.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [alias.name for alias in node.names]
+            else:
+                continue
+            if any(name.split(".")[-1] == "laurent" for name in names):
+                importers.add(path.name)
+    assert importers <= {"laurent.py"}
 
 
 def test_oracle_small_rank(capsys):

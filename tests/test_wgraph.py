@@ -184,6 +184,19 @@ def test_molecule_types_match_reference(built):
     assert errors
 
 
+@pytest.mark.parametrize("n, shapes", [(5, 7), (6, 11)])
+def test_one_cell_index_per_shape_in_typing(monkeypatch, n, shapes):
+    # kl_regular_graph(n) has a part for every left cell, but each shape's
+    # index is built once
+    from wcell import builder
+
+    calls = []
+    cell_index = builder.cell_index
+    monkeypatch.setattr(builder, "cell_index", lambda tabs: calls.append(1) or cell_index(tabs))
+    wg.molecule_types(hecke.kl_regular_graph(n))
+    assert len(calls) == shapes
+
+
 def test_simple_edges_read_once_per_typing(built, monkeypatch):
     g = built((3, 2, 1))
     calls = []

@@ -3,14 +3,11 @@
 The Hecke algebra is taken over Z[q, q^-1] with the quadratic relation
 H_s^2 = 1 + (q - q^-1) H_s.  verify_hecke_relations checks that a graph
 defines a module of it on integer matrices evaluated at one integer q,
-chosen large enough for the test to be exact.  The canonical basis
-elements C_w are computed by the usual recursion
-C_{sw} = C_s C_w - sum mu(y, w) C_y, which yields the coefficient
-polynomials h_{y,w} in q^-1 Z[q^-1], the mu values as their q^-1
-coefficients, and the classical polynomials P_{y,w} after a change of
-variable, as coefficient tuples on integer positions of the elements, for
-n up to the one bound WCELL_ORACLE_MAX.  None of this is consulted by the
-cell builder; it exists to validate builder output on small ranks.
+chosen large enough for the test to be exact.  kl_table runs the usual
+recursion C_{sw} = C_s C_w - sum mu(y, w) C_y on the classical polynomials
+P_{y,w}, kept as coefficient tuples on integer positions of the elements,
+for n up to the one bound WCELL_ORACLE_MAX.  None of this is consulted by
+the cell builder; it exists to validate builder output on small ranks.
 
 Graphs produced here store only weights that define arcs (the weight is
 dropped when tau(u) is contained in tau(v)), since other entries do not
@@ -23,6 +20,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import add
 
 from . import rsk
 from . import tableaux as tb
@@ -91,52 +89,53 @@ def _first_difference(mat_a, mat_b):
 
 
 def verify_hecke_relations(g: wg.SColoredGraph) -> wg.CheckReport:
-    """Quadratic, commuting and braid identities, checked exactly at one integer q.
+    """Commuting and braid identities, checked exactly at one integer q.
 
-    With A_s = q T_s the relations read A_s^2 = q^2 I + (q^2 - 1) A_s,
-    A_s A_t = A_t A_s and A_s A_t A_s = A_t A_s A_t, and every entry of
-    LHS - RHS is a polynomial in Z[q].  Measure a column by the sum of the
-    absolute coefficients of its entries; this norm is submultiplicative.
-    Every entry of A_s is a monomial, so the largest column norm L of all
-    A_s at q = 1 is 1 + sum |mu(u, v)| over u coloured by s, for s not in
-    tau(v), or 1 if there is no such v; and each entry of LHS - RHS has
-    absolute coefficient sum at most B = 2 L^3 + 2 L + 1.  A nonzero integer
-    polynomial of degree d with coefficient sum at most B cannot vanish at
-    an integer q > B: its lower terms sum to at most (B - 1) q^(d-1) < q^d
-    in absolute value.  So evaluating at q = B + 1 is an exact test.
+    With A_s = q T_s the relations read A_s A_t = A_t A_s and
+    A_s A_t A_s = A_t A_s A_t, and every entry of LHS - RHS is a polynomial
+    in Z[q].  Measure a column by the sum of the absolute coefficients of
+    its entries; this norm is submultiplicative.  Every entry of A_s is a
+    monomial, so the largest column norm L of all A_s at q = 1 is
+    1 + sum |mu(u, v)| over u coloured by s, for s not in tau(v), or 1 if
+    there is no such v; and each entry of LHS - RHS has absolute
+    coefficient sum at most B = 2 L^3.  A nonzero integer polynomial of
+    degree d with coefficient sum at most B cannot vanish at an integer
+    q > B: its lower terms sum to at most (B - 1) q^(d-1) < q^d in absolute
+    value.  So evaluating at q = B + 1 is an exact test.
 
-    A generator s that colours no vertex has A_s = q^2 I exactly, which
-    satisfies the quadratic relation and commutes with every A_t, so those
-    checks are skipped for it.  The braid relations are checked for every
-    bonded pair with at least one generator colouring some vertex: there
-    A_s A_t A_s = q^4 A_t must still equal A_t A_s A_t = q^2 A_t^2.  So only
-    generators within distance 1 of a colour get a matrix, and the cost
-    does not grow with n beyond the colours in use.
+    The quadratic relation A_s^2 = q^2 I + (q^2 - 1) A_s holds on every
+    S-coloured graph (see the comment below), so it is not checked.  A_s
+    depends only on the vertices s colours, so two generators that colour
+    the same vertices have equal matrices, which commute; a generator that
+    colours nothing has A_s = q^2 I.  The braid relations are checked for
+    every bonded pair with at least one generator colouring some vertex:
+    there A_s A_t A_s = q^4 A_t must still equal A_t A_s A_t = q^2 A_t^2.
+    So only generators within distance 1 of a colour get a matrix, and the
+    cost does not grow with n beyond the colours in use.
     """
-    coloured = sorted(set().union(*g.tau))
-    gens = sorted({t for s in coloured for t in (s - 1, s, s + 1) if 1 <= t <= g.n - 1})
+    # Quadratic relation: if s is in tau(v) then A_s v = -v.  Otherwise
+    # A_s v = q^2 v + q sum mu(u, v) u over u coloured by s, each with
+    # A_s u = -u (u != v: SColoredGraph rejects self-weights), so
+    # A_s^2 v = q^4 v + (q^3 - q) sum mu(u, v) u = (q^2 I + (q^2 - 1) A_s) v.
+    support = {s: [v for v in g.vertices() if s in g.tau[v]] for s in set().union(*g.tau)}
+    gens = sorted({t for s in support for t in (s - 1, s, s + 1) if 1 <= t <= g.n - 1})
     norm = max(
         (1 + sum(abs(w) for u, w in g.column(v).items() if s in g.tau[u])
          for s in gens for v in g.vertices() if s not in g.tau[v]),
         default=1,
     )
-    q = 2 * norm**3 + 2 * norm + 2
+    q = 2 * norm**3 + 1
     mats = dict(zip(gens, module_matrices(g, q, gens)))
     bad = []
-    for s in coloured:
-        mat = mats[s]
-        expect = [{u: (q * q - 1) * e for u, e in col.items()} for col in mat]
-        for v, col in enumerate(expect):
-            col[v] += q * q
-        witness = _first_difference(_compose(mat, mat), expect)
-        if witness:
-            bad.append(("quadratic", s, *witness))
-    braids = {(t, t + 1) for s in coloured for t in (s - 1, s) if 1 <= t <= g.n - 2}
+    braids = {(t, t + 1) for s in support for t in (s - 1, s) if 1 <= t <= g.n - 2}
     # A weight mu(u, x) enters A_s only when s is in tau(u) \ tau(x); outside
     # their union R every A_s is diagonal, and diagonal matrices commute, so a
-    # commuting pair can fail only if s or t lies in R.
+    # commuting pair can fail only if s or t lies in R and A_s != A_t.
     reach = set().union(*(g.tau[u] - g.tau[x] for u, x in g.mu))
-    commuting = {(min(s, t), max(s, t)) for s in reach for t in coloured if abs(s - t) >= 2}
+    commuting = {
+        (min(s, t), max(s, t))
+        for s in reach for t in support if abs(s - t) >= 2 and support[s] != support[t]
+    }
     for s, t in sorted(braids | commuting):
         a, b = mats[s], mats[t]
         if t - s >= 2:
@@ -155,16 +154,16 @@ def verify_hecke_relations(g: wg.SColoredGraph) -> wg.CheckReport:
 
 @dataclass(frozen=True)
 class KLTable:
-    """Canonical-basis coefficients for S_n on one integer element index.
+    """Kazhdan-Lusztig polynomials of S_n on one integer element index.
 
     ``perms`` lists the elements of S_n by length, lexicographically within
     a length, and ``index`` maps each element to its position there; the
-    other fields are keyed by these positions.  ``h[w][y]`` is the
-    coefficient of the standard basis element H_y in the canonical basis
-    element C_w, stored as a raw exponent -> coefficient dict.
-    ``mu_pairs[(y, w)]`` holds the nonzero mu values for y < w, and
-    ``lengths[w]`` is the length of ``perms[w]``.  ``kl_polynomial`` takes
-    positions and returns a coefficient tuple; n is at most ``oracle_bound()``.
+    other fields are keyed by these positions.  ``h[w][y]`` is P_{y,w} for
+    each y below w in the Bruhat order, as coefficients from the constant
+    term up to the last nonzero one; H_y has coefficient
+    h_{y,w} = q^-(l(w) - l(y)) P_{y,w}(q^2) in C_w.  ``mu_pairs[(y, w)]``
+    holds the nonzero mu values for y < w, and ``lengths[w]`` is the length
+    of ``perms[w]``.  n is at most ``oracle_bound()``.
     """
 
     n: int
@@ -179,36 +178,31 @@ class KLTable:
 
         () when y is not below w in the Bruhat order; P_{w,w} = (1,).
         """
-        hy = self.h[w].get(y)
-        if hy is None:
-            return ()
-        delta = self.lengths[w] - self.lengths[y]
-        coeffs = {}
-        for e, c in hy.items():
-            k2 = e + delta
-            if k2 < 0 or k2 % 2:
-                raise AssertionError("canonical coefficient fails the parity bound")
-            coeffs[k2 // 2] = c
-        return tuple(coeffs.get(k, 0) for k in range(max(coeffs) + 1))
+        return self.h[w].get(y, ())
 
 
-def _shift_add(acc: dict, key, h: dict, k: int, scale: int = 1) -> None:
-    """acc[key] += scale q^k h, dropping zero terms and an emptied entry."""
-    dst = acc.setdefault(key, {})
-    for e, c in h.items():
-        e2 = e + k
-        s = dst.get(e2, 0) + scale * c
-        if s:
-            dst[e2] = s
-        else:
-            del dst[e2]
-    if not dst:
-        del acc[key]
+def _add(a: tuple, b: tuple) -> tuple:
+    """The coefficient tuple of a + b, without trailing zeros."""
+    if len(a) < len(b):
+        a, b = b, a
+    out = [*map(add, a, b), *a[len(b):]]
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
 def kl_table(n: int) -> KLTable:
-    """Full canonical-basis table for S_n via the C_s C_w recursion."""
+    """All P_{y,w} of S_n via C_w = C_s C_v - sum mu(y, v) C_y over s y < y.
+
+    Here v = s w for the smallest left descent s of w.  Each y below v adds
+    P_{y,v}, times q when s y < y, to the entries of s y and of y; each
+    such y with d = l(v) - l(y) odd and mu(y, v) = m != 0 subtracts
+    m q^((d + 1)/2) P_{z,y} from the entry of every z below y.  That shift
+    is at least 1, so each entry keeps the constant term 1 of
+    P_{min(y, sy),v} and none empties.  mu(y, w) is the coefficient of
+    degree (l(w) - l(y) - 1)/2 when that gap is odd.
+    """
     bound = oracle_bound()
     if n > bound:
         raise OracleBoundError(
@@ -216,34 +210,39 @@ def kl_table(n: int) -> KLTable:
         )
     perms = sorted(all_permutations(n), key=length)
     index = {w: k for k, w in enumerate(perms)}
+    lengths = [length(w) for w in perms]
     # left[s - 1][w] is the index of s w.  Index order refines length and
     # l(sw) = l(w) +- 1, so s is a left descent of w exactly when
     # left[s - 1][w] < w.
     left = [[index[apply_s(s, w)] for w in perms] for s in range(1, n)]
-    h: dict[int, dict[int, dict[int, int]]] = {0: {0: {0: 1}}}
+    h: dict[int, dict[int, tuple[int, ...]]] = {0: {0: (1,)}}
     mu_pairs: dict[tuple[int, int], int] = {}
     for w in range(1, len(perms)):
         # multiplication by the smallest left descent s of w
         s_times = next(row for row in left if row[w] < w)
-        cv = h[s_times[w]]
-        acc: dict[int, dict[int, int]] = {}
-        for y, hy in cv.items():
+        v = s_times[w]
+        cv = h[v]
+        acc: dict[int, tuple[int, ...]] = {}
+        for y, p in cv.items():
             sy = s_times[y]
-            _shift_add(acc, sy, hy, 0)
-            _shift_add(acc, y, hy, -1 if sy > y else 1)
-        for y, hy in cv.items():
-            m = hy.get(-1, 0)
-            if m and s_times[y] < y:
-                for z, hz in h[y].items():
-                    _shift_add(acc, z, hz, 0, -m)
-        if acc.get(w) != {0: 1}:
+            if sy < y:
+                acc[sy] = acc[y] = _add(cv[sy], (0,) + p)
+            elif sy not in cv:
+                acc[sy] = acc[y] = p
+        for y, p in cv.items():
+            d = lengths[v] - lengths[y]
+            if d & 1 and len(p) > d >> 1 and s_times[y] < y:
+                shift, times_minus_mu = (0,) * ((d + 1) >> 1), (-p[d >> 1]).__mul__
+                for z, pz in h[y].items():
+                    acc[z] = _add(acc[z], shift + tuple(map(times_minus_mu, pz)))
+        if acc.get(w) != (1,):
             raise AssertionError("canonical recursion lost unitriangularity")
         h[w] = acc
-        for y, hy in acc.items():
-            m = hy.get(-1, 0)
-            if m and y != w:
-                mu_pairs[(y, w)] = m
-    return KLTable(n, perms, index, h, mu_pairs, [length(w) for w in perms])
+        for y, p in acc.items():
+            d = lengths[w] - lengths[y]
+            if d & 1 and len(p) > d >> 1:
+                mu_pairs[(y, w)] = p[d >> 1]
+    return KLTable(n, perms, index, h, mu_pairs, lengths)
 
 
 # ---------------------------------------------------------------------------

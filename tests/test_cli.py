@@ -141,11 +141,20 @@ def test_malformed_graph_document_is_usage_error(tmp_path, capsys, doc):
 def test_verify_of_a_wide_one_vertex_document_is_quick(tmp_path):
     # the rules and the Hecke check try only generators within distance 1
     # of a colour, so a document without colours costs nothing in n; with
-    # every colour but no weight, the Hecke check tries no commuting pair
+    # every colour but no weight, the Hecke check tries no commuting pair,
+    # and with one weight out of the vertex coloured 1..2999 every generator
+    # colours that vertex alone, so all A_s are equal and commute
     path = tmp_path / "wide.json"
-    rules = "admissible,compatibility,simplicity,bonding,polygon"
-    for n, tau in ((3000, []), (10**9, []), (3000, list(range(1, 3000)))):
-        doc = {"n": n, "vertices": [{"id": 0, "tau": tau, "label": None}], "mu": []}
+    five = "admissible,compatibility,simplicity,bonding,polygon"
+    bare = {"id": 0, "tau": [], "label": None}
+    full = {"id": 0, "tau": list(range(1, 3000)), "label": None}
+    for n, vertices, mu, rules in (
+        (3000, [bare], [], five),
+        (10**9, [bare], [], five),
+        (3000, [full], [], five),
+        (3000, [full, {**bare, "id": 1}], [{"from": 0, "to": 1, "w": 1}], "admissible"),
+    ):
+        doc = {"n": n, "vertices": vertices, "mu": mu}
         path.write_text(json.dumps(doc))
         start = time.perf_counter()
         assert run(["verify", "--in", str(path), "--rules", rules, "--hecke"]) == 0
@@ -315,7 +324,7 @@ def test_oracle_single_shape(capsys):
 
 
 def test_builder_equals_oracle_at_rank_7():
-    # kl_table(7) peaks near 1 GB, so this runs only where WCELL_ORACLE_MAX
+    # kl_table(7) peaks near 250 MB, so this runs only where WCELL_ORACLE_MAX
     # admits rank 7, in a fresh process that hands the memory back
     if hecke.oracle_bound() < 7:
         pytest.skip("needs WCELL_ORACLE_MAX >= 7")

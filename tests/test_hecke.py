@@ -211,14 +211,27 @@ def test_degree_bound_and_constant_term():
             assert 2 * (len(p) - 1) <= delta - 1
 
 
+def _classical(hy, delta):
+    """P_{y,w} as a coefficient tuple from h_{y,w} = q^-delta P_{y,w}(q^2),
+    given as an exponent -> coefficient dict."""
+    coeffs = {}
+    for e, c in hy.items():
+        assert e + delta >= 0 and (e + delta) % 2 == 0, (hy, delta)
+        coeffs[(e + delta) // 2] = c
+    return tuple(coeffs.get(k, 0) for k in range(max(coeffs) + 1))
+
+
 def test_fast_table_equals_fixed_point_table():
     for n in range(1, 6):
         fast = hecke.kl_table(n)
         slow_h, slow_mu = kl_table_slow(n)
         perm = fast.perms
         assert {
-            perm[w]: {perm[y]: hy for y, hy in row.items()} for w, row in fast.h.items()
-        } == slow_h
+            perm[w]: {perm[y]: p for y, p in row.items()} for w, row in fast.h.items()
+        } == {
+            w: {y: _classical(hy, length(w) - length(y)) for y, hy in row.items()}
+            for w, row in slow_h.items()
+        }
         assert {(perm[y], perm[w]): m for (y, w), m in fast.mu_pairs.items()} == slow_mu
 
 

@@ -232,7 +232,8 @@ def kl_table(n: int) -> KLTable:
         for y, p in cv.items():
             d = lengths[v] - lengths[y]
             if d & 1 and len(p) > d >> 1 and s_times[y] < y:
-                shift, times_minus_mu = (0,) * ((d + 1) >> 1), (-p[d >> 1]).__mul__
+                shift = (0,) * ((d + 1) >> 1)
+                times_minus_mu = (-p[d >> 1]).__mul__
                 for z, pz in h[y].items():
                     acc[z] = _add(acc[z], shift + tuple(map(times_minus_mu, pz)))
         if acc.get(w) != (1,):

@@ -16,17 +16,30 @@ the vertices 0..N-1, in increasing lexicographic order.  A CellIndex holds
 the column word of each vertex (the column of each entry 1..n, which
 determines the tableau), the dict from word to vertex, the descent bitmasks
 and the one weight table, cols[t] = {u: mu(u, t)}, the layout of
-SColoredGraph.column.  The rest runs on these integers: s_i t is the word
-with the letters of i and i+1 exchanged.
+SColoredGraph.column, with the parity and largest strong descent of each
+vertex and a memo of favourable prefixes.  The rest runs on these integers:
+s_i t is the word with the letters of i and i+1 exchanged.
 
 The probable-pair identity refers only to weights whose target is
 lexicographically smaller than t, once the pair is replaced by its
 canonical favourable representative, so the table is filled one lex-column
-at a time.  Within a column the pairs are independent.
+at a time.  Within a column the pairs are independent.  Lex order refines
+dominance, so the scan for the pairs of t reads only the vertices before t.
+
+Only probable pairs of opposite parity are evaluated.  The parity of a
+vertex is the number of entry pairs a < b with col(b) <= col(a), mod 2: the
+length of its reading word.  No weight joins two vertices of equal parity:
+  - the graph is a KL cell, hence admissible, hence bipartite (Stembridge);
+  - s_i t exchanges the columns of the adjacent entries i, i+1, which
+    differ, so it changes that count by one: (a) and (b) flip the parity;
+  - the dual Knuth moves connect the cell, so parity is its only bipartition.
+Skipping such a pair leaves the zero that mu_probable would compute, so the
+graph is unchanged; a test evaluates every such pair through n = 9.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from typing import NamedTuple
 
 from . import knuth
@@ -39,6 +52,9 @@ class CellIndex(NamedTuple):
     index: dict[tuple[int, ...], int]  # vertex of each word
     masks: list[int]  # bit d set when d is a descent of the vertex
     cols: list[dict[int, int]]  # cols[t][u] = mu(u, t); absent entries are zero
+    parity: list[int]  # length of the reading word of each vertex, mod 2
+    strong: list[int]  # largest strong descent e, col(e) > col(e+1), of each vertex; 0 if none
+    prefixes: dict[tuple[int, ...], tuple[int, ...]]  # memo of knuth.favourable_prefix
 
 
 def _swap(word, e: int):
@@ -63,6 +79,7 @@ def cell_index(tabs) -> CellIndex:
     index = {w: v for v, w in enumerate(words)}
     masks = [sum(1 << d for d in t.descents) for t in tabs]
     cols: list[dict[int, int]] = [{} for _ in words]
+    parity, strong = [], []
     for it, w in enumerate(words):
         for i in range(1, len(w)):
             if w[i - 1] < w[i]:
@@ -71,7 +88,14 @@ def cell_index(tabs) -> CellIndex:
                     cols[it][iu] = 1
                     if masks[it] & ~masks[iu]:
                         cols[iu][it] = 1
-    return CellIndex(words, index, masks, cols)
+        seen = [0] * (len(w) + 2)  # seen[c]: letters c so far
+        pairs = 0
+        for c in w:
+            pairs += sum(seen[c:])
+            seen[c] += 1
+        parity.append(pairs & 1)
+        strong.append(next((e for e in range(len(w) - 1, 0, -1) if w[e - 1] > w[e]), 0))
+    return CellIndex(words, index, masks, cols, parity, strong, {})
 
 
 def mu_probable(iu: int, it: int, cell: CellIndex, rep=None) -> int:
@@ -85,16 +109,26 @@ def mu_probable(iu: int, it: int, cell: CellIndex, rep=None) -> int:
     the commuting j - i = 1 subcase) or of length three (otherwise).  Every
     weight it consults lies in a column below it, so it is already final.
 
+    The prefix depends only on the words up to and including their first
+    difference, so it is memoised in cell.prefixes under that key.  t0
+    agrees with t past i and a strong descent e > i reads only letters past
+    i, so j is the largest strong descent of t, cell.strong[it], when that
+    exceeds i.
+
     A member of knuth.favourable_set may be passed as a vertex pair rep;
     the result does not depend on the choice.
     """
-    words, index, masks, cols = cell
+    words, index, masks, cols = cell.words, cell.index, cell.masks, cell.cols
     uw, tw = words[iu], words[it]
-    i, prefix = knuth.favourable_prefix(uw, tw)
+    i = next((e for e, (a, b) in enumerate(zip(uw, tw)) if a != b), len(uw))
+    key = uw[: i + 1] + tw[i : i + 1]
+    prefix = cell.prefixes.get(key)
+    if prefix is None:
+        prefix = cell.prefixes[key] = knuth.favourable_prefix(uw, tw)[1]
     iu0, it0 = rep if rep is not None else (index[prefix + uw[i:]], index[prefix + tw[i:]])
     t0 = words[it0]
-    j = max((e for e in range(i + 1, len(t0)) if t0[e - 1] > t0[e]), default=None)
-    if j is None:
+    j = cell.strong[it]
+    if j <= i:
         raise AssertionError("restriction number must precede max strong descent")
     iv = index[_swap(t0, j)]
     if j - i >= 2 or t0[j - 2] < t0[j]:
@@ -131,24 +165,32 @@ def mu_probable(iu: int, it: int, cell: CellIndex, rep=None) -> int:
 def probable_pairs(cell: CellIndex) -> list[tuple[int, int]]:
     """Vertex pairs (u, t) with u < t in dominance and D(t) strictly inside D(u).
 
-    Grouped by target, targets in increasing lexicographic order.
+    Grouped by target, targets in increasing lexicographic order.  The scan
+    walks, for each t, the descent masks that occur and strictly contain
+    D(t), in decreasing order, and each mask's vertices in increasing order.
+    Lex order refines dominance, so no u after t lies below t: each list is
+    read only up to t.  Dominance is one subtraction on the packed prefix
+    counts of tb.dominance_keys.
     """
-    words, masks = cell.words, cell.masks
+    masks = cell.masks
     by_mask: dict[int, list[int]] = {}
     for v, mask in enumerate(masks):
         by_mask.setdefault(mask, []).append(v)
-    n = len(words[0]) if words else 0
-    universe = ((1 << n) - 1) & ~1  # bits 1..n-1
+    present = sorted(by_mask)
+    above: dict[int, list[list[int]]] = {}  # the lists of the masks strictly above each mask
+    keys, guard = tb.dominance_keys(cell.words)
+    high = [key | guard for key in keys]
     out = []
-    for it, tw in enumerate(words):
-        mask = masks[it]
-        free = universe & ~mask
-        sub = free
-        while sub:
-            for iu in by_mask.get(mask | sub, ()):
-                if tb.column_dominance_leq(words[iu], tw):
-                    out.append((iu, it))
-            sub = (sub - 1) & free
+    for it, mask in enumerate(masks):
+        lists = above.get(mask)
+        if lists is None:
+            larger = present[bisect_right(present, mask) :]  # a strict superset is larger
+            lists = above[mask] = [by_mask[m] for m in reversed(larger) if m & mask == mask]
+        kt = keys[it]
+        for vs in lists:
+            out.extend(
+                [(iu, it) for iu in vs[: bisect_left(vs, it)] if (high[iu] - kt) & guard == guard]
+            )
     return out
 
 
@@ -162,11 +204,13 @@ def build_cell_graph(lam) -> wg.SColoredGraph:
     lam = tb.check_partition(lam) if lam else ()
     tabs = tuple(tb.enumerate_std(lam))
     cell = cell_index(tabs)
-    # (c) probable pairs, one lex-column at a time
+    # (c) probable pairs of opposite parity, one lex-column at a time
+    parity = cell.parity
     for iu, it in probable_pairs(cell):
-        w = mu_probable(iu, it, cell)
-        if w:
-            cell.cols[it][iu] = w
+        if parity[iu] != parity[it]:
+            w = mu_probable(iu, it, cell)
+            if w:
+                cell.cols[it][iu] = w
     mu = {(u, t): w for t, col in enumerate(cell.cols) for u, w in col.items()}
     labels = tuple((0, t) for t in tabs)
     return wg.SColoredGraph(sum(lam) if lam else 1, [t.descents for t in tabs], mu, labels)

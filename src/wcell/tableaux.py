@@ -491,6 +491,36 @@ def column_dominance_leq(uw, tw) -> bool:
     return True
 
 
+def dominance_keys(words) -> tuple[list[int], int]:
+    """(P, G): packed prefix counts of column words of one shape, and their guard mask.
+
+    P[v] holds c(j, k), the number of letters <= k among the first j
+    letters of words[v], for 1 <= j <= n and 1 <= k < m, where m is the
+    largest letter (c(j, m) = j for every word).  Each count has a field of
+    b = n.bit_length() + 1 bits; a count is below 2^(b-1), so the top bit of
+    each field, its guard bit, is clear in P[v], and G has every guard bit
+    set.  (P[u] | G) - P[t] then subtracts field by field with no borrow
+    across fields, and a guard bit survives exactly when c_t(j, k) <=
+    c_u(j, k).  So, for any two words of the shape,
+        column_dominance_leq(uw, tw)  ==  ((P[u] | G) - P[t]) & G == G.
+    """
+    n = len(words[0]) if words else 0
+    m = max((c for w in words for c in w), default=1)
+    b = n.bit_length() + 1
+    row = (m - 1) * b
+    # unit[c]: a letter c adds one to c(j, k) for every k >= c
+    unit = [0] + [sum(1 << (k - 1) * b for k in range(c, m)) for c in range(1, m + 1)]
+    keys = []
+    for w in words:
+        counts = key = 0
+        for j, c in enumerate(w):
+            counts += unit[c]
+            key |= counts << j * row
+        keys.append(key)
+    guard = sum(1 << f * b + b - 1 for f in range(n * (m - 1)))
+    return keys, guard
+
+
 # ---------------------------------------------------------------------------
 # critical tableaux
 

@@ -503,12 +503,24 @@ def check_polygon(g: SColoredGraph, r: int) -> CheckReport:
     Only generators in the colour of some row u of a nonzero weight mu(u, v)
     are tried.  A path sum can end only at such a vertex, and the rule
     compares only sums whose end is coloured by both i and j, so a pair
-    with i or j outside those colours cannot fail.
+    with i or j outside those colours cannot fail.  Nor can a pair of
+    generators that colour the same vertices: each vertex then holds both
+    or neither, so no path has an interior vertex.  Such pairs are skipped,
+    which keeps a document with thousands of generators on few vertices
+    cheap.
     """
     gens = sorted(set().union(*(g.tau[u] for u, _ in g.mu)))
-    for i in gens:
-        for j in gens:
-            if j <= i or (r == 3 and j - i != 1):
+    coloured: dict[int, list[int]] = {i: [] for i in gens}
+    for v, s in enumerate(g.tau):
+        for i in s & coloured.keys():
+            coloured[i].append(v)
+    ids: dict[tuple[int, ...], int] = {}
+    group = {i: ids.setdefault(tuple(vs), len(ids)) for i, vs in coloured.items()}
+    for a, i in enumerate(gens):
+        for j in gens[a + 1 :]:
+            if r == 3 and j != i + 1:
+                break  # gens ascend, so no later j is bonded to i
+            if group[i] == group[j]:
                 continue
             for u, n_ij, n_ji in polygon_sums(g, r, i, j):
                 if n_ij == n_ji:

@@ -47,7 +47,7 @@ def test_probable_pairs_exist_from_rank_five():
 
 
 def test_probable_pair_defining_properties():
-    for n in (5, 6):
+    for n in (5, 6, 7):
         for lam in tb.partitions_of(n):
             tabs = tuple(tb.enumerate_std(lam))
             listed = set(builder.probable_pairs(builder.cell_index(tabs)))
@@ -59,6 +59,51 @@ def test_probable_pair_defining_properties():
                         and t.descents < u.descents
                     )
                     assert ((iu, it) in listed) == expected
+
+
+def test_packed_dominance_keys_equal_column_dominance():
+    for n in range(1, 8):
+        for lam in tb.partitions_of(n):
+            words = [t.column_word for t in tb.enumerate_std(lam)]
+            keys, guard = tb.dominance_keys(words)
+            for ku, uw in zip(keys, words):
+                for kt, tw in zip(keys, words):
+                    packed = ((ku | guard) - kt) & guard == guard
+                    assert packed == tb.column_dominance_leq(uw, tw), (uw, tw)
+
+
+def test_dual_knuth_edges_and_covers_join_opposite_parities():
+    for n in range(1, 9):
+        for lam in tb.partitions_of(n):
+            cell = builder.cell_index(tuple(tb.enumerate_std(lam)))
+            for it, col in enumerate(cell.cols):
+                for iu in col:
+                    assert cell.parity[iu] != cell.parity[it], (lam, iu, it)
+
+
+def test_equal_parity_probable_pairs_have_zero_weight():
+    # the bipartite cut of build_cell_graph: evaluated on the full index in
+    # schedule order, without the cut, every equal-parity pair gives 0
+    equal = 0
+    for n in range(1, 10):
+        for lam in tb.partitions_of(n):
+            cell = builder.cell_index(tuple(tb.enumerate_std(lam)))
+            for iu, it in builder.probable_pairs(cell):
+                w = builder.mu_probable(iu, it, cell)
+                if cell.parity[iu] == cell.parity[it]:
+                    equal += 1
+                    assert w == 0, (lam, iu, it)
+                if w:
+                    cell.cols[it][iu] = w
+    assert equal == 2672
+
+
+def test_large_shape_digest():
+    # SHA-256 of to_json_str for a 5632-vertex cell, taken before the
+    # bipartite cut and the packed dominance scan: the graph is unchanged
+    text = wg.to_json_str(builder.build_cell_graph((4, 3, 2, 1, 1, 1)))
+    digest = "37a2898aae669b964a04c156a0765ed8f99ca47992cd861e144e9a8da380500f"
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_builder_matches_oracle_exactly(built):

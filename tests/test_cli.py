@@ -143,7 +143,8 @@ def test_verify_of_a_wide_one_vertex_document_is_quick(tmp_path):
     # of a colour, so a document without colours costs nothing in n; with
     # every colour but no weight, the Hecke check tries no commuting pair,
     # and with one weight out of the vertex coloured 1..2999 every generator
-    # colours that vertex alone, so all A_s are equal and commute
+    # colours that vertex alone, so all A_s are equal and commute, and no
+    # pair of generators can fail the polygon rule
     path = tmp_path / "wide.json"
     five = "admissible,compatibility,simplicity,bonding,polygon"
     bare = {"id": 0, "tau": [], "label": None}
@@ -152,7 +153,7 @@ def test_verify_of_a_wide_one_vertex_document_is_quick(tmp_path):
         (3000, [bare], [], five),
         (10**9, [bare], [], five),
         (3000, [full], [], five),
-        (3000, [full, {**bare, "id": 1}], [{"from": 0, "to": 1, "w": 1}], "admissible"),
+        (3000, [full, {**bare, "id": 1}], [{"from": 0, "to": 1, "w": 1}], "admissible,polygon"),
     ):
         doc = {"n": n, "vertices": vertices, "mu": mu}
         path.write_text(json.dumps(doc))

@@ -504,8 +504,8 @@ def dominance_keys(words) -> tuple[list[int], int]:
     c_u(j, k).  So, for any two words of the shape,
         column_dominance_leq(uw, tw)  ==  ((P[u] | G) - P[t]) & G == G.
     """
-    n = len(words[0]) if words else 0
-    m = max((c for w in words for c in w), default=1)
+    first = words[0] if words else ()
+    n, m = len(first), max(first, default=1)
     b = n.bit_length() + 1
     row = (m - 1) * b
     # unit[c]: a letter c adds one to c(j, k) for every k >= c

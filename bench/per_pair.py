@@ -7,7 +7,8 @@ RSS and the SHA-256 of to_json_str), then runs the phases one at a time:
 enumerate_std, cell_index, probable_pairs and the mu_probable loop, which
 evaluates the pairs build_cell_graph evaluates (those of opposite parity
 when the cell index has parities, all of them otherwise).  Both trees must
-give the same digest, probable pairs and nonzero weights.
+give the same digest, probable pairs and nonzero weights, and the digests
+of the two large shapes must equal PINNED.
 
 Run from the repository root, with the parent commit's tree unpacked
 somewhere, for example:
@@ -27,6 +28,11 @@ import sys
 
 SHAPES = ((4, 3, 2, 1, 1), (4, 3, 2, 1, 1, 1), (5, 3, 2, 1, 1, 1))
 REPEAT = 3
+# SHA-256 of to_json_str, taken before the bipartite cut: both trees must give it
+PINNED = {
+    (4, 3, 2, 1, 1, 1): "37a2898aae669b964a04c156a0765ed8f99ca47992cd861e144e9a8da380500f",
+    (5, 3, 2, 1, 1, 1): "29bfe7e1097f2b3ee276516426b9e08ad1a5300fd3da90f62c5e1db56567b8b7",
+}
 CHILD = """
 import hashlib, json, resource, sys, time
 from wcell import builder, tableaux as tb, wgraph as wg
@@ -96,6 +102,8 @@ def main(argv=None) -> int:
             if len(values) != 1:
                 raise SystemExit(f"{lam}: the trees disagree on {key}: {values}")
         row = {"shape": list(lam), **{key: values.pop() for key, values in fixed.items()}}
+        if row["digest"] != PINNED.get(lam, row["digest"]):
+            raise SystemExit(f"{lam}: digest {row['digest']} differs from the pinned one")
         for side, results in runs.items():
             row[side] = {
                 "evaluated": results[0]["evaluated"],

@@ -93,16 +93,14 @@ def _cmd_oracle(args) -> int:
     n = args.n
     if n < 1:
         raise _UsageError(f"--n must be at least 1, got {n}")
+    hecke.check_oracle_bound(n)
     shapes = [_parse_shape(args.shape)] if args.shape else tb.partitions_of(n)
     if args.shape and sum(shapes[0]) != n:
         raise _UsageError(f"shape {args.shape} is not a partition of {n}")
     failures = 0
     for lam in shapes:
-        try:
-            g = builder.build_cell_graph(lam)
-            o = hecke.kl_left_cell_graph(lam)
-        except hecke.OracleBoundError as exc:
-            raise _UsageError(str(exc))
+        g = builder.build_cell_graph(lam)
+        o = hecke.kl_left_cell_graph(lam)
         same = hecke.graphs_equal_under(g, o, {v: v for v in g.vertices()})
         print(f"shape {','.join(map(str, lam))}: {'EQUAL' if same else 'DIFFER'}")
         failures += 0 if same else 1
@@ -176,7 +174,7 @@ def run(argv) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except _UsageError as exc:
+    except (_UsageError, hecke.OracleBoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -42,6 +42,14 @@ class OracleBoundError(ValueError):
     pass
 
 
+def check_oracle_bound(n: int) -> None:
+    """Raise OracleBoundError when n exceeds oracle_bound()."""
+    bound = oracle_bound()
+    if n > bound:
+        msg = f"n={n} exceeds the oracle bound {bound}; raise WCELL_ORACLE_MAX to override"
+        raise OracleBoundError(msg)
+
+
 # ---------------------------------------------------------------------------
 # W-graph module matrices and relation checking
 
@@ -145,7 +153,9 @@ def verify_hecke_relations(g: wg.SColoredGraph) -> wg.CheckReport:
         witness = _first_difference(lhs, rhs)
         if witness:
             bad.append((kind, s, t, *witness))
-    return wg.CheckReport("hecke-relations", not bad, tuple(bad[:10]))
+            if len(bad) == 10:
+                break
+    return wg.CheckReport("hecke-relations", not bad, tuple(bad))
 
 
 # ---------------------------------------------------------------------------
@@ -161,16 +171,15 @@ class KLTable:
     other fields are keyed by these positions.  ``h[w][y]`` is P_{y,w} for
     each y below w in the Bruhat order, as coefficients from the constant
     term up to the last nonzero one; H_y has coefficient
-    h_{y,w} = q^-(l(w) - l(y)) P_{y,w}(q^2) in C_w.  ``mu_pairs[(y, w)]``
-    holds the nonzero mu values for y < w, and ``lengths[w]`` is the length
-    of ``perms[w]``.  n is at most ``oracle_bound()``.
+    h_{y,w} = q^-(l(w) - l(y)) P_{y,w}(q^2) in C_w.  ``lengths[w]`` is the
+    length of ``perms[w]``, and ``mu(y, w)`` reads mu off ``h``.  n is at
+    most ``oracle_bound()``.
     """
 
     n: int
     perms: list
     index: dict
     h: dict
-    mu_pairs: dict
     lengths: list
 
     def kl_polynomial(self, y: int, w: int) -> tuple[int, ...]:
@@ -179,6 +188,12 @@ class KLTable:
         () when y is not below w in the Bruhat order; P_{w,w} = (1,).
         """
         return self.h[w].get(y, ())
+
+    def mu(self, y: int, w: int) -> int:
+        """mu(y, w) for y < w: the coefficient of P_{y,w} at degree (l(w) - l(y) - 1)/2, else 0."""
+        d = self.lengths[w] - self.lengths[y]
+        p = self.h[w].get(y, ())
+        return p[d >> 1] if d & 1 and len(p) > d >> 1 else 0
 
 
 def _add(a: tuple, b: tuple) -> tuple:
@@ -200,14 +215,9 @@ def kl_table(n: int) -> KLTable:
     such y with d = l(v) - l(y) odd and mu(y, v) = m != 0 subtracts
     m q^((d + 1)/2) P_{z,y} from the entry of every z below y.  That shift
     is at least 1, so each entry keeps the constant term 1 of
-    P_{min(y, sy),v} and none empties.  mu(y, w) is the coefficient of
-    degree (l(w) - l(y) - 1)/2 when that gap is odd.
+    P_{min(y, sy),v} and none empties.
     """
-    bound = oracle_bound()
-    if n > bound:
-        raise OracleBoundError(
-            f"n={n} exceeds the oracle bound {bound}; raise WCELL_ORACLE_MAX to override"
-        )
+    check_oracle_bound(n)
     perms = sorted(all_permutations(n), key=length)
     index = {w: k for k, w in enumerate(perms)}
     lengths = [length(w) for w in perms]
@@ -216,7 +226,6 @@ def kl_table(n: int) -> KLTable:
     # left[s - 1][w] < w.
     left = [[index[apply_s(s, w)] for w in perms] for s in range(1, n)]
     h: dict[int, dict[int, tuple[int, ...]]] = {0: {0: (1,)}}
-    mu_pairs: dict[tuple[int, int], int] = {}
     for w in range(1, len(perms)):
         # multiplication by the smallest left descent s of w
         s_times = next(row for row in left if row[w] < w)
@@ -230,6 +239,7 @@ def kl_table(n: int) -> KLTable:
             elif sy not in cv:
                 acc[sy] = acc[y] = p
         for y, p in cv.items():
+            # mu(y, v) read inline: a KLTable.mu call per entry costs time here
             d = lengths[v] - lengths[y]
             if d & 1 and len(p) > d >> 1 and s_times[y] < y:
                 shift = (0,) * ((d + 1) >> 1)
@@ -239,11 +249,7 @@ def kl_table(n: int) -> KLTable:
         if acc.get(w) != (1,):
             raise AssertionError("canonical recursion lost unitriangularity")
         h[w] = acc
-        for y, p in acc.items():
-            d = lengths[w] - lengths[y]
-            if d & 1 and len(p) > d >> 1:
-                mu_pairs[(y, w)] = p[d >> 1]
-    return KLTable(n, perms, index, h, mu_pairs, lengths)
+    return KLTable(n, perms, index, h, lengths)
 
 
 # ---------------------------------------------------------------------------
@@ -256,12 +262,13 @@ def _oracle_graph(table: KLTable, elements, labels) -> wg.SColoredGraph:
     tau = [left_descents(w) for w in elements]
     ids = [table.index[w] for w in elements]
     mu: dict[tuple[int, int], int] = {}
-    for a, ia in enumerate(ids):
-        for b, ib in enumerate(ids):
-            if not tau[a] <= tau[b]:
-                m = table.mu_pairs.get((ia, ib) if ia < ib else (ib, ia))
-                if m:
+    for b, ib in enumerate(ids):
+        for a, ia in enumerate(ids[:b]):
+            if tau[a] != tau[b] and (m := table.mu(ia, ib) if ia < ib else table.mu(ib, ia)):
+                if not tau[a] <= tau[b]:
                     mu[(a, b)] = m
+                if not tau[b] <= tau[a]:
+                    mu[(b, a)] = m
     return wg.SColoredGraph(table.n, tau, mu, labels)
 
 
@@ -298,10 +305,7 @@ def graphs_equal_under(g1: wg.SColoredGraph, g2: wg.SColoredGraph, bijection) ->
     image = [bijection[v] for v in g1.vertices()]
     if sorted(image) != list(g2.vertices()):
         raise ValueError("not a bijection onto the second vertex set")
-    if g1.n != g2.n:
+    if g1.n != g2.n or any(g1.tau[v] != g2.tau[image[v]] for v in g1.vertices()):
         return False
-    for v in g1.vertices():
-        if g1.tau[v] != g2.tau[image[v]]:
-            return False
     mapped = {(image[u], image[v]): w for (u, v), w in g1.mu.items()}
     return mapped == g2.mu

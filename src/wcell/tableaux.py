@@ -264,14 +264,12 @@ class StandardTableau:
         return hash((self.shape, self.offset, self.boxes))
 
     def to_rows(self):
-        """Entries of each internal row, leftmost column first.
-
-        For skew shapes the leading inner boxes of a row are omitted.
-        """
-        nrows = max(self._rows, default=0)
-        rows: list[list[int]] = [[] for _ in range(nrows)]
-        for e in sorted(self.entries(), key=lambda e: (self.row_of(e), self.col_of(e))):
-            rows[self.row_of(e) - 1].append(e)
+        """Entries of each internal row, leftmost column first; taken in
+        increasing order, they fill each row from the left.  For skew shapes
+        the leading inner boxes of a row are omitted."""
+        rows: list[list[int]] = [[] for _ in range(max(self._rows, default=0))]
+        for e, r in enumerate(self._rows, self.offset + 1):
+            rows[r - 1].append(e)
         return rows
 
     def text(self) -> str:

@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from wcell import builder
 from wcell import hecke
+from wcell import tableaux as tb
 from wcell import wgraph as wg
 from wcell.cli import run
 
@@ -246,6 +247,19 @@ def test_oracle_rank_below_one_is_usage_error(capsys):
         assert run(["oracle", "--n", n]) == 2
         captured = capsys.readouterr()
         assert "--n must be at least 1" in captured.err and captured.out == ""
+
+
+def test_oracle_rank_above_the_bound_fails_before_any_work(monkeypatch, capsys):
+    # p(60) = 966467 shapes would be enumerated before the first build
+    def boom(*_args):
+        raise AssertionError("work done before the bound check")
+
+    monkeypatch.setenv("WCELL_ORACLE_MAX", "6")
+    monkeypatch.setattr(tb, "partitions_of", boom)
+    monkeypatch.setattr(builder, "build_cell_graph", boom)
+    assert run(["oracle", "--n", "60"]) == 2
+    err = capsys.readouterr().err
+    assert "n=60 exceeds the oracle bound 6" in err
 
 
 def test_non_integer_oracle_bound_is_usage_error():

@@ -151,6 +151,27 @@ def test_single_weight_corruptions_are_caught(built):
     assert cases == 222
 
 
+def test_relation_check_stops_at_its_tenth_witness(monkeypatch):
+    # odd generators colour vertex 0 and even ones vertex 1, so every
+    # commuting pair of opposite parity fails; the sorted walk checks the
+    # braid (1, 2), then fails on (1, 4), (1, 6), ..., (1, 22) and stops
+    n = 200
+    g = wg.SColoredGraph(n, [range(1, n, 2), range(2, n, 2)], {(0, 1): 1, (1, 0): 1})
+    calls = 0
+    compose = hecke._compose
+
+    def counted(a, b):
+        nonlocal calls
+        calls += 1
+        return compose(a, b)
+
+    monkeypatch.setattr(hecke, "_compose", counted)
+    report = hecke.verify_hecke_relations(g)
+    assert not report.ok
+    assert report.violations == tuple(("commuting", 1, t, 0, 0) for t in range(4, 24, 2))
+    assert calls == 4 + 2 * 10
+
+
 @pytest.mark.parametrize("lam", [(3, 3, 2, 1), (4, 3, 2, 1)])
 def test_relations_beyond_the_oracle(built, lam):
     assert hecke.verify_hecke_relations(built(lam)).ok
@@ -232,7 +253,12 @@ def test_fast_table_equals_fixed_point_table():
             w: {y: _classical(hy, length(w) - length(y)) for y, hy in row.items()}
             for w, row in slow_h.items()
         }
-        assert {(perm[y], perm[w]): m for (y, w), m in fast.mu_pairs.items()} == slow_mu
+        assert {
+            (perm[y], perm[w]): fast.mu(y, w)
+            for w in range(len(perm))
+            for y in range(w)
+            if fast.mu(y, w)
+        } == slow_mu
 
 
 def test_table_recursion_runs_on_the_integer_index(monkeypatch):
@@ -283,9 +309,11 @@ def test_first_nontrivial_kl_polynomials():
 
 def test_mu_values_only_on_odd_length_gaps():
     table = hecke.kl_table(5)
-    for (y, w), m in table.mu_pairs.items():
-        assert m > 0
-        assert (table.lengths[w] - table.lengths[y]) % 2 == 1
+    mus = {(y, w): table.mu(y, w) for w in range(len(table.perms)) for y in range(w)}
+    assert any(mus.values())
+    for (y, w), m in mus.items():
+        assert m >= 0
+        assert not m or (table.lengths[w] - table.lengths[y]) % 2 == 1
 
 
 def test_oracle_bound(monkeypatch):
@@ -329,6 +357,25 @@ def test_regular_graph_is_admissible_ordered_bipartite():
         elems = sorted(all_permutations(n), key=lambda w: w.images)
         for (u, v), _w in g.mu.items():
             assert (length(elems[u]) - length(elems[v])) % 2 == 1
+
+
+def test_regular_graph_weights_equal_slow_table_mu():
+    # colours are left descents and mu(a, b) is kept iff tau(a) is not in tau(b)
+    for n in range(1, 6):
+        _h, slow_mu = kl_table_slow(n)
+        elems = sorted(all_permutations(n), key=lambda w: w.images)
+        pos = {w: k for k, w in enumerate(elems)}
+        tau = [left_descents(w) for w in elems]
+        expected = {}
+        for (y, w), m in slow_mu.items():
+            a, b = pos[y], pos[w]
+            if not tau[a] <= tau[b]:
+                expected[(a, b)] = m
+            if not tau[b] <= tau[a]:
+                expected[(b, a)] = m
+        g = hecke.kl_regular_graph(n)
+        assert list(g.tau) == tau
+        assert g.mu == expected
 
 
 def test_left_cells_of_equal_shape_are_isomorphic():

@@ -15,7 +15,8 @@ Every other weight is zero.  Tableaux are used only to enumerate and label
 the vertices 0..N-1, in increasing lexicographic order.  A CellIndex holds
 the column word of each vertex (the column of each entry 1..n, which
 determines the tableau), the dict from word to vertex, the descent bitmasks
-and the one weight table, cols[t] = {u: mu(u, t)}, the layout of
+(d is a descent when col(d) >= col(d+1)), which also give the colours, and
+the one weight table, cols[t] = {u: mu(u, t)}, the layout of
 SColoredGraph.column, with the parity and largest strong descent of each
 vertex and a memo of favourable prefixes.  The rest runs on these integers:
 s_i t is the word with the letters of i and i+1 exchanged.
@@ -48,9 +49,11 @@ from . import wgraph as wg
 
 
 class CellIndex(NamedTuple):
+    """The integer index of one cell, read from the column words of its tableaux alone."""
+
     words: list[tuple[int, ...]]  # column word of each vertex
     index: dict[tuple[int, ...], int]  # vertex of each word
-    masks: list[int]  # bit d set when d is a descent of the vertex
+    masks: list[int]  # bit d set when d is a descent: word[d - 1] >= word[d]
     cols: list[dict[int, int]]  # cols[t][u] = mu(u, t); absent entries are zero
     parity: list[int]  # length of the reading word of each vertex, mod 2
     strong: list[int]  # largest strong descent e, col(e) > col(e+1), of each vertex; 0 if none
@@ -77,7 +80,7 @@ def cell_index(tabs) -> CellIndex:
     """
     words = [t.column_word for t in tabs]
     index = {w: v for v, w in enumerate(words)}
-    masks = [sum(1 << d for d in t.descents) for t in tabs]
+    masks = [sum(1 << d for d in range(1, len(w)) if w[d - 1] >= w[d]) for w in words]
     cols: list[dict[int, int]] = [{} for _ in words]
     parity, strong = [], []
     for it, w in enumerate(words):
@@ -212,5 +215,6 @@ def build_cell_graph(lam) -> wg.SColoredGraph:
             if w:
                 cell.cols[it][iu] = w
     mu = {(u, t): w for t, col in enumerate(cell.cols) for u, w in col.items()}
-    labels = tuple((0, t) for t in tabs)
-    return wg.SColoredGraph(sum(lam) if lam else 1, [t.descents for t in tabs], mu, labels)
+    n = sum(lam) if lam else 1
+    tau = [[d for d in range(1, n) if mask >> d & 1] for mask in cell.masks]
+    return wg.SColoredGraph(n, tau, mu, tuple((0, t) for t in tabs))

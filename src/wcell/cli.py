@@ -44,10 +44,10 @@ def _load_graph(path: str) -> wg.SColoredGraph:
         raise _UsageError(f"cannot parse {path}: {exc}")
 
 
-def _write(path: str, data: str) -> None:
+def _write(path: str, chunks) -> None:
     try:
         with open(path, "w") as fh:
-            fh.write(data)
+            fh.writelines(chunks)
     except OSError as exc:
         raise _UsageError(f"cannot write {path}: {exc}")
 
@@ -65,9 +65,9 @@ def _cmd_tableaux(args) -> int:
 def _cmd_build(args) -> int:
     shape = _parse_shape(args.shape)
     g = builder.build_cell_graph(shape)
-    _write(args.out, wg.to_json_str(g))
+    _write(args.out, wg.json_chunks(g))
     if args.dot:
-        _write(args.dot, wg.to_dot(g))
+        _write(args.dot, [wg.to_dot(g)])
     return 0
 
 
@@ -122,7 +122,7 @@ def _cmd_rsk(args) -> int:
 
 def _cmd_export(args) -> int:
     g = _load_graph(args.infile)
-    _write(args.dot, wg.to_dot(g))
+    _write(args.dot, [wg.to_dot(g)])
     return 0
 
 

@@ -463,47 +463,30 @@ def tableau_dominance_leq(u: StandardTableau, t: StandardTableau) -> bool:
 
 
 def extended_dominance_leq(u: StandardTableau, t: StandardTableau) -> bool:
-    """u <= t in the extended dominance order (shapes may differ)."""
+    """u <= t in the extended dominance order (shapes may differ); see dominance_keys."""
     if u.size != t.size or u.offset != t.offset:
         raise ValueError("extended dominance requires the same target")
-    return column_dominance_leq(u.column_word, t.column_word)
-
-
-def column_dominance_leq(uw, tw) -> bool:
-    """u <= t in extended dominance, from the column words of u and t.
-
-    u <= t when no prefix of t's word has more letters <= k than the same
-    prefix of u's word, for any column k.  One walk keeps lead[k], the lead
-    of u over t in the letters <= k so far, and stops when one goes negative.
-    """
-    lead = [0] * (max(uw + tw, default=0) + 1)
-    for a, b in zip(uw, tw):
-        if a < b:
-            for k in range(a, b):
-                lead[k] += 1
-        elif b < a:
-            for k in range(b, a):
-                lead[k] -= 1
-                if lead[k] < 0:
-                    return False
-    return True
+    (ku, kt), guard = dominance_keys([u.column_word, t.column_word])
+    return ((ku | guard) - kt) & guard == guard
 
 
 def dominance_keys(words) -> tuple[list[int], int]:
-    """(P, G): packed prefix counts of column words of one shape, and their guard mask.
+    """(P, G): packed prefix counts of column words of one length, and their guard mask.
 
+    u <= t in the extended dominance order when no prefix of t's word has
+    more letters <= k than the same prefix of u's word, for any column k.
     P[v] holds c(j, k), the number of letters <= k among the first j
     letters of words[v], for 1 <= j <= n and 1 <= k < m, where m is the
-    largest letter (c(j, m) = j for every word).  Each count has a field of
+    largest letter of all the words (c(j, k) = j once k >= m), so words of
+    different shapes pack together.  Each count has a field of
     b = n.bit_length() + 1 bits; a count is below 2^(b-1), so the top bit of
     each field, its guard bit, is clear in P[v], and G has every guard bit
     set.  (P[u] | G) - P[t] then subtracts field by field with no borrow
     across fields, and a guard bit survives exactly when c_t(j, k) <=
-    c_u(j, k).  So, for any two words of the shape,
-        column_dominance_leq(uw, tw)  ==  ((P[u] | G) - P[t]) & G == G.
+    c_u(j, k).  So u <= t exactly when ((P[u] | G) - P[t]) & G == G.
     """
-    first = words[0] if words else ()
-    n, m = len(first), max(first, default=1)
+    n = len(words[0]) if words else 0
+    m = max((max(w) for w in words if w), default=1)
     b = n.bit_length() + 1
     row = (m - 1) * b
     # unit[c]: a letter c adds one to c(j, k) for every k >= c

@@ -539,25 +539,28 @@ def check_ordered(g: SColoredGraph) -> CheckReport:
     """Every nonzero weight points down the extended dominance order.
 
     The one exception is a weight from t up to s_i t > t inside a single
-    molecule, decided on column words: the shapes are equal, and the words
-    differ only by exchanging the letters at k and k+1, an ascent of t's
-    word (the entry k+1 lies in a column left of k+2).  Requires every
-    vertex to carry a (molecule, tableau) label.
+    molecule: the words differ only by exchanging the letters at k and k+1,
+    an ascent of t's word (the entry k+1 lies in a column left of k+2).
+    Dominance is the guarded subtraction builder.probable_pairs uses, on
+    the keys of the column words (tb.dominance_keys), so every vertex needs
+    a (molecule, tableau) label and the tableaux must hold the same entries.
     """
     if not g.is_labelled():
         raise ValueError("check_ordered requires labelled vertices")
+    if len({(t.size, t.offset) for _, t in g.labels}) > 1:
+        raise ValueError("label tableaux must all hold the same entries")
+    molecule = [m for m, _ in g.labels]
+    words = [t.column_word for _, t in g.labels]
+    keys, guard = tb.dominance_keys(words)
     bad = []
     for (cu, cv), w in sorted(g.mu.items()):
-        beta, u = g.labels[cu]
-        alpha, t = g.labels[cv]
-        if tb.extended_dominance_leq(u, t) and u != t:
+        ku, kt = keys[cu], keys[cv]
+        if ku != kt and ((ku | guard) - kt) & guard == guard:
             continue
-        if alpha == beta and u.shape == t.shape:
-            # equal shapes give equal letter counts, so a first difference
-            # k has a successor
-            uw, tw = u.column_word, t.column_word
-            k = next((k for k, (a, b) in enumerate(zip(uw, tw)) if a != b), None)
-            if k is not None and tw[k] < tw[k + 1]:
+        if molecule[cu] == molecule[cv]:
+            uw, tw = words[cu], words[cv]
+            k = next((k for k, (a, b) in enumerate(zip(uw, tw)) if a != b), len(tw))
+            if k + 1 < len(tw) and tw[k] < tw[k + 1]:
                 if uw == tw[:k] + (tw[k + 1], tw[k]) + tw[k + 2 :]:
                     continue
         bad.append((cu, cv, w))
@@ -609,10 +612,16 @@ def to_json_obj(g: SColoredGraph) -> dict:
     return {"n": g.n, "vertices": vertices, "mu": mu}
 
 
-def to_json_str(g: SColoredGraph) -> str:
+def json_chunks(g: SColoredGraph):
+    """The text of to_json_str in pieces, so a writer never holds it whole."""
     import json
 
-    return json.dumps(to_json_obj(g), indent=2) + "\n"
+    yield from json.JSONEncoder(indent=2).iterencode(to_json_obj(g))
+    yield "\n"
+
+
+def to_json_str(g: SColoredGraph) -> str:
+    return "".join(json_chunks(g))
 
 
 def _expect(x, kind: type, what: str):

@@ -485,7 +485,8 @@ def favourable_rep(u: StandardTableau, t: StandardTableau):
 
 # ---------------------------------------------------------------------------
 # Extended dominance from prefix-count matrices: the reference for
-# tableaux.extended_dominance_leq, which walks the two column words once.
+# tableaux.dominance_keys, which packs the prefix counts of each column word
+# into one integer.
 
 
 def dominance_prefix(t: StandardTableau):
@@ -523,8 +524,8 @@ def extended_dominance_leq(u: StandardTableau, t: StandardTableau) -> bool:
 # ---------------------------------------------------------------------------
 # Molecule typing and the ordered rule on tableau objects: the references
 # for wgraph.molecule_types, which matches the dual Knuth edges of
-# builder.cell_index, and for wgraph.check_ordered, which decides covers on
-# column words.
+# builder.cell_index, and for wgraph.check_ordered, which decides dominance
+# and covers on column words.
 
 
 def dk_neighbours(t: StandardTableau):
@@ -632,14 +633,14 @@ def is_cover(u: StandardTableau, t: StandardTableau):
 
 
 def check_ordered(g: wg.SColoredGraph) -> wg.CheckReport:
-    """The ordered rule as wgraph.check_ordered, with covers from is_cover."""
+    """The ordered rule as wgraph.check_ordered, from prefix matrices and is_cover."""
     if not g.is_labelled():
         raise ValueError("check_ordered requires labelled vertices")
     bad = []
     for (cu, cv), w in sorted(g.mu.items()):
         beta, u = g.labels[cu]
         alpha, t = g.labels[cv]
-        if tb.extended_dominance_leq(u, t) and u != t:
+        if extended_dominance_leq(u, t) and u != t:
             continue
         if alpha == beta and is_cover(u, t) is not None:
             continue

@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from helpers import extended_dominance_leq as dominance_reference
 from wcell import builder, hecke, knuth
 from wcell import tableaux as tb
 from wcell import wgraph as wg
@@ -24,11 +25,12 @@ def test_shape_21_is_a_single_simple_edge(built):
 
 
 def test_vertices_are_lex_ordered_and_coloured_by_descents(built):
-    for lam in [(3, 2), (2, 2, 1)]:
-        g = built(lam)
-        tabs = tb.enumerate_std(lam)
-        assert [lab[1] for lab in g.labels] == tabs
-        assert all(g.tau[i] == tabs[i].descents for i in g.vertices())
+    for n in range(1, 8):
+        for lam in tb.partitions_of(n):
+            g = built(lam)
+            tabs = tb.enumerate_std(lam)
+            assert [lab[1] for lab in g.labels] == tabs
+            assert all(g.tau[i] == tabs[i].descents for i in g.vertices()), lam
 
 
 def test_no_probable_pairs_below_rank_five():
@@ -61,15 +63,22 @@ def test_probable_pair_defining_properties():
                     assert ((iu, it) in listed) == expected
 
 
+def _assert_packed_dominance(tabs):
+    keys, guard = tb.dominance_keys([t.column_word for t in tabs])
+    for ku, u in zip(keys, tabs):
+        for kt, t in zip(keys, tabs):
+            packed = ((ku | guard) - kt) & guard == guard
+            assert packed == dominance_reference(u, t), (u, t)
+
+
 def test_packed_dominance_keys_equal_column_dominance():
+    # one shape per call through n = 7, then every word of each size
+    # n <= 6 in one call, across shapes
     for n in range(1, 8):
         for lam in tb.partitions_of(n):
-            words = [t.column_word for t in tb.enumerate_std(lam)]
-            keys, guard = tb.dominance_keys(words)
-            for ku, uw in zip(keys, words):
-                for kt, tw in zip(keys, words):
-                    packed = ((ku | guard) - kt) & guard == guard
-                    assert packed == tb.column_dominance_leq(uw, tw), (uw, tw)
+            _assert_packed_dominance(tb.enumerate_std(lam))
+    for n in range(1, 7):
+        _assert_packed_dominance([t for lam in tb.partitions_of(n) for t in tb.enumerate_std(lam)])
 
 
 def test_dual_knuth_edges_and_covers_join_opposite_parities():

@@ -459,19 +459,32 @@ def test_ordered_reports_match_reference(built):
     # one of these weights goes up a dual Knuth move, but across molecules
     pair = graph_union(built((2, 1)), built((2, 1)))
     across = wg.SColoredGraph(pair.n, pair.tau, {**pair.mu, (2, 1): 1, (3, 0): 1}, pair.labels)
+    # words (1, 2) and (1, 1) of two shapes first differ at their last letter
+    row, col = tb.from_text("1 2"), tb.from_text("1/2")
+    shapes = wg.SColoredGraph(2, [set(), {1}], {(0, 1): 1, (1, 0): 1}, [(0, row), (0, col)])
     outcomes = set()
-    for g in _reference_family(built, (2, 3, 4, 5)) + [twins, across]:
+    for g in _reference_family(built, (2, 3, 4, 5)) + [twins, across, shapes]:
         fast, slow = wg.check_ordered(g), helpers.check_ordered(g)
         assert (fast.ok, fast.violations) == (slow.ok, slow.violations)
         outcomes.add(fast.ok)
     assert outcomes == {True, False}
-    assert not wg.check_ordered(twins).ok and not wg.check_ordered(across).ok
+    assert not any(wg.check_ordered(g).ok for g in (twins, across, shapes))
 
 
 def test_ordered_requires_labels():
     g = wg.SColoredGraph(3, [{1}, {2}], {(0, 1): 1, (1, 0): 1})
     with pytest.raises(ValueError):
         wg.check_ordered(g)
+
+
+def test_ordered_requires_labels_with_the_same_entries():
+    # the packed keys compare words of one length over one target, so the
+    # labels are checked before any weight is read
+    small, large, shifted = tb.from_text("1"), tb.from_text("1 2"), tb.from_text("2")
+    for a, b in [(small, large), (small, shifted)]:
+        g = wg.SColoredGraph(2, [set(), set()], {}, [(0, a), (0, b)])
+        with pytest.raises(ValueError, match="same entries"):
+            wg.check_ordered(g)
 
 
 # ---------------------------------------------------------------------------

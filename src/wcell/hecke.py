@@ -18,6 +18,7 @@ builder meaningful.
 from __future__ import annotations
 
 import os
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import add
@@ -135,16 +136,24 @@ def verify_hecke_relations(g: wg.SColoredGraph) -> wg.CheckReport:
     q = 2 * norm**3 + 1
     mats = dict(zip(gens, module_matrices(g, q, gens)))
     bad = []
-    braids = {(t, t + 1) for s in support for t in (s - 1, s) if 1 <= t <= g.n - 2}
+    braids = sorted({(t, t + 1) for s in support for t in (s - 1, s) if 1 <= t <= g.n - 2})
     # A weight mu(u, x) enters A_s only when s is in tau(u) \ tau(x); outside
     # their union R every A_s is diagonal, and diagonal matrices commute, so a
-    # commuting pair can fail only if s or t lies in R and A_s != A_t.
+    # commuting pair can fail only if s or t lies in R and A_s != A_t.  R lies
+    # within the colours, so both generators colour some vertex.
     reach = set().union(*(g.tau[u] - g.tau[x] for u, x in g.mu))
-    commuting = {
-        (min(s, t), max(s, t))
-        for s in reach for t in support if abs(s - t) >= 2 and support[s] != support[t]
-    }
-    for s, t in sorted(braids | commuting):
+    coloured = sorted(support)
+    from heapq import merge  # here, so that importing the CLI stays light
+
+    def commuting():
+        """The pairs s < t - 1 that can fail, in increasing order, made only
+        as far as the check reads them."""
+        for k, s in enumerate(coloured):
+            for t in coloured[bisect_left(coloured, s + 2, k):]:
+                if (s in reach or t in reach) and support[s] != support[t]:
+                    yield s, t
+
+    for s, t in merge(braids, commuting()):
         a, b = mats[s], mats[t]
         if t - s >= 2:
             kind, lhs, rhs = "commuting", _compose(a, b), _compose(b, a)

@@ -18,6 +18,7 @@ to ``text()`` output: the minimal tableau of shape ``(2, 1)`` prints as
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import reduce
 from math import factorial
@@ -551,24 +552,39 @@ def m_critical_tableau(shape: SkewShape, m: int) -> StandardTableau:
 # text round-trip
 
 
-def from_rows(rows, offset=None) -> StandardTableau:
-    """Build a normal-shape tableau from its internal rows."""
+def from_rows(rows, offset=None, shapes=None) -> StandardTableau:
+    """Build a normal-shape tableau from its internal rows.
+
+    One pass checks that the row lengths weakly decrease, that the entries
+    form a contiguous interval (from offset + 1 when offset is given) and
+    that they increase along rows and down columns.  ``shapes``, when
+    given, maps row-length tuples to the SkewShape that calls share.
+    """
     rows = [list(r) for r in rows]
-    lengths = [len(r) for r in rows]
-    if any(lengths[i] < lengths[i + 1] for i in range(len(lengths) - 1)):
+    lengths = tuple(map(len, rows))
+    if any(a < b for a, b in zip(lengths, lengths[1:])):
         raise ValueError("row lengths must weakly decrease")
-    entries = sorted(e for row in rows for e in row)
+    size = sum(lengths)
     if offset is None:
-        offset = entries[0] - 1 if entries else 0
-    if entries != list(range(offset + 1, offset + len(entries) + 1)):
-        raise ValueError("entries must form a contiguous interval")
-    width = lengths[0] if lengths else 0
-    shape = SkewShape(tuple(sum(1 for L in lengths if L >= j) for j in range(1, width + 1)))
-    pos = {}
+        offset = min(min(r) for r in rows if r) - 1 if size else 0
+    boxes = [None] * size
     for i, row in enumerate(rows, start=1):
         for j, e in enumerate(row, start=1):
-            pos[e] = (i, j)
-    return StandardTableau(shape, [pos[e] for e in sorted(pos)], offset)
+            k = e - offset - 1
+            if not 0 <= k < size or boxes[k] is not None:
+                raise ValueError("entries must form a contiguous interval")
+            boxes[k] = (i, j)
+            if j > 1 and e < row[j - 2]:
+                raise ValueError("entries must increase along rows")
+            if i > 1 and e < rows[i - 2][j - 1]:
+                raise ValueError("entries must increase down columns")
+    shape = shapes.get(lengths) if shapes is not None else None
+    if shape is None:
+        width = lengths[0] if lengths else 0
+        shape = SkewShape(tuple(sum(1 for L in lengths if L >= j) for j in range(1, width + 1)))
+        if shapes is not None:
+            shapes[lengths] = shape
+    return StandardTableau(shape, boxes, offset, _checked=True)
 
 
 def from_column_word(cols, offset: int = 0) -> StandardTableau:
@@ -582,7 +598,20 @@ def from_column_word(cols, offset: int = 0) -> StandardTableau:
     return StandardTableau(SkewShape(tuple(heights)), boxes, offset)
 
 
-def from_text(s: str) -> StandardTableau:
-    """Parse the '/'-separated row form, e.g. ``"1 3/2"``."""
-    rows = [[int(x) for x in part.split()] for part in s.split("/")]
-    return from_rows(rows)
+_ENTRY = "[1-9][0-9]*"
+_ROW = f"{_ENTRY}(?: {_ENTRY})*"
+_TEXT = re.compile(f"(?:{_ROW}(?:/{_ROW})*)?")
+
+
+def from_text(s: str, shapes=None) -> StandardTableau:
+    """Parse the '/'-separated row form, e.g. ``"1 3/2"``.
+
+    Accepts exactly what ``text()`` writes for a normal shape: positive
+    ASCII integers without leading zeros, one space between the entries of a
+    row and one '/' between non-empty rows; ``""`` is the empty tableau.
+    ``shapes`` is passed on to from_rows.
+    """
+    if _TEXT.fullmatch(s) is None:
+        raise ValueError(f"malformed tableau text {s!r}")
+    rows = [[int(x) for x in row.split(" ")] for row in s.split("/")] if s else []
+    return from_rows(rows, shapes=shapes)

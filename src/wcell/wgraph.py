@@ -9,6 +9,24 @@ when both weights are 1.
 
 The rule checkers return structured reports rather than raising, so a
 failing graph can be inspected; the CLI maps reports to exit codes.
+
+A graph document is the JSON text that ``json.dumps(obj, indent=2)`` gives
+for the object below, plus a newline; json_chunks writes it from templates
+and tests compare it with that encoding.  Keys come in this order:
+
+- ``"n"``: the integer n;
+- ``"vertices"``: for each vertex v in order, ``{"id": v, "tau": [...],
+  "label": ...}``, where tau lists the colour in increasing order (``[]``
+  when empty) and the label is ``null`` or ``{"molecule": m, "tableau":
+  text}``;
+- ``"mu"``: for each nonzero weight, sorted by (from, to),
+  ``{"from": u, "to": v, "w": mu(u, v)}``.
+
+The tableau text is StandardTableau.text(): the rows of a normal-shape
+tableau joined by "/", each row its positive entries in ASCII digits without
+leading zeros, joined by single spaces; ``""`` is the empty tableau.  It
+holds only digits, spaces and "/", so it needs no JSON escaping, and the
+loader accepts no other label text.
 """
 
 from __future__ import annotations
@@ -597,27 +615,29 @@ def run_checks(g: SColoredGraph, rules=ALL_RULES) -> list[CheckReport]:
 # serialization
 
 
-def to_json_obj(g: SColoredGraph) -> dict:
-    vertices = []
-    for v in g.vertices():
-        label = None
-        if g.labels is not None and g.labels[v] is not None:
-            molecule, t = g.labels[v]
-            label = {"molecule": molecule, "tableau": t.text()}
-        vertices.append({"id": v, "tau": sorted(g.tau[v]), "label": label})
-    mu = [
-        {"from": u, "to": v, "w": w}
-        for (u, v), w in sorted(g.mu.items())
-    ]
-    return {"n": g.n, "vertices": vertices, "mu": mu}
+_VERTEX = '%s\n    {\n      "id": %d,\n      "tau": %s,\n      "label": %s\n    }'
+_LABEL = '{\n        "molecule": %d,\n        "tableau": "%s"\n      }'
+_WEIGHT = '%s\n    {\n      "from": %d,\n      "to": %d,\n      "w": %d\n    }'
 
 
 def json_chunks(g: SColoredGraph):
-    """The text of to_json_str in pieces, so a writer never holds it whole."""
-    import json
-
-    yield from json.JSONEncoder(indent=2).iterencode(to_json_obj(g))
-    yield "\n"
+    """The text of to_json_str in pieces, one vertex or weight each, so a
+    writer never holds it whole; the layout is the one in the module
+    docstring."""
+    yield '{\n  "n": %d,\n  "vertices": [' % g.n
+    labels = g.labels or (None,) * g.num_vertices
+    sep = ""
+    for v, (tau, label) in enumerate(zip(g.tau, labels)):
+        colours = "[\n        %s\n      ]" % ",\n        ".join(map(str, sorted(tau))) if tau else "[]"
+        label = "null" if label is None else _LABEL % (label[0], label[1].text())
+        yield _VERTEX % (sep, v, colours, label)
+        sep = ","
+    yield '%s],\n  "mu": [' % ("\n  " if sep else "")
+    sep = ""
+    for (u, v), w in sorted(g.mu.items()):
+        yield _WEIGHT % (sep, u, v, w)
+        sep = ","
+    yield "%s]\n}\n" % ("\n  " if sep else "")
 
 
 def to_json_str(g: SColoredGraph) -> str:
@@ -638,7 +658,8 @@ def _field(obj: dict, key: str, kind: type):
 
 
 def from_json_obj(obj: dict) -> SColoredGraph:
-    """Inverse of to_json_obj; raises ValueError on a document of the wrong shape."""
+    """The graph of a parsed document; raises ValueError on a document of the
+    wrong shape."""
     _expect(obj, dict, "graph document")
     n = _field(obj, "n", int)
     if n < 1:
@@ -647,27 +668,38 @@ def from_json_obj(obj: dict) -> SColoredGraph:
     rows.sort(key=lambda r: _field(r, "id", int))
     if [r["id"] for r in rows] != list(range(len(rows))):
         raise ValueError("vertex ids must be 0..N-1")
-    tau = [
-        frozenset(_expect(c, int, "colour") for c in _field(r, "tau", list))
-        for r in rows
-    ]
+    tau = []
+    for r in rows:
+        colours = _field(r, "tau", list)
+        for c in colours:
+            if type(c) is not int:
+                raise ValueError(f"colour must be int, got {c!r}")
+        tau.append(frozenset(colours))
     labels = []
     targets = set()  # (size, offset) of the label tableaux
+    shapes = {}  # row lengths -> SkewShape, shared by the label tableaux
     for r in rows:
         label = r.get("label")
         if label is None:
             labels.append(None)
         else:
             _expect(label, dict, "label")
-            t = tb.from_text(_field(label, "tableau", str))
+            t = tb.from_text(_field(label, "tableau", str), shapes)
             targets.add((t.size, t.offset))
             labels.append((_field(label, "molecule", int), t))
     if len(targets) > 1:
         raise ValueError("label tableaux must all hold the same entries")
     mu = {}
     for e in _field(obj, "mu", list):
-        _expect(e, dict, "weight entry")
-        mu[_field(e, "from", int), _field(e, "to", int)] = _field(e, "w", int)
+        if type(e) is not dict:
+            raise ValueError(f"weight entry must be dict, got {e!r}")
+        try:
+            u, v, w = e["from"], e["to"], e["w"]
+        except KeyError as exc:
+            raise ValueError(f"missing field {exc.args[0]!r}") from None
+        if type(u) is not int or type(v) is not int or type(w) is not int:
+            raise ValueError(f"weight entry {e!r} must hold ints")
+        mu[u, v] = w
     return SColoredGraph(n, tau, mu, tuple(labels) if targets else None)
 
 

@@ -648,3 +648,20 @@ def check_ordered(g: wg.SColoredGraph) -> wg.CheckReport:
         if len(bad) >= 20:
             break
     return wg.CheckReport("ordered", not bad, tuple(bad))
+
+
+def to_json_obj(g: wg.SColoredGraph) -> dict:
+    """The graph document as a JSON value: json.dumps(to_json_obj(g), indent=2)
+    plus a newline is the text wgraph.to_json_str must write."""
+    vertices = []
+    for v in g.vertices():
+        label = None
+        if g.labels is not None and g.labels[v] is not None:
+            molecule, t = g.labels[v]
+            label = {"molecule": molecule, "tableau": t.text()}
+        vertices.append({"id": v, "tau": sorted(g.tau[v]), "label": label})
+    mu = [
+        {"from": u, "to": v, "w": w}
+        for (u, v), w in sorted(g.mu.items())
+    ]
+    return {"n": g.n, "vertices": vertices, "mu": mu}

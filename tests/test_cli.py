@@ -129,6 +129,12 @@ _GOOD = {
                 {"id": 1, "tau": [2], "label": {"molecule": 0, "tableau": "1 2/3 4"}},
             ],
         },
+    ]
+    + [
+        # label text that StandardTableau.text() never writes, so the
+        # document could not be written back byte for byte
+        {**_GOOD, "vertices": [{"id": 0, "tau": [1], "label": {"molecule": 0, "tableau": text}}]}
+        for text in (" 1", "1  2", "1\n2", "\u0661", "/")
     ],
 )
 def test_malformed_graph_document_is_usage_error(tmp_path, capsys, doc):
@@ -161,6 +167,29 @@ def test_verify_of_a_wide_one_vertex_document_is_quick(tmp_path):
         start = time.perf_counter()
         assert run(["verify", "--in", str(path), "--rules", rules, "--hecke"]) == 0
         assert time.perf_counter() - start < 10
+
+
+def test_hecke_check_stops_at_the_tenth_failing_pair(tmp_path, capsys):
+    # every generator colours one of the two vertices, so about 2.2M
+    # commuting pairs can fail; making and sorting all of them first takes
+    # about 10 s, so the check makes them in order only as far as the tenth
+    # failure, the first of which is (1, 4)
+    n = 3000
+    doc = {
+        "n": n,
+        "vertices": [
+            {"id": 0, "tau": list(range(1, n, 2)), "label": None},
+            {"id": 1, "tau": list(range(2, n, 2)), "label": None},
+        ],
+        "mu": [{"from": 0, "to": 1, "w": 1}, {"from": 1, "to": 0, "w": 1}],
+    }
+    path = tmp_path / "alternating.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    assert run(["verify", "--in", str(path), "--rules", "admissible", "--hecke"]) == 1
+    assert time.perf_counter() - start < 2
+    out = capsys.readouterr().out
+    assert "hecke-relations: FAIL first witness: ('commuting', 1, 4, 0, 0)" in out
 
 
 _FUZZ_SHAPES = ((1,), (2,), (1, 1), (2, 1), (3, 1), (2, 2), (2, 1, 1), (3, 2), (3, 1, 1))

@@ -317,6 +317,29 @@ def test_text_roundtrip():
             assert tb.from_text(t.text()) == t
 
 
+# text that StandardTableau.text() never writes: a document holding one
+# could not be written back byte for byte
+NON_CANONICAL_TEXTS = (" 1", "1  2", "1\n2", "\u0661", "/", "1/", "1 /2", "01", "0", "-1", "+1", "1\t2")
+
+
+def test_from_text_accepts_only_what_text_writes():
+    assert tb.from_text("") == tb.tau_min(())
+    assert tb.from_text("2 3/4").offset == 1
+    for s in NON_CANONICAL_TEXTS:
+        with pytest.raises(ValueError, match="malformed tableau text"):
+            tb.from_text(s)
+    for s in ("2 1", "1/2 3", "1 4/2 3", "1 2/3 5", "1 3/4"):
+        with pytest.raises(ValueError):
+            tb.from_text(s)
+
+
+def test_from_text_shares_one_shape_per_row_lengths():
+    shapes = {}
+    a, b = tb.from_text("1 2/3", shapes), tb.from_text("1 3/2", shapes)
+    assert a.shape is b.shape and shapes == {(2, 1): a.shape}
+    assert (a, b) == (tb.from_text("1 2/3"), tb.from_text("1 3/2"))
+
+
 def test_from_rows_rejects_bad_input():
     with pytest.raises(ValueError):
         tb.from_rows([[1], [2, 3]])

@@ -499,8 +499,26 @@ def test_json_roundtrip_is_bit_identical(built):
         assert s == again
 
 
+def test_json_text_equals_the_reference_encoding(built):
+    one, two = tb.from_text("1 2/3"), tb.from_text("1 3/2")
+    wide = tb.from_text("1 2 5 6 9 10/3 4 7 8 11/12")  # entries of two digits
+    graphs = [
+        wg.SColoredGraph(1, [], {}),  # no vertices
+        wg.SColoredGraph(4, [{1, 3}, set(), {2}], {}),  # no weights, unlabelled
+        wg.SColoredGraph(3, [set(), {1, 2}], {(1, 0): -3, (0, 1): 12}),  # empty colour
+        wg.SColoredGraph(3, [{2}, {1}, set()], {(0, 1): 1, (2, 0): -1}, [(0, one), None, (7, two)]),
+        wg.SColoredGraph(12, [set(range(1, 12))], {}, [(10, wide)]),
+        hecke.kl_regular_graph(3),
+        built((3, 2)),
+    ]
+    for g in graphs:
+        expected = json.dumps(helpers.to_json_obj(g), indent=2) + "\n"
+        assert wg.to_json_str(g) == expected
+        assert wg.to_json_str(wg.from_json_str(expected)) == expected
+
+
 def test_json_shape_of_output(built):
-    obj = wg.to_json_obj(built((2, 1)))
+    obj = helpers.to_json_obj(built((2, 1)))
     assert list(obj.keys()) == ["n", "vertices", "mu"]
     assert [v["id"] for v in obj["vertices"]] == [0, 1]
     assert all(list(e.keys()) == ["from", "to", "w"] for e in obj["mu"])

@@ -3,11 +3,17 @@
 The Hecke algebra is taken over Z[q, q^-1] with the quadratic relation
 H_s^2 = 1 + (q - q^-1) H_s.  verify_hecke_relations checks that a graph
 defines a module of it on integer matrices evaluated at one integer q,
-chosen large enough for the test to be exact.  kl_table runs the usual
-recursion C_{sw} = C_s C_w - sum mu(y, w) C_y on the classical polynomials
-P_{y,w}, kept as coefficient tuples on integer positions of the elements,
-for n up to the one bound WCELL_ORACLE_MAX.  None of this is consulted by
-the cell builder; it exists to validate builder output on small ranks.
+chosen large enough for the test to be exact.  The Kazhdan-Lusztig
+polynomials P_{y,w} come from the usual recursion
+C_{sw} = C_s C_w - sum mu(y, w) C_y, one column P_{.,w} at a time, kept as
+coefficient tuples.  Each column is made when first asked for, from the
+columns it needs.  kl_table asks for every column of S_n, on integer
+positions of the elements, for kl_regular_graph.  kl_left_cell_graph asks
+only for the columns of one cell's elements (or of their images under
+w -> w w0, when those are shorter), keyed by one-line images, and drops
+them when it returns; it never builds the whole table.  Both stop at the
+one bound WCELL_ORACLE_MAX on n.  None of this is consulted by the cell
+builder; it exists to validate builder output on small ranks.
 
 Graphs produced here store only weights that define arcs (the weight is
 dropped when tau(u) is contained in tau(v)), since other entries do not
@@ -20,15 +26,22 @@ from __future__ import annotations
 import os
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from operator import add
 
 from . import rsk
 from . import tableaux as tb
 from . import wgraph as wg
-from .permutations import all_permutations, apply_s, left_descents, length
+from .permutations import (
+    all_permutations,
+    apply_s,
+    apply_s_images,
+    inversions,
+    left_descents,
+    length,
+)
 
-DEFAULT_ORACLE_MAX = 6
+DEFAULT_ORACLE_MAX = 7
 
 
 def oracle_bound() -> int:
@@ -200,9 +213,7 @@ class KLTable:
 
     def mu(self, y: int, w: int) -> int:
         """mu(y, w) for y < w: the coefficient of P_{y,w} at degree (l(w) - l(y) - 1)/2, else 0."""
-        d = self.lengths[w] - self.lengths[y]
-        p = self.h[w].get(y, ())
-        return p[d >> 1] if d & 1 and len(p) > d >> 1 else 0
+        return _mu(self.h[w].get(y, ()), self.lengths[w] - self.lengths[y])
 
 
 def _add(a: tuple, b: tuple) -> tuple:
@@ -215,17 +226,79 @@ def _add(a: tuple, b: tuple) -> tuple:
     return tuple(out)
 
 
+def _mu(p: tuple, d: int) -> int:
+    """mu(y, w) from p = P_{y,w} and d = l(w) - l(y) > 0: the coefficient of
+    p at degree (d - 1)/2, or 0 when d is even."""
+    return p[d >> 1] if d & 1 and len(p) > d >> 1 else 0
+
+
+class _Memo(dict):
+    """A dict that fills a missing key k with fill(k) and keeps it."""
+
+    def __init__(self, fill):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
+
+
+class _Columns(dict):
+    """The KL columns {y: P_{y,w}} by w, each made when it is first read.
+
+    ``left[s - 1][y]`` is s y and ``lengths[y]`` is l(y), for any encoding
+    of the elements in which s y < y exactly when s is a left descent of
+    y: integer positions in an order that refines length, or one-line
+    image tuples, where s y < y lexicographically exactly when s + 1 comes
+    before s.  Reading a column makes the columns it is built from first,
+    and the columns live as long as the dict.
+    """
+
+    def __init__(self, identity, left, lengths):
+        super().__init__({identity: {identity: (1,)}})
+        self.left = left
+        self.lengths = lengths
+
+    def __missing__(self, w):
+        """P_{., w} via C_w = C_s C_v - sum mu(y, v) C_y over s y < y.
+
+        Here v = s w for the smallest left descent s of w.  Each y below v
+        adds P_{y,v}, times q when s y < y, to the entries of s y and of y;
+        each such y with d = l(v) - l(y) odd and mu(y, v) = m != 0
+        subtracts m q^((d + 1)/2) P_{z,y} from the entry of every z below
+        y.  That shift is at least 1, so each entry keeps the constant term
+        1 of P_{min(y, sy),v} and none empties.
+        """
+        s_times = next(row for row in self.left if row[w] < w)
+        v = s_times[w]
+        cv = self[v]
+        lengths = self.lengths
+        acc: dict = {}
+        for y, p in cv.items():
+            sy = s_times[y]
+            if sy < y:
+                acc[sy] = acc[y] = _add(cv[sy], (0,) + p)
+            elif sy not in cv:
+                acc[sy] = acc[y] = p
+        lv = lengths[v]
+        for y, p in cv.items():
+            # mu(y, v) read inline: a _mu call per entry costs time here
+            d = lv - lengths[y]
+            if d & 1 and len(p) > d >> 1 and s_times[y] < y:
+                shift = (0,) * ((d + 1) >> 1)
+                times_minus_mu = (-p[d >> 1]).__mul__
+                for z, pz in self[y].items():
+                    acc[z] = _add(acc[z], shift + tuple(map(times_minus_mu, pz)))
+        if acc.get(w) != (1,):
+            raise AssertionError("canonical recursion lost unitriangularity")
+        self[w] = acc
+        return acc
+
+
 @lru_cache(maxsize=None)
 def kl_table(n: int) -> KLTable:
-    """All P_{y,w} of S_n via C_w = C_s C_v - sum mu(y, v) C_y over s y < y.
-
-    Here v = s w for the smallest left descent s of w.  Each y below v adds
-    P_{y,v}, times q when s y < y, to the entries of s y and of y; each
-    such y with d = l(v) - l(y) odd and mu(y, v) = m != 0 subtracts
-    m q^((d + 1)/2) P_{z,y} from the entry of every z below y.  That shift
-    is at least 1, so each entry keeps the constant term 1 of
-    P_{min(y, sy),v} and none empties.
-    """
+    """All P_{y,w} of S_n: every column of _Columns, on integer positions."""
     check_oracle_bound(n)
     perms = sorted(all_permutations(n), key=length)
     index = {w: k for k, w in enumerate(perms)}
@@ -234,62 +307,79 @@ def kl_table(n: int) -> KLTable:
     # l(sw) = l(w) +- 1, so s is a left descent of w exactly when
     # left[s - 1][w] < w.
     left = [[index[apply_s(s, w)] for w in perms] for s in range(1, n)]
-    h: dict[int, dict[int, tuple[int, ...]]] = {0: {0: (1,)}}
-    for w in range(1, len(perms)):
-        # multiplication by the smallest left descent s of w
-        s_times = next(row for row in left if row[w] < w)
-        v = s_times[w]
-        cv = h[v]
-        acc: dict[int, tuple[int, ...]] = {}
-        for y, p in cv.items():
-            sy = s_times[y]
-            if sy < y:
-                acc[sy] = acc[y] = _add(cv[sy], (0,) + p)
-            elif sy not in cv:
-                acc[sy] = acc[y] = p
-        for y, p in cv.items():
-            # mu(y, v) read inline: a KLTable.mu call per entry costs time here
-            d = lengths[v] - lengths[y]
-            if d & 1 and len(p) > d >> 1 and s_times[y] < y:
-                shift = (0,) * ((d + 1) >> 1)
-                times_minus_mu = (-p[d >> 1]).__mul__
-                for z, pz in h[y].items():
-                    acc[z] = _add(acc[z], shift + tuple(map(times_minus_mu, pz)))
-        if acc.get(w) != (1,):
-            raise AssertionError("canonical recursion lost unitriangularity")
-        h[w] = acc
-    return KLTable(n, perms, index, h, lengths)
+    h = _Columns(0, left, lengths)
+    for w in range(len(perms)):
+        h[w]  # made on first read
+    return KLTable(n, perms, index, dict(h), lengths)
+
+
+def kl_columns(n: int, wanted) -> dict:
+    """P_{y,w} as columns[w][y] for each w in wanted, on one-line image tuples.
+
+    Only the columns the recursion reaches from wanted are made, and the
+    result holds each of them.  Every call starts afresh: nothing is kept
+    once the caller drops the result.
+    """
+    identity = tuple(range(1, n + 1))
+    left = [_Memo(partial(apply_s_images, s)) for s in range(1, n)]
+    columns = _Columns(identity, left, _Memo(inversions))
+    for w in wanted:
+        columns[w]  # made on first read
+    return columns
 
 
 # ---------------------------------------------------------------------------
 # oracle graphs
 
 
-def _oracle_graph(table: KLTable, elements, labels) -> wg.SColoredGraph:
+def _oracle_graph(n, elements, labels, keys, columns, lengths) -> wg.SColoredGraph:
     """The W-graph on the given elements: left descent sets as colours and
-    mu values as weights, stored only where they define arcs."""
+    mu values as weights, stored only where they define arcs.
+
+    keys[a] stands for elements[a] in columns and lengths.  It is the
+    element itself, or its image x w0 for every element, since
+    mu(x, y) = mu(y w0, x w0) (Kazhdan-Lusztig 1979, Corollary 3.2); either
+    way the mu of two vertices is read off the column of the longer key.
+    """
     tau = [left_descents(w) for w in elements]
-    ids = [table.index[w] for w in elements]
     mu: dict[tuple[int, int], int] = {}
-    for b, ib in enumerate(ids):
-        for a, ia in enumerate(ids[:b]):
-            if tau[a] != tau[b] and (m := table.mu(ia, ib) if ia < ib else table.mu(ib, ia)):
-                if not tau[a] <= tau[b]:
-                    mu[(a, b)] = m
-                if not tau[b] <= tau[a]:
-                    mu[(b, a)] = m
-    return wg.SColoredGraph(table.n, tau, mu, labels)
+    for b, kb in enumerate(keys):
+        for a in range(b):
+            if tau[a] != tau[b]:
+                ka = keys[a]
+                d = lengths[kb] - lengths[ka]
+                m = _mu(columns[kb].get(ka, ()), d) if d > 0 else _mu(columns[ka].get(kb, ()), -d)
+                if m:
+                    if not tau[a] <= tau[b]:
+                        mu[(a, b)] = m
+                    if not tau[b] <= tau[a]:
+                        mu[(b, a)] = m
+    return wg.SColoredGraph(n, tau, mu, labels)
 
 
 def kl_left_cell_graph(lam) -> wg.SColoredGraph:
     """The left-cell graph on the reading words of STD(lam), labelled by tableaux.
 
-    Vertices follow the lexicographic order of the tableaux.
+    Vertices follow the lexicographic order of the tableaux.  Only the KL
+    columns that the cell's elements reach are computed.  When the words
+    are longer than half of l(w0) on average, the columns of the shorter
+    elements w w0 (one-line images reversed) are used instead.
     """
     lam = tb.check_partition(lam)
-    table = kl_table(sum(lam))
+    n = sum(lam)
+    check_oracle_bound(n)
     tabs = tb.enumerate_std(lam)
-    return _oracle_graph(table, [tb.word(t) for t in tabs], tuple((0, t) for t in tabs))
+    words = [tb.word(t) for t in tabs]
+    flip = 2 * sum(map(length, words)) > len(words) * (n * (n - 1) // 2)
+    return _left_cell_graph(n, words, tuple((0, t) for t in tabs), flip)
+
+
+def _left_cell_graph(n: int, words, labels, flip: bool) -> wg.SColoredGraph:
+    """The W-graph on words, with mu read from the columns of the words, or
+    of their images w w0 when flip."""
+    keys = [w.images[::-1] if flip else w.images for w in words]
+    lengths = {k: inversions(k) for k in keys}
+    return _oracle_graph(n, words, labels, keys, kl_columns(n, keys), lengths)
 
 
 def kl_regular_graph(n: int) -> wg.SColoredGraph:
@@ -304,7 +394,9 @@ def kl_regular_graph(n: int) -> wg.SColoredGraph:
     q_index: dict = {}
     for _p, qtab in pairs:
         q_index.setdefault(qtab, len(q_index))
-    return _oracle_graph(table, elements, tuple((q_index[qtab], p) for p, qtab in pairs))
+    labels = tuple((q_index[qtab], p) for p, qtab in pairs)
+    keys = [table.index[w] for w in elements]
+    return _oracle_graph(n, elements, labels, keys, table.h, table.lengths)
 
 
 def graphs_equal_under(g1: wg.SColoredGraph, g2: wg.SColoredGraph, bijection) -> bool:

@@ -85,19 +85,25 @@ def apply_s(i: int, w: Permutation) -> Permutation:
     """The product s_i * w: swap the values i and i+1 in the image sequence."""
     if not 1 <= i <= w.n - 1:
         raise IndexError(f"generator index {i} out of range for n={w.n}")
-    out = list(w.images)
-    for pos, v in enumerate(out):
-        if v == i:
-            out[pos] = i + 1
-        elif v == i + 1:
-            out[pos] = i
-    return Permutation(out)
+    return Permutation(apply_s_images(i, w.images))
+
+
+def apply_s_images(i: int, images: tuple) -> tuple:
+    """apply_s on one-line images, for 1 <= i < len(images), unchecked."""
+    out = list(images)
+    a, b = images.index(i), images.index(i + 1)
+    out[a], out[b] = i + 1, i
+    return tuple(out)
+
+
+def inversions(images) -> int:
+    """The number of pairs of positions whose values are out of order."""
+    return sum(1 for a, b in combinations(images, 2) if a > b)
 
 
 def length(w: Permutation) -> int:
     """Coxeter length = number of inversions."""
-    img = w.images
-    return sum(1 for a, b in combinations(img, 2) if a > b)
+    return inversions(w.images)
 
 
 def left_descents(w: Permutation) -> frozenset[int]:

@@ -521,35 +521,47 @@ def check_polygon(g: SColoredGraph, r: int) -> CheckReport:
     Only generators in the colour of some row u of a nonzero weight mu(u, v)
     are tried.  A path sum can end only at such a vertex, and the rule
     compares only sums whose end is coloured by both i and j, so a pair
-    with i or j outside those colours cannot fail.  Nor can a pair of
-    generators that colour the same vertices: each vertex then holds both
-    or neither, so no path has an interior vertex.  Such pairs are skipped,
-    which keeps a document with thousands of generators on few vertices
-    cheap.
+    with i or j outside those colours cannot fail.  polygon_sums reads i
+    and j only through the vertex sets they colour, their groups, and
+    swapping i and j swaps its two sums, so each pair of groups is tried
+    once, at its first pair (i, j): a pair of groups that passes passes
+    for every such pair.  The first pair of two groups joins their
+    smallest generators.  A pair of groups is tried only if some vertex
+    holds both (a path ends there) and some vertex holds neither (a path
+    starts there); one group paired with itself has neither kind of
+    interior vertex.  So a document with thousands of generators on few
+    vertices stays cheap.
     """
     gens = sorted(set().union(*(g.tau[u] for u, _ in g.mu)))
-    coloured: dict[int, list[int]] = {i: [] for i in gens}
+    # group[i]: the set of vertices that i colours, as a bit mask
+    group = dict.fromkeys(gens, 0)
     for v, s in enumerate(g.tau):
-        for i in s & coloured.keys():
-            coloured[i].append(v)
-    ids: dict[tuple[int, ...], int] = {}
-    group = {i: ids.setdefault(tuple(vs), len(ids)) for i, vs in coloured.items()}
-    for a, i in enumerate(gens):
-        for j in gens[a + 1 :]:
-            if r == 3 and j != i + 1:
-                break  # gens ascend, so no later j is bonded to i
-            if group[i] == group[j]:
+        for i in s & group.keys():
+            group[i] |= 1 << v
+    everyone = (1 << g.num_vertices) - 1
+    if r == 2:
+        # the smallest generator of each group, ascending
+        firsts: dict[int, int] = {}
+        for i in gens:
+            firsts.setdefault(group[i], i)
+        lows = list(firsts.values())
+        pairs = [(i, j) for a, i in enumerate(lows) for j in lows[a + 1 :]]
+    else:
+        pairs = [(i, i + 1) for i in gens if i + 1 in group]
+    tried = set()
+    for i, j in pairs:
+        a, b = group[i], group[j]
+        if a == b or not a & b or a | b == everyone or (a, b) in tried:
+            continue
+        tried.update(((a, b), (b, a)))
+        for u, n_ij, n_ji in polygon_sums(g, r, i, j):
+            if n_ij == n_ji:
                 continue
-            for u, n_ij, n_ji in polygon_sums(g, r, i, j):
-                if n_ij == n_ji:
-                    continue
-                diff = [
-                    v for v in n_ij.keys() | n_ji.keys() if n_ij.get(v, 0) != n_ji.get(v, 0)
-                ]
-                if diff:
-                    v = min(diff)
-                    witness = (u, v, i, j, r, n_ij.get(v, 0), n_ji.get(v, 0))
-                    return CheckReport(f"polygon-r{r}", False, (witness,))
+            diff = [v for v in n_ij.keys() | n_ji.keys() if n_ij.get(v, 0) != n_ji.get(v, 0)]
+            if diff:
+                v = min(diff)
+                witness = (u, v, i, j, r, n_ij.get(v, 0), n_ji.get(v, 0))
+                return CheckReport(f"polygon-r{r}", False, (witness,))
     return CheckReport(f"polygon-r{r}", True)
 
 

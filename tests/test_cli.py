@@ -292,8 +292,8 @@ def test_oracle_rank_above_the_bound_fails_before_any_work(monkeypatch, capsys):
 
 
 def test_non_integer_oracle_bound_is_usage_error():
-    # a fresh process: kl_table is cached, so an earlier in-process oracle
-    # call of the same rank would never read the bound
+    # a fresh process, so that the bound is read from the environment the
+    # way the installed command reads it
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     out = subprocess.run(
@@ -367,22 +367,30 @@ def test_oracle_single_shape(capsys):
     assert run(["oracle", "--n", "5", "--shape", "3,1"]) == 2
 
 
-def test_builder_equals_oracle_at_rank_7():
-    # kl_table(7) peaks near 250 MB, so this runs only where WCELL_ORACLE_MAX
-    # admits rank 7, in a fresh process that hands the memory back
-    if hecke.oracle_bound() < 7:
-        pytest.skip("needs WCELL_ORACLE_MAX >= 7")
+def _oracle_in_a_fresh_process(n):
+    if hecke.oracle_bound() < n:
+        pytest.skip(f"needs WCELL_ORACLE_MAX >= {n}")
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     out = subprocess.run(
-        [sys.executable, "-m", "wcell.cli", "oracle", "--n", "7"],
+        [sys.executable, "-m", "wcell.cli", "oracle", "--n", str(n)],
         env=dict(os.environ, PYTHONPATH=path),
         capture_output=True,
         text=True,
     )
     assert out.returncode == 0, out.stderr
-    lines = out.stdout.splitlines()
+    return out.stdout.splitlines()
+
+
+def test_builder_equals_oracle_at_rank_7():
+    lines = _oracle_in_a_fresh_process(7)
     assert len(lines) == 15 and all(line.endswith(": EQUAL") for line in lines)
+
+
+def test_builder_equals_oracle_at_rank_8():
+    # about 4 s and 50 MB; runs where WCELL_ORACLE_MAX admits rank 8
+    lines = _oracle_in_a_fresh_process(8)
+    assert len(lines) == 22 and all(line.endswith(": EQUAL") for line in lines)
 
 
 def test_rsk_command(capsys):

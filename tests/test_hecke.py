@@ -325,6 +325,43 @@ def test_oracle_bound(monkeypatch):
         hecke.kl_table.__wrapped__(4)
 
 
+def _table_columns(table):
+    """The columns of a KLTable, keyed by one-line images."""
+    perm = table.perms
+    return {
+        perm[w].images: {perm[y].images: p for y, p in row.items()} for w, row in table.h.items()
+    }
+
+
+def test_columns_on_demand_equal_the_table():
+    # every column that a cell's words, or their images w w0, reach; then
+    # every column, asked for longest first so that each one recurses
+    for n in range(1, 7):
+        table = _table_columns(hecke.kl_table(n))
+        for lam in tb.partitions_of(n):
+            words = [tb.word(t).images for t in tb.enumerate_std(lam)]
+            for keys in (words, [w[::-1] for w in words]):
+                columns = hecke.kl_columns(n, keys)
+                assert set(keys) <= columns.keys()
+                assert dict(columns) == {w: table[w] for w in columns}
+        assert dict(hecke.kl_columns(n, reversed(list(table)))) == table
+
+
+def test_cell_columns_are_made_afresh_on_each_call(monkeypatch):
+    made = []
+    make = hecke._Columns.__missing__
+
+    def counted(self, w):
+        made.append(w)
+        return make(self, w)
+
+    monkeypatch.setattr(hecke._Columns, "__missing__", counted)
+    hecke.kl_left_cell_graph((3, 2, 1))
+    first = list(made)
+    hecke.kl_left_cell_graph((3, 2, 1))
+    assert first and made == first + first
+
+
 # ---------------------------------------------------------------------------
 # oracle graphs
 
@@ -334,6 +371,32 @@ def test_left_cell_graph_smallest_shapes():
     g = hecke.kl_left_cell_graph((2, 1))
     assert g.num_vertices == 2
     assert g.simple_edges() == [(0, 1)]
+
+
+def test_both_orientations_give_the_same_cell_graph():
+    flips = set()
+    for n in range(1, 7):
+        for lam in tb.partitions_of(n):
+            tabs = tb.enumerate_std(lam)
+            words = [tb.word(t) for t in tabs]
+            labels = tuple((0, t) for t in tabs)
+            plain, flipped = (hecke._left_cell_graph(n, words, labels, f) for f in (False, True))
+            assert (plain.tau, plain.mu, plain.labels) == (flipped.tau, flipped.mu, flipped.labels)
+            g = hecke.kl_left_cell_graph(lam)
+            assert (g.tau, g.mu, g.labels) == (plain.tau, plain.mu, plain.labels)
+            flips.add(2 * sum(map(length, words)) > len(words) * n * (n - 1) // 2)
+    assert flips == {False, True}
+
+
+def test_left_cell_graph_checks_the_bound_before_any_work(monkeypatch):
+    def boom(*_args):
+        raise AssertionError("work done before the bound check")
+
+    monkeypatch.delenv("WCELL_ORACLE_MAX", raising=False)
+    monkeypatch.setattr(tb, "enumerate_std", boom)
+    monkeypatch.setattr(hecke, "kl_columns", boom)
+    with pytest.raises(hecke.OracleBoundError, match="n=8 exceeds the oracle bound 7"):
+        hecke.kl_left_cell_graph((4, 2, 2))
 
 
 def test_left_cell_graph_vertex_counts():

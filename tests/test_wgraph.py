@@ -1,5 +1,6 @@
 import json
 import random
+import time
 
 import pytest
 
@@ -404,6 +405,52 @@ def test_polygon_reports_first_counterexample():
     u, v, i, j, r, nij, nji = report.violations[0]
     assert (u, v, r) == (0, 2, 2) and {i, j} == {1, 2}
     assert {nij, nji} == {0, 1}
+
+
+@pytest.mark.parametrize(
+    "tau, mu, calls",
+    [
+        # generators 1, 3, 5 colour vertex 2 alone and 2, 4 colour 1 and 2:
+        # one pair of groups, and r = 2 fails there
+        ([set(), {2, 4}, {1, 2, 3, 4, 5}], {(1, 0): 1, (2, 1): 1}, (1, 1)),
+        # a balanced square on the groups {1, 3} and {2, 3}: six pairs of
+        # generators for r = 2 and four bonded ones, all passing
+        (
+            [set(), {1, 3, 5}, {2, 4}, {1, 2, 3, 4, 5}],
+            {(1, 0): 1, (2, 0): 1, (3, 1): 1, (3, 2): 1},
+            (1, 1),
+        ),
+        # no vertex holds both groups: no path can end, nothing is tried
+        ([{1, 3, 5}, {2, 4}], {(0, 1): 1, (1, 0): 1}, (0, 0)),
+        # every vertex holds one of the groups: no path can start
+        ([{1, 3}, {1, 2, 3}], {(1, 0): 1}, (0, 0)),
+    ],
+)
+def test_polygon_tries_each_pair_of_groups_once(monkeypatch, tau, mu, calls):
+    g = wg.SColoredGraph(6, tau, mu)
+    made = []
+    sums = wg.polygon_sums
+
+    def counted(g, r, i, j):
+        made.append(r)
+        return sums(g, r, i, j)
+
+    monkeypatch.setattr(wg, "polygon_sums", counted)
+    for r, want in zip((2, 3), calls):
+        fast, slow = wg.check_polygon(g, r), helpers.check_polygon(g, r)
+        assert (fast.ok, fast.violations) == (slow.ok, slow.violations)
+        assert made.count(r) == want
+
+
+def test_polygon_rule_on_a_wide_document_is_quick():
+    # 2999 generators colour one of two vertices each, odd on one and even
+    # on the other: two groups, and no vertex holds both
+    n = 3000
+    g = wg.SColoredGraph(n, [set(range(1, n, 2)), set(range(2, n, 2))], {(0, 1): 1, (1, 0): 1})
+    for r in (2, 3):
+        start = time.perf_counter()
+        assert wg.check_polygon(g, r).ok
+        assert time.perf_counter() - start < 0.5
 
 
 @pytest.mark.parametrize(

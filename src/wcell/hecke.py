@@ -3,8 +3,12 @@
 The Hecke algebra is taken over Z[q, q^-1] with the quadratic relation
 H_s^2 = 1 + (q - q^-1) H_s.  verify_hecke_relations checks that a graph
 defines a module of it on integer matrices evaluated at one integer q,
-chosen large enough for the test to be exact.  The Kazhdan-Lusztig
-polynomials P_{y,w} come from the usual recursion
+chosen large enough for the test to be exact.  It works with the
+generator matrices shifted by -q^2 I, filled from one pass over the
+weights, and evaluates each relation one column at a time, skipping the
+columns where it cannot fail; no product matrix is held.
+
+The Kazhdan-Lusztig polynomials P_{y,w} come from the usual recursion
 C_{sw} = C_s C_w - sum mu(y, w) C_y, one column P_{.,w} at a time, kept as
 coefficient tuples.  Each column is made when first asked for, from the
 columns it needs.  kl_table asks for every column of S_n, on integer
@@ -65,97 +69,101 @@ def check_oracle_bound(n: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# W-graph module matrices and relation checking
-
-
-def module_matrices(g: wg.SColoredGraph, q: int, gens):
-    """One sparse integer matrix A_s = q T_s per generator s in gens, evaluated at q.
-
-    The column of v holds -v when s colours v, and otherwise
-    q^2 v plus q mu(u, v) u for every u coloured by s.
-    """
-    mats = []
-    for s in gens:
-        cols = []
-        for v in g.vertices():
-            if s in g.tau[v]:
-                cols.append({v: -1})
-            else:
-                col = {u: q * w for u, w in g.column(v).items() if s in g.tau[u]}
-                col[v] = q * q
-                cols.append(col)
-        mats.append(cols)
-    return mats
-
-
-def _compose(mat_a, mat_b):
-    """Columns of A applied to each column of B."""
-    out = []
-    for col in mat_b:
-        acc: dict[int, int] = {}
-        for u, c in col.items():
-            for x, e in mat_a[u].items():
-                acc[x] = acc.get(x, 0) + e * c
-        out.append(acc)
-    return out
-
-
-def _first_difference(mat_a, mat_b):
-    """(u, v) for the first column v where A and B differ and its smallest row u."""
-    for v, (ca, cb) in enumerate(zip(mat_a, mat_b)):
-        if ca != cb:
-            rows = [u for u in ca.keys() | cb.keys() if ca.get(u, 0) != cb.get(u, 0)]
-            if rows:
-                return (min(rows), v)
-    return None
+# Hecke relations on shifted module matrices
 
 
 def verify_hecke_relations(g: wg.SColoredGraph) -> wg.CheckReport:
     """Commuting and braid identities, checked exactly at one integer q.
 
     With A_s = q T_s the relations read A_s A_t = A_t A_s and
-    A_s A_t A_s = A_t A_s A_t, and every entry of LHS - RHS is a polynomial
-    in Z[q].  Measure a column by the sum of the absolute coefficients of
-    its entries; this norm is submultiplicative.  Every entry of A_s is a
-    monomial, so the largest column norm L of all A_s at q = 1 is
-    1 + sum |mu(u, v)| over u coloured by s, for s not in tau(v), or 1 if
-    there is no such v; and each entry of LHS - RHS has absolute
+    A_s A_t A_s = A_t A_s A_t.  They are evaluated on the shifted matrices
+    A'_s = A_s - q^2 I.  The column of v in A'_s is -(q^2 + 1) v when s
+    colours v, and otherwise q mu(u, v) u for every u coloured by s (never
+    v itself: SColoredGraph rejects self-weights).  So a weight mu(u, v)
+    enters A'_s exactly for the s in tau(u) but not in tau(v), and one pass
+    over the weights fills every column.  With A, B for A_s, A_t and A', B' for
+    their shifts, two identities hold in Z[q]:
+
+        AB - BA = A'B' - B'A',
+        ABA - BAB = A'B'A' - B'A'B' + q^2 (B' - A').
+
+    The first is immediate.  The second expands A = A' + q^2 I and uses the
+    quadratic relation, which reads A'^2 = -(q^2 + 1) A'.  So the shift
+    leaves every entry of LHS - RHS the same polynomial in Z[q], and the
+    bound on q stays exact.  Measure a column by the sum of the absolute
+    coefficients of its entries; this norm is submultiplicative.  Every
+    entry of A_s is a monomial, so the largest column norm L of all A_s at
+    q = 1 is 1 + sum |mu(u, v)| over u coloured by s, for s not in tau(v),
+    or 1 if there is no such v; and each entry of LHS - RHS has absolute
     coefficient sum at most B = 2 L^3.  A nonzero integer polynomial of
     degree d with coefficient sum at most B cannot vanish at an integer
     q > B: its lower terms sum to at most (B - 1) q^(d-1) < q^d in absolute
     value.  So evaluating at q = B + 1 is an exact test.
 
+    Each pair is evaluated one column v at a time, in increasing v, and
+    stops at its first nonzero column; the witness is (u, v) with u the
+    smallest nonzero row there.  Columns where A'v and B'v are both
+    multiples of v (each generator colours v or gives it no weight) are
+    skipped where they cannot differ: in a commuting pair always, since
+    scalars commute, and in a braid pair when the two scalars a, b are
+    equal, since the column is then (a - b)(ab - q^2) v = 0.  No product
+    matrix is held.
+
     The quadratic relation A_s^2 = q^2 I + (q^2 - 1) A_s holds on every
     S-coloured graph (see the comment below), so it is not checked.  A_s
     depends only on the vertices s colours, so two generators that colour
     the same vertices have equal matrices, which commute; a generator that
-    colours nothing has A_s = q^2 I.  The braid relations are checked for
+    colours nothing has A'_s = 0.  The braid relations are checked for
     every bonded pair with at least one generator colouring some vertex:
-    there A_s A_t A_s = q^4 A_t must still equal A_t A_s A_t = q^2 A_t^2.
-    So only generators within distance 1 of a colour get a matrix, and the
-    cost does not grow with n beyond the colours in use.
+    when t colours nothing the braid difference is -q^2 A'_s, which is
+    nonzero.  So only generators within distance 1 of a colour get a
+    matrix, and the cost does not grow with n beyond the colours in use.
     """
     # Quadratic relation: if s is in tau(v) then A_s v = -v.  Otherwise
     # A_s v = q^2 v + q sum mu(u, v) u over u coloured by s, each with
     # A_s u = -u (u != v: SColoredGraph rejects self-weights), so
     # A_s^2 v = q^4 v + (q^3 - q) sum mu(u, v) u = (q^2 I + (q^2 - 1) A_s) v.
-    support = {s: [v for v in g.vertices() if s in g.tau[v]] for s in set().union(*g.tau)}
-    gens = sorted({t for s in support for t in (s - 1, s, s + 1) if 1 <= t <= g.n - 1})
-    norm = max(
-        (1 + sum(abs(w) for u, w in g.column(v).items() if s in g.tau[u])
-         for s in gens for v in g.vertices() if s not in g.tau[v]),
-        default=1,
+    tau = g.tau
+    gens = sorted({t for s in set().union(*tau) for t in (s - 1, s, s + 1) if 1 <= t <= g.n - 1})
+    support: dict[int, set] = {s: set() for s in gens}
+    for v, colours in enumerate(tau):
+        for s in colours:
+            support[s].add(v)
+    # weights[s][v][u] = mu(u, v) for s in tau(u) \ tau(v): the columns of
+    # A'_s off the vertices s colours, scaled by q in place once q is known
+    weights: dict[int, dict] = {s: {} for s in gens}
+    for (u, v), w in g.mu.items():
+        for s in tau[u] - tau[v]:
+            cols = weights[s]
+            col = cols.get(v)
+            if col is None:
+                cols[v] = {u: w}
+            else:
+                col[u] = w
+    norm = 1 + max(
+        (sum(map(abs, col.values())) for cols in weights.values() for col in cols.values()),
+        default=0,
     )
     q = 2 * norm**3 + 1
-    mats = dict(zip(gens, module_matrices(g, q, gens)))
+    q2 = q * q
+    zero: dict = {}  # shared by every column that is 0; never written
+    mats = {}
+    for s in gens:
+        mat = [zero] * len(tau)
+        for v in support[s]:
+            mat[v] = {v: -q2 - 1}
+        for v, col in weights[s].items():
+            for u in col:
+                col[u] *= q
+            mat[v] = col
+        mats[s] = mat
     bad = []
-    braids = sorted({(t, t + 1) for s in support for t in (s - 1, s) if 1 <= t <= g.n - 2})
-    # A weight mu(u, x) enters A_s only when s is in tau(u) \ tau(x); outside
-    # their union R every A_s is diagonal, and diagonal matrices commute, so a
-    # commuting pair can fail only if s or t lies in R and A_s != A_t.  R lies
-    # within the colours, so both generators colour some vertex.
-    reach = set().union(*(g.tau[u] - g.tau[x] for u, x in g.mu))
-    coloured = sorted(support)
+    coloured = sorted(s for s in gens if support[s])
+    braids = sorted({(t, t + 1) for s in coloured for t in (s - 1, s) if 1 <= t <= g.n - 2})
+    # A weight mu(u, x) enters A'_s only when s is in tau(u) \ tau(x); outside
+    # the generators with weights every A'_s is diagonal, and diagonal
+    # matrices commute, so a commuting pair can fail only if s or t has
+    # weights and A'_s != A'_t.  Both generators then colour some vertex.
     from heapq import merge  # here, so that importing the CLI stays light
 
     def commuting():
@@ -163,21 +171,64 @@ def verify_hecke_relations(g: wg.SColoredGraph) -> wg.CheckReport:
         as far as the check reads them."""
         for k, s in enumerate(coloured):
             for t in coloured[bisect_left(coloured, s + 2, k):]:
-                if (s in reach or t in reach) and support[s] != support[t]:
+                if (weights[s] or weights[t]) and support[s] != support[t]:
                     yield s, t
 
     for s, t in merge(braids, commuting()):
-        a, b = mats[s], mats[t]
+        columns = weights[s].keys() | weights[t].keys()
         if t - s >= 2:
-            kind, lhs, rhs = "commuting", _compose(a, b), _compose(b, a)
+            kind, witness = "commuting", _commuting_witness(mats[s], mats[t], sorted(columns))
         else:
-            kind, lhs, rhs = "braid", _compose(a, _compose(b, a)), _compose(b, _compose(a, b))
-        witness = _first_difference(lhs, rhs)
+            columns |= support[s] ^ support[t]
+            kind, witness = "braid", _braid_witness(mats[s], mats[t], sorted(columns), q2)
         if witness:
             bad.append((kind, s, t, *witness))
             if len(bad) == 10:
                 break
     return wg.CheckReport("hecke-relations", not bad, tuple(bad))
+
+
+def _commuting_witness(a, b, columns):
+    """(u, v) for the first of the given columns v where A'B' - B'A' is
+    nonzero, and its smallest nonzero row u; None if there is none."""
+    for v in columns:
+        acc: dict[int, int] = {}
+        get = acc.get
+        for u, c in b[v].items():
+            for x, e in a[u].items():
+                acc[x] = get(x, 0) + e * c
+        for u, c in a[v].items():
+            for x, e in b[u].items():
+                acc[x] = get(x, 0) - e * c
+        if any(acc.values()):
+            return min(x for x, e in acc.items() if e), v
+    return None
+
+
+def _braid_witness(a, b, columns, q2):
+    """(u, v) for the first of the given columns v where
+    A'B'A' - B'A'B' + q^2 (B' - A') is nonzero, and its smallest nonzero
+    row u; None if there is none."""
+    for v in columns:
+        av, bv = a[v], b[v]
+        acc = {u: q2 * c for u, c in bv.items()}
+        get = acc.get
+        for u, c in av.items():
+            acc[u] = get(u, 0) - q2 * c
+        for x, y, col, sign in ((a, b, av, 1), (b, a, bv, -1)):
+            # acc += sign X Y X v, through mid = Y X v
+            mid: dict[int, int] = {}
+            mget = mid.get
+            for u, c in col.items():
+                for r, e in y[u].items():
+                    mid[r] = mget(r, 0) + e * c
+            for u, c in mid.items():
+                c *= sign
+                for r, e in x[u].items():
+                    acc[r] = get(r, 0) + e * c
+        if any(acc.values()):
+            return min(u for u, c in acc.items() if c), v
+    return None
 
 
 # ---------------------------------------------------------------------------

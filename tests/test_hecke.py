@@ -3,7 +3,14 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import corruptions, kl_table_slow
+from helpers import (
+    compose_integer,
+    corruptions,
+    first_difference,
+    integer_module_matrices,
+    kl_table_slow,
+    verify_hecke_relations_composed,
+)
 from wcell import hecke, rsk
 from wcell import tableaux as tb
 from wcell import wgraph as wg
@@ -49,7 +56,7 @@ def test_shape_21_matrices_satisfy_quadratic(built):
 
 
 def test_relations_on_built_graphs(built):
-    for n in range(1, 7):
+    for n in range(1, 9):
         for lam in tb.partitions_of(n):
             assert hecke.verify_hecke_relations(built(lam)).ok, lam
 
@@ -68,9 +75,9 @@ def test_relations_fail_on_corruption(built):
 def test_singleton_integer_matrices():
     q = 7
     g = wg.SColoredGraph(2, [{1}], {})
-    assert hecke.module_matrices(g, q, [1]) == [[{0: -1}]]
+    assert integer_module_matrices(g, q, [1]) == [[{0: -1}]]
     g2 = wg.SColoredGraph(2, [set()], {})
-    assert hecke.module_matrices(g2, q, [1]) == [[{0: q * q}]]
+    assert integer_module_matrices(g2, q, [1]) == [[{0: q * q}]]
     assert hecke.verify_hecke_relations(g).ok
     assert hecke.verify_hecke_relations(g2).ok
 
@@ -81,9 +88,14 @@ def test_relation_polynomial_with_an_integer_root_fails(root):
     # A_1 A_2 A_1 - A_2 A_1 A_2 is (1, 2), equal to q^2 (root q - 1)(q - root)
     mu = {(1, 0): root, (3, 0): 1, (0, 2): 1, (0, 3): 1, (1, 3): root * root + 1}
     g = wg.SColoredGraph(3, [{2}, {1, 2}, set(), {1}], mu)
-    a, b = hecke.module_matrices(g, root, [1, 2])
-    aba = hecke._compose(a, hecke._compose(b, a))
-    assert hecke._first_difference(aba, hecke._compose(b, hecke._compose(a, b))) is None
+    a, b = integer_module_matrices(g, root, [1, 2])
+    aba = compose_integer(a, compose_integer(b, a))
+    assert first_difference(aba, compose_integer(b, compose_integer(a, b))) is None
+    # the shifted matrices A - q^2 I hide it at the root as well
+    q2 = root * root
+    a2, b2 = ([{u: e - q2 * (u == v) for u, e in col.items()} for v, col in enumerate(m)]
+              for m in (a, b))
+    assert hecke._braid_witness(a2, b2, g.vertices(), q2) is None
     assert hecke.verify_hecke_relations(g).violations == (("braid", 1, 2, 1, 2),)
 
 
@@ -131,6 +143,28 @@ def test_integer_check_agrees_with_laurent_reference_on_any_graph(g):
     _agree_with_laurent_reference(g)
 
 
+def test_column_check_equals_composed_reference(built):
+    rng = random.Random(7457)
+    graphs, corrupted = [], []
+    for n in range(8):
+        for lam in tb.partitions_of(n):
+            graphs.append(built(lam))
+            corrupted.extend(corruptions(built(lam), rng, 20))
+    assert len(corrupted) >= 600
+    outcomes = set()
+    for g in graphs + corrupted:
+        report = hecke.verify_hecke_relations(g)
+        assert report == verify_hecke_relations_composed(g)
+        outcomes.add((report.ok, len(report.violations) > 1))
+    assert outcomes == {(True, False), (False, False), (False, True)}
+
+
+@settings(max_examples=300, deadline=None)
+@given(g=_coloured_graphs())
+def test_column_check_equals_composed_reference_on_any_graph(g):
+    assert hecke.verify_hecke_relations(g) == verify_hecke_relations_composed(g)
+
+
 def test_single_weight_corruptions_are_caught(built):
     # each weight +-1 or 0, and weight 1 on each empty off-diagonal pair
     cases = 0
@@ -154,25 +188,32 @@ def test_single_weight_corruptions_are_caught(built):
 def test_relation_check_stops_at_its_tenth_witness(monkeypatch):
     # odd generators colour vertex 0 and even ones vertex 1, so every
     # commuting pair of opposite parity fails; the sorted walk checks the
-    # braid (1, 2), then fails on (1, 4), (1, 6), ..., (1, 22) and stops
+    # braid (1, 2) on both columns, then fails on the first column of each
+    # of (1, 4), (1, 6), ..., (1, 22) and stops
     n = 200
     g = wg.SColoredGraph(n, [range(1, n, 2), range(2, n, 2)], {(0, 1): 1, (1, 0): 1})
-    calls = 0
-    compose = hecke._compose
+    kinds, columns = [], []
 
-    def counted(a, b):
-        nonlocal calls
-        calls += 1
-        return compose(a, b)
+    def counted(kind, witness):
+        def feed(cols):
+            kinds.append(kind)
+            for v in cols:
+                columns.append(v)
+                yield v
 
-    monkeypatch.setattr(hecke, "_compose", counted)
+        return lambda a, b, cols, *rest: witness(a, b, feed(cols), *rest)
+
+    for kind in ("braid", "commuting"):
+        name = f"_{kind}_witness"
+        monkeypatch.setattr(hecke, name, counted(kind, getattr(hecke, name)))
     report = hecke.verify_hecke_relations(g)
     assert not report.ok
     assert report.violations == tuple(("commuting", 1, t, 0, 0) for t in range(4, 24, 2))
-    assert calls == 4 + 2 * 10
+    assert kinds == ["braid"] + ["commuting"] * 10
+    assert columns == [0, 1] + [0] * 10
 
 
-@pytest.mark.parametrize("lam", [(3, 3, 2, 1), (4, 3, 2, 1)])
+@pytest.mark.parametrize("lam", [(3, 3, 2, 1), (4, 3, 2, 1), (4, 3, 2, 1, 1)])
 def test_relations_beyond_the_oracle(built, lam):
     assert hecke.verify_hecke_relations(built(lam)).ok
 

@@ -1,0 +1,165 @@
+"""Time the fixed cost of a wcell call before and after a change.
+
+Two figures, each for the --before source tree and for this checkout's src:
+
+- import: seconds of `import wcell.cli` in a fresh interpreter.  Each tree
+  gets one untimed import first, then IMPORT_RUNS timed ones, the two trees
+  alternating.  The PYTHONDONTWRITEBYTECODE setting is recorded, since
+  without bytecode files every import also compiles the sources.
+- per run: seconds of one in-process cli.run for `build --shape S --out F`
+  and for `verify --in F --hecke`, for each shape S in CALLS.  Each child
+  is a fresh interpreter that makes CALLS[S] build + verify pairs in a row; the
+  first pair (which builds the argument parser) is reported on its own and
+  the median is taken over the rest.  ROUNDS children per tree, alternating.
+
+Every build must exit 0 and write the same bytes in both trees, and every
+verify must exit 0 and print the same report in both trees; otherwise the
+program exits 1.
+
+Run from the repository root, with the parent commit's tree unpacked
+somewhere, for example:
+    git archive HEAD~1 | tar -x -C /tmp/parent
+    python3 bench/startup.py --before /tmp/parent/src --out BENCH_startup.json
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+
+IMPORT_RUNS = 9
+# build + verify pairs per child, for each shape
+CALLS = {(9,): 101, (3, 3, 2, 1): 11}
+ROUNDS = 3
+IMPORT_CHILD = (
+    "import time; t = time.perf_counter(); import wcell.cli; "
+    "print(time.perf_counter() - t)"
+)
+RUN_CHILD = """
+import contextlib, hashlib, io, json, os, sys, tempfile, time
+from wcell import cli
+
+def timed(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        start = time.perf_counter()
+        code = cli.run(argv)
+        seconds = time.perf_counter() - start
+    if code != 0:
+        sys.exit(f"wcell {' '.join(argv)} exited {code}")
+    return seconds, out.getvalue()
+
+shape, calls = sys.argv[1], int(sys.argv[2])
+build, verify, digests, reports = [], [], set(), set()
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "g.json")
+    for _ in range(calls):
+        seconds, _ = timed(["build", "--shape", shape, "--out", path])
+        build.append(seconds)
+        with open(path, "rb") as fh:
+            digests.add(hashlib.sha256(fh.read()).hexdigest())
+        seconds, report = timed(["verify", "--in", path, "--hecke"])
+        verify.append(seconds)
+        reports.add(report)
+if len(digests) != 1 or len(reports) != 1:
+    sys.exit("repeated calls disagree")
+print(json.dumps({"build_s": build, "verify_s": verify,
+                  "digest": digests.pop(), "report": reports.pop()}))
+"""
+
+
+def _child(src: str, *argv: str) -> str:
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    proc = subprocess.run([sys.executable, "-c", *argv], env=env, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"a child on {src} failed: {proc.stderr.strip()[-500:]}")
+    return proc.stdout
+
+
+def _quartiles(values) -> dict:
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": round(q2, 5), "q1": round(q1, 5), "q3": round(q3, 5)}
+
+
+def _import_row(trees: dict) -> dict:
+    runs = {side: [] for side in trees}
+    for side, src in trees.items():
+        _child(src, IMPORT_CHILD)
+    for k in range(IMPORT_RUNS):
+        # alternate which tree runs first
+        for side in sorted(trees, reverse=k % 2 == 1):
+            runs[side].append(round(float(_child(trees[side], IMPORT_CHILD)), 5))
+    row = {side: {"runs": values, **_quartiles(values)} for side, values in runs.items()}
+    row["speedup"] = round(row["before"]["median"] / row["after"]["median"], 2)
+    return row
+
+
+def _run_row(trees: dict, lam) -> dict:
+    shape = ",".join(map(str, lam))
+    runs = {side: [] for side in trees}
+    for k in range(ROUNDS):
+        for side in sorted(trees, reverse=k % 2 == 1):
+            runs[side].append(json.loads(_child(trees[side], RUN_CHILD, shape, str(CALLS[lam]))))
+    fixed = {
+        key: {r[key] for side in runs.values() for r in side} for key in ("digest", "report")
+    }
+    for key, values in fixed.items():
+        if len(values) != 1:
+            raise SystemExit(f"{lam}: the trees disagree on the {key}: {values}")
+    row = {"shape": list(lam), "calls": CALLS[lam], **{k: v.pop() for k, v in fixed.items()}}
+    for side, results in runs.items():
+        row[side] = {}
+        for key in ("build_s", "verify_s"):
+            row[side][f"first_{key}"] = [round(r[key][0], 5) for r in results]
+            row[side][key] = _quartiles([s for r in results for s in r[key][1:]])
+    for key in ("build_s", "verify_s"):
+        row[f"{key[:-2]}_speedup"] = round(
+            row["before"][key]["median"] / row["after"][key]["median"], 2
+        )
+    return row
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--before", required=True, help="src directory of the parent commit")
+    ap.add_argument("--out", required=True, help="JSON file to write")
+    args = ap.parse_args(argv)
+    trees = {"before": args.before, "after": "src"}
+    imports = _import_row(trees)
+    print(json.dumps({"import_s": imports}), flush=True)
+    rows = []
+    for lam in CALLS:
+        rows.append(_run_row(trees, lam))
+        print(json.dumps(rows[-1]), flush=True)
+    commit = subprocess.run(
+        ["git", "rev-parse", "HEAD"], capture_output=True, text=True, check=False
+    ).stdout.strip()
+    record = {
+        "what": "seconds of `import wcell.cli` in a fresh interpreter (import_s), and seconds "
+                "of one in-process cli.run of `build` and of `verify --hecke` after the first "
+                "such pair (runs), for the parent's src (before) and this checkout's src "
+                "(after), run alternately; both write the same bytes and print the same reports",
+        "command": "python3 bench/startup.py --before <parent>/src --out BENCH_startup.json",
+        "commit": commit,
+        "python": platform.python_version(),
+        "machine": platform.machine(),
+        "cpus": os.cpu_count(),
+        "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
+        "import_runs": IMPORT_RUNS,
+        "rounds": ROUNDS,
+        "import_s": imports,
+        "runs": rows,
+    }
+    with open(args.out, "w") as fh:
+        json.dump(record, fh, indent=2)
+        fh.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

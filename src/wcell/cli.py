@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import lru_cache
 
 from . import builder, hecke
 from . import tableaux as tb
@@ -126,6 +127,11 @@ def _cmd_export(args) -> int:
     return 0
 
 
+# Built on the first run and kept: building it takes about 1 ms, five times a
+# one-vertex build, and a process that calls run many times would pay that on
+# every call.  Parsing leaves no state on the parser.  It is not built at
+# import, which would add that 1 ms to every process, whatever its command.
+@lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="wcell", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -167,9 +173,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

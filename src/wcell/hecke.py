@@ -29,9 +29,9 @@ from __future__ import annotations
 
 import os
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import lru_cache, partial
 from operator import add
+from typing import NamedTuple
 
 from . import rsk
 from . import tableaux as tb
@@ -235,8 +235,7 @@ def _braid_witness(a, b, columns, q2):
 # Kazhdan-Lusztig table
 
 
-@dataclass(frozen=True)
-class KLTable:
+class KLTable(NamedTuple):
     """Kazhdan-Lusztig polynomials of S_n on one integer element index.
 
     ``perms`` lists the elements of S_n by length, lexicographically within

@@ -17,14 +17,13 @@ code (paired_classes, and rsk.dual_equivalent on skew shapes) and the tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import tableaux as tb
 from .tableaux import StandardTableau, SkewShape
 
 
-@dataclass(frozen=True)
-class DKMove:
+class DKMove(NamedTuple):
     """A directed dual Knuth move source -> target, target = s_index * source."""
 
     source: StandardTableau

@@ -10,7 +10,7 @@ the shape, which is the convention every caller of this module relies on.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import knuth
 from . import tableaux as tb
@@ -67,8 +67,7 @@ def rs_inverse(p: StandardTableau, q: StandardTableau) -> Permutation:
 # jeu de taquin
 
 
-@dataclass(frozen=True)
-class SlideRecord:
+class SlideRecord(NamedTuple):
     """One jeu de taquin slide: where it started, how it moved, what it left."""
 
     start: tuple[int, int]

@@ -19,10 +19,10 @@ to ``text()`` output: the minimal tableau of shape ``(2, 1)`` prints as
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import reduce
 from math import factorial
 from operator import mul
+from typing import NamedTuple
 
 from .permutations import Permutation, inverse, multiply
 
@@ -135,25 +135,46 @@ def removable_boxes(lam: Partition):
 # shapes and tableaux
 
 
-@dataclass(frozen=True)
 class SkewShape:
-    """Outer/inner partition pair; the boxes are [outer] minus [inner]."""
+    """Outer/inner partition pair; the boxes are [outer] minus [inner].
 
-    outer: Partition
-    inner: Partition = ()
+    Trailing zero parts are trimmed.  Instances are immutable and hashable;
+    equality is structural.
+    """
 
-    def __post_init__(self):
-        outer = _trim(self.outer)
-        inner = _trim(self.inner)
-        if not is_partition(outer) and outer != ():
-            raise ValueError(f"bad outer shape {self.outer}")
-        if not is_partition(inner) and inner != ():
-            raise ValueError(f"bad inner shape {self.inner}")
-        for j, p in enumerate(inner):
-            if j >= len(outer) or p > outer[j]:
-                raise ValueError(f"inner {inner} not contained in outer {outer}")
-        object.__setattr__(self, "outer", outer)
-        object.__setattr__(self, "inner", inner)
+    __slots__ = ("outer", "inner")
+
+    def __init__(self, outer: Partition, inner: Partition = ()):
+        trimmed_outer = _trim(outer)
+        trimmed_inner = _trim(inner)
+        if not is_partition(trimmed_outer) and trimmed_outer != ():
+            raise ValueError(f"bad outer shape {outer}")
+        if not is_partition(trimmed_inner) and trimmed_inner != ():
+            raise ValueError(f"bad inner shape {inner}")
+        for j, p in enumerate(trimmed_inner):
+            if j >= len(trimmed_outer) or p > trimmed_outer[j]:
+                raise ValueError(
+                    f"inner {trimmed_inner} not contained in outer {trimmed_outer}"
+                )
+        object.__setattr__(self, "outer", trimmed_outer)
+        object.__setattr__(self, "inner", trimmed_inner)
+
+    def __setattr__(self, *a):
+        raise AttributeError("SkewShape is immutable")
+
+    def __eq__(self, other):
+        if not isinstance(other, SkewShape):
+            return NotImplemented
+        return self.outer == other.outer and self.inner == other.inner
+
+    def __hash__(self):
+        return hash((self.outer, self.inner))
+
+    def __repr__(self):
+        return f"SkewShape(outer={self.outer!r}, inner={self.inner!r})"
+
+    def __reduce__(self):
+        return SkewShape, (self.outer, self.inner)
 
     @property
     def size(self) -> int:
@@ -217,6 +238,9 @@ class StandardTableau:
 
     def __setattr__(self, *a):
         raise AttributeError("StandardTableau is immutable")
+
+    def __reduce__(self):
+        return StandardTableau, (self.shape, self.boxes, self.offset, True)
 
     # -- basic views
 
@@ -304,8 +328,7 @@ class StandardTableau:
         return self.descent_data().d
 
 
-@dataclass(frozen=True)
-class DescentData:
+class DescentData(NamedTuple):
     """The four descent/ascent classes of consecutive-entry pairs."""
 
     sa: frozenset[int]
@@ -377,6 +400,9 @@ def enumerate_std(shape, offset: int = 0) -> list[StandardTableau]:
                 heights[j] -= 1
 
     grow(start, shape.size)
+    # grow holds its own closure cell; dropping it breaks that cycle, so the
+    # tableaux are freed by reference counting once the caller drops them
+    del grow
     results.sort(key=lex_key)
     return results
 

@@ -31,8 +31,7 @@ loader accepts no other label text.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import tableaux as tb
 from .tableaux import StandardTableau
@@ -124,8 +123,7 @@ class SColoredGraph:
 # reports
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(NamedTuple):
     rule: str
     ok: bool
     violations: tuple = ()
@@ -148,8 +146,7 @@ _MAX_WITNESSES = 20
 # cells and molecules
 
 
-@dataclass(frozen=True)
-class CellDecomposition:
+class CellDecomposition(NamedTuple):
     """Strongly connected components plus the induced order on them."""
 
     blocks: tuple[frozenset[int], ...]

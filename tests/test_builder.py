@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import os
@@ -210,3 +211,20 @@ def test_built_graphs_match_committed_digests(built):
     for key, digest in pinned.items():
         text = wg.to_json_str(built(tuple(map(int, key.split(",")))))
         assert hashlib.sha256(text.encode()).hexdigest() == digest, key
+
+
+def test_a_dropped_cell_leaves_no_cyclic_garbage():
+    # every object of a built cell is freed by reference counting alone, so
+    # the cyclic collector finds nothing once the graph is dropped
+    for lam in [(3, 3, 2, 1), (2, 2, 1)]:
+        builder.build_cell_graph(lam)
+        gc.collect()
+        gc.disable()
+        try:
+            tableaux = tb.enumerate_std(lam)
+            del tableaux
+            g = builder.build_cell_graph(lam)
+            del g
+            assert gc.collect() == 0, lam
+        finally:
+            gc.enable()

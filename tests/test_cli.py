@@ -13,6 +13,7 @@ from wcell import builder
 from wcell import hecke
 from wcell import tableaux as tb
 from wcell import wgraph as wg
+from wcell import cli
 from wcell.cli import run
 
 
@@ -291,34 +292,71 @@ def test_oracle_rank_above_the_bound_fails_before_any_work(monkeypatch, capsys):
     assert "n=60 exceeds the oracle bound 6" in err
 
 
-def test_non_integer_oracle_bound_is_usage_error():
-    # a fresh process, so that the bound is read from the environment the
-    # way the installed command reads it
+def _fresh_interpreter(*argv, **env):
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    out = subprocess.run(
-        [sys.executable, "-m", "wcell.cli", "oracle", "--n", "3"],
-        env=dict(os.environ, PYTHONPATH=path, WCELL_ORACLE_MAX="abc"),
+    return subprocess.run(
+        [sys.executable, *argv],
+        env=dict(os.environ, PYTHONPATH=path, **env),
         capture_output=True,
         text=True,
     )
+
+
+def test_non_integer_oracle_bound_is_usage_error():
+    # a fresh process, so that the bound is read from the environment the
+    # way the installed command reads it
+    out = _fresh_interpreter("-m", "wcell.cli", "oracle", "--n", "3", WCELL_ORACLE_MAX="abc")
     assert out.returncode == 2
     assert "WCELL_ORACLE_MAX" in out.stderr and "'abc'" in out.stderr
     assert "Traceback" not in out.stderr
 
 
 def test_cli_import_leaves_numpy_out():
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    code = "import sys, wcell.cli; print('numpy' in sys.modules)"
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        env=dict(os.environ, PYTHONPATH=path),
-        capture_output=True,
-        text=True,
-        check=True,
-    )
+    out = _fresh_interpreter("-c", "import sys, wcell.cli; print('numpy' in sys.modules)")
+    assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "False"
+
+
+def test_cli_import_leaves_dataclasses_and_inspect_out_and_builds_no_parser():
+    code = (
+        "import sys, wcell.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)), "
+        "wcell.cli._build_parser.cache_info().currsize)"
+    )
+    out = _fresh_interpreter("-c", code)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[] 0"
+
+
+def test_parser_is_built_once():
+    assert cli._build_parser() is cli._build_parser()
+
+
+def test_one_process_runs_commands_as_each_runs_alone(tmp_path, capsys, monkeypatch):
+    # help text wraps at the terminal width; fix it for both sides
+    monkeypatch.setenv("COLUMNS", "80")
+    doc = str(tmp_path / "g.json")
+    commands = [
+        (["tableaux"], 2),
+        (["build", "--shape", "3,2", "--out", doc], 0),
+        (["--help"], 0),
+        (["verify", "--in", doc, "--rules", "bogus"], 2),
+        (["verify", "--in", doc, "--hecke"], 0),
+        (["tableaux", "--shape", "2,1", "--list"], 0),
+    ]
+    shared = []
+    for argv, code in commands:
+        assert run(argv) == code, argv
+        shared.append(capsys.readouterr())
+    written = pathlib.Path(doc).read_text()
+    for (argv, code), seen in zip(commands, shared):
+        alone = _fresh_interpreter("-m", "wcell.cli", *argv)
+        assert (alone.returncode, alone.stdout, alone.stderr) == (code, seen.out, seen.err), argv
+    assert pathlib.Path(doc).read_text() == written
+    assert "usage: wcell" in shared[0].err and "usage: wcell" in shared[2].out
+    assert "unknown rule 'bogus'" in shared[3].err
+    assert shared[5].out.splitlines() == ["1 3/2", "1 2/3"]
 
 
 def test_package_imports_only_the_standard_library():
@@ -331,7 +369,7 @@ def test_package_imports_only_the_standard_library():
                 imported.update(alias.name.split(".")[0] for alias in node.names)
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 imported.add(node.module.split(".")[0])
-    assert len(modules) >= 10 and {"dataclasses", "argparse"} <= imported
+    assert len(modules) >= 10 and {"argparse", "bisect"} <= imported
     assert {m for m in imported if m != "wcell" and m not in sys.stdlib_module_names} == set()
 
 
@@ -370,14 +408,7 @@ def test_oracle_single_shape(capsys):
 def _oracle_in_a_fresh_process(n):
     if hecke.oracle_bound() < n:
         pytest.skip(f"needs WCELL_ORACLE_MAX >= {n}")
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    out = subprocess.run(
-        [sys.executable, "-m", "wcell.cli", "oracle", "--n", str(n)],
-        env=dict(os.environ, PYTHONPATH=path),
-        capture_output=True,
-        text=True,
-    )
+    out = _fresh_interpreter("-m", "wcell.cli", "oracle", "--n", str(n))
     assert out.returncode == 0, out.stderr
     return out.stdout.splitlines()
 

@@ -30,7 +30,8 @@ start = time.perf_counter()
 table = hecke.kl_table(int(sys.argv[1]))
 seconds = time.perf_counter() - start
 rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-print(seconds, rss_kb, sum(len(row) for row in table.h.values()))
+columns = getattr(table, "h", table)  # KLTable.h on trees that still have KLTable
+print(seconds, rss_kb, sum(len(column) for column in columns.values()))
 """
 
 

@@ -10,14 +10,14 @@ columns where it cannot fail; no product matrix is held.
 
 The Kazhdan-Lusztig polynomials P_{y,w} come from the usual recursion
 C_{sw} = C_s C_w - sum mu(y, w) C_y, one column P_{.,w} at a time, kept as
-coefficient tuples.  Each column is made when first asked for, from the
-columns it needs.  kl_table asks for every column of S_n, on integer
-positions of the elements, for kl_regular_graph.  kl_left_cell_graph asks
-only for the columns of one cell's elements (or of their images under
-w -> w w0, when those are shorter), keyed by one-line images, and drops
-them when it returns; it never builds the whole table.  Both stop at the
-one bound WCELL_ORACLE_MAX on n.  None of this is consulted by the cell
-builder; it exists to validate builder output on small ranks.
+coefficient tuples and keyed by the one-line images of the elements.  Each
+column is made when first asked for, from the columns it needs, and kept
+only as long as the caller holds the result.  kl_left_cell_graph asks only
+for the columns of one cell's elements (or of their images under
+w -> w w0, when those are shorter); kl_table asks for every column of S_n,
+for kl_regular_graph.  Both stop at the one bound WCELL_ORACLE_MAX on n.
+None of this is consulted by the cell builder; it exists to validate
+builder output on small ranks.
 
 Graphs produced here store only weights that define arcs (the weight is
 dropped when tau(u) is contained in tau(v)), since other entries do not
@@ -27,18 +27,17 @@ builder meaningful.
 
 from __future__ import annotations
 
+import itertools
 import os
 from bisect import bisect_left
-from functools import lru_cache, partial
+from functools import partial
 from operator import add
-from typing import NamedTuple
 
 from . import rsk
 from . import tableaux as tb
 from . import wgraph as wg
 from .permutations import (
     all_permutations,
-    apply_s,
     apply_s_images,
     inversions,
     left_descents,
@@ -235,37 +234,6 @@ def _braid_witness(a, b, columns, q2):
 # Kazhdan-Lusztig table
 
 
-class KLTable(NamedTuple):
-    """Kazhdan-Lusztig polynomials of S_n on one integer element index.
-
-    ``perms`` lists the elements of S_n by length, lexicographically within
-    a length, and ``index`` maps each element to its position there; the
-    other fields are keyed by these positions.  ``h[w][y]`` is P_{y,w} for
-    each y below w in the Bruhat order, as coefficients from the constant
-    term up to the last nonzero one; H_y has coefficient
-    h_{y,w} = q^-(l(w) - l(y)) P_{y,w}(q^2) in C_w.  ``lengths[w]`` is the
-    length of ``perms[w]``, and ``mu(y, w)`` reads mu off ``h``.  n is at
-    most ``oracle_bound()``.
-    """
-
-    n: int
-    perms: list
-    index: dict
-    h: dict
-    lengths: list
-
-    def kl_polynomial(self, y: int, w: int) -> tuple[int, ...]:
-        """Classical P_{y,w} for positions y and w, constant term first.
-
-        () when y is not below w in the Bruhat order; P_{w,w} = (1,).
-        """
-        return self.h[w].get(y, ())
-
-    def mu(self, y: int, w: int) -> int:
-        """mu(y, w) for y < w: the coefficient of P_{y,w} at degree (l(w) - l(y) - 1)/2, else 0."""
-        return _mu(self.h[w].get(y, ()), self.lengths[w] - self.lengths[y])
-
-
 def _add(a: tuple, b: tuple) -> tuple:
     """The coefficient tuple of a + b, without trailing zeros."""
     if len(a) < len(b):
@@ -295,20 +263,20 @@ class _Memo(dict):
 
 
 class _Columns(dict):
-    """The KL columns {y: P_{y,w}} by w, each made when it is first read.
+    """The KL columns {y: P_{y,w}} of S_n by w, each made when it is first read.
 
-    ``left[s - 1][y]`` is s y and ``lengths[y]`` is l(y), for any encoding
-    of the elements in which s y < y exactly when s is a left descent of
-    y: integer positions in an order that refines length, or one-line
-    image tuples, where s y < y lexicographically exactly when s + 1 comes
-    before s.  Reading a column makes the columns it is built from first,
-    and the columns live as long as the dict.
+    Elements are one-line image tuples.  ``left[s - 1][y]`` is s y and
+    ``lengths[y]`` is l(y), each made when first read; s y < y
+    lexicographically exactly when s + 1 comes before s in y, that is when
+    s is a left descent of y.  Reading a column makes the columns it is
+    built from first, and the columns live as long as the dict.
     """
 
-    def __init__(self, identity, left, lengths):
+    def __init__(self, n: int):
+        identity = tuple(range(1, n + 1))
         super().__init__({identity: {identity: (1,)}})
-        self.left = left
-        self.lengths = lengths
+        self.left = [_Memo(partial(apply_s_images, s)) for s in range(1, n)]
+        self.lengths = _Memo(inversions)
 
     def __missing__(self, w):
         """P_{., w} via C_w = C_s C_v - sum mu(y, v) C_y over s y < y.
@@ -346,52 +314,43 @@ class _Columns(dict):
         return acc
 
 
-@lru_cache(maxsize=None)
-def kl_table(n: int) -> KLTable:
-    """All P_{y,w} of S_n: every column of _Columns, on integer positions."""
-    check_oracle_bound(n)
-    perms = sorted(all_permutations(n), key=length)
-    index = {w: k for k, w in enumerate(perms)}
-    lengths = [length(w) for w in perms]
-    # left[s - 1][w] is the index of s w.  Index order refines length and
-    # l(sw) = l(w) +- 1, so s is a left descent of w exactly when
-    # left[s - 1][w] < w.
-    left = [[index[apply_s(s, w)] for w in perms] for s in range(1, n)]
-    h = _Columns(0, left, lengths)
-    for w in range(len(perms)):
-        h[w]  # made on first read
-    return KLTable(n, perms, index, dict(h), lengths)
-
-
-def kl_columns(n: int, wanted) -> dict:
+def kl_columns(n: int, wanted) -> _Columns:
     """P_{y,w} as columns[w][y] for each w in wanted, on one-line image tuples.
 
-    Only the columns the recursion reaches from wanted are made, and the
-    result holds each of them.  Every call starts afresh: nothing is kept
-    once the caller drops the result.
+    Each P_{y,w} is a tuple of coefficients from the constant term up to the
+    last nonzero one, for each y below w in the Bruhat order.  Only the
+    columns the recursion reaches from wanted are made, and the result
+    holds each of them.  Every call starts afresh: nothing is kept once the
+    caller drops the result.
     """
-    identity = tuple(range(1, n + 1))
-    left = [_Memo(partial(apply_s_images, s)) for s in range(1, n)]
-    columns = _Columns(identity, left, _Memo(inversions))
+    columns = _Columns(n)
     for w in wanted:
         columns[w]  # made on first read
     return columns
+
+
+def kl_table(n: int) -> _Columns:
+    """Every P_{y,w} of S_n: kl_columns over all of S_n, within the oracle bound."""
+    check_oracle_bound(n)
+    return kl_columns(n, itertools.permutations(range(1, n + 1)))
 
 
 # ---------------------------------------------------------------------------
 # oracle graphs
 
 
-def _oracle_graph(n, elements, labels, keys, columns, lengths) -> wg.SColoredGraph:
+def _oracle_graph(n, elements, labels, keys, columns) -> wg.SColoredGraph:
     """The W-graph on the given elements: left descent sets as colours and
     mu values as weights, stored only where they define arcs.
 
-    keys[a] stands for elements[a] in columns and lengths.  It is the
-    element itself, or its image x w0 for every element, since
-    mu(x, y) = mu(y w0, x w0) (Kazhdan-Lusztig 1979, Corollary 3.2); either
-    way the mu of two vertices is read off the column of the longer key.
+    keys[a] stands for elements[a] in columns, a _Columns that holds the
+    column of every key.  It is the element itself, or its image x w0 for
+    every element, since mu(x, y) = mu(y w0, x w0) (Kazhdan-Lusztig 1979,
+    Corollary 3.2); either way the mu of two vertices is read off the
+    column of the longer key.
     """
     tau = [left_descents(w) for w in elements]
+    lengths = columns.lengths
     mu: dict[tuple[int, int], int] = {}
     for b, kb in enumerate(keys):
         for a in range(b):
@@ -404,7 +363,8 @@ def _oracle_graph(n, elements, labels, keys, columns, lengths) -> wg.SColoredGra
                         mu[(a, b)] = m
                     if not tau[b] <= tau[a]:
                         mu[(b, a)] = m
-    return wg.SColoredGraph(n, tau, mu, labels)
+    # n = 1 for S_0 as in build_cell_graph(()): a graph document needs n >= 1
+    return wg.SColoredGraph(max(n, 1), tau, mu, labels)
 
 
 def kl_left_cell_graph(lam) -> wg.SColoredGraph:
@@ -428,8 +388,7 @@ def _left_cell_graph(n: int, words, labels, flip: bool) -> wg.SColoredGraph:
     """The W-graph on words, with mu read from the columns of the words, or
     of their images w w0 when flip."""
     keys = [w.images[::-1] if flip else w.images for w in words]
-    lengths = {k: inversions(k) for k in keys}
-    return _oracle_graph(n, words, labels, keys, kl_columns(n, keys), lengths)
+    return _oracle_graph(n, words, labels, keys, kl_columns(n, keys))
 
 
 def kl_regular_graph(n: int) -> wg.SColoredGraph:
@@ -438,15 +397,13 @@ def kl_regular_graph(n: int) -> wg.SColoredGraph:
     Vertices follow the one-line order; a vertex label is (recording-class
     index, insertion tableau).
     """
-    table = kl_table(n)
-    elements = sorted(table.perms, key=lambda w: w.images)
+    elements = list(all_permutations(n))
     pairs = [rsk.rs(w) for w in elements]
     q_index: dict = {}
     for _p, qtab in pairs:
         q_index.setdefault(qtab, len(q_index))
     labels = tuple((q_index[qtab], p) for p, qtab in pairs)
-    keys = [table.index[w] for w in elements]
-    return _oracle_graph(n, elements, labels, keys, table.h, table.lengths)
+    return _oracle_graph(n, elements, labels, [w.images for w in elements], kl_table(n))
 
 
 def graphs_equal_under(g1: wg.SColoredGraph, g2: wg.SColoredGraph, bijection) -> bool:

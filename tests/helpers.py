@@ -304,9 +304,11 @@ def kl_table_slow(n: int):
 
     Expands bar(H_w) over the standard basis, then solves the triangular
     bar-invariance equations for coefficients in q^-1 Z[q^-1].  Returns
-    (h, mu_pairs) keyed by permutations, laid out like the fields of
-    hecke.KLTable.  Exponential and meant only to cross-check kl_table at
-    very small n.
+    (h, mu_pairs) keyed by permutations: h[w][y] is h_{y,w}, the
+    coefficient of H_y in C_w, as an exponent -> coefficient dict for each
+    y below w in the Bruhat order, and mu_pairs[(y, w)] is each nonzero
+    mu(y, w) with y != w.  Exponential and meant only to cross-check
+    kl_table at very small n.
     """
     elements = sorted(all_permutations(n), key=length)
     lengths = {w: length(w) for w in elements}

@@ -20,6 +20,7 @@ from wcell.permutations import (
     all_permutations,
     bruhat_leq,
     identity,
+    inversions,
     length,
     left_descents,
 )
@@ -243,31 +244,28 @@ def test_polygon_catches_a_weight_corruption_beyond_the_oracle(built):
 
 def test_cover_polynomials_are_one():
     table = hecke.kl_table(4)
-    for w, row in table.h.items():
-        for y in row:
-            if table.lengths[w] - table.lengths[y] == 1:
-                assert table.kl_polynomial(y, w) == (1,)
+    for w, column in table.items():
+        for y, p in column.items():
+            if inversions(w) - inversions(y) == 1:
+                assert p == (1,)
 
 
 def test_table_respects_bruhat_support():
+    # the column of w holds exactly the y below w in the Bruhat order
     table = hecke.kl_table(4)
-    for w, row in table.h.items():
-        pw = table.perms[w]
-        for y in row:
-            assert bruhat_leq(table.perms[y], pw)
+    for w in all_permutations(4):
+        column = table[w.images]
         for y in all_permutations(4):
-            if table.index[y] not in row:
-                assert not bruhat_leq(y, pw) or table.kl_polynomial(table.index[y], w) == ()
+            assert (y.images in column) == bruhat_leq(y, w)
 
 
 def test_degree_bound_and_constant_term():
     table = hecke.kl_table(5)
-    for w, row in table.h.items():
-        for y in row:
+    for w, column in table.items():
+        for y, p in column.items():
             if y == w:
                 continue
-            p = table.kl_polynomial(y, w)
-            delta = table.lengths[w] - table.lengths[y]
+            delta = inversions(w) - inversions(y)
             assert p[0] == 1
             assert p[-1] != 0
             assert 2 * (len(p) - 1) <= delta - 1
@@ -283,47 +281,44 @@ def _classical(hy, delta):
     return tuple(coeffs.get(k, 0) for k in range(max(coeffs) + 1))
 
 
+def _nonzero_mu(table):
+    """{(y, w): mu(y, w)} over the y != w of every column, where it is not 0."""
+    lengths = table.lengths
+    mus = {
+        (y, w): hecke._mu(p, lengths[w] - lengths[y])
+        for w, column in table.items()
+        for y, p in column.items()
+        if y != w
+    }
+    return {pair: m for pair, m in mus.items() if m}
+
+
 def test_fast_table_equals_fixed_point_table():
     for n in range(1, 6):
         fast = hecke.kl_table(n)
         slow_h, slow_mu = kl_table_slow(n)
-        perm = fast.perms
-        assert {
-            perm[w]: {perm[y]: p for y, p in row.items()} for w, row in fast.h.items()
-        } == {
-            w: {y: _classical(hy, length(w) - length(y)) for y, hy in row.items()}
+        assert dict(fast) == {
+            w.images: {y.images: _classical(hy, length(w) - length(y)) for y, hy in row.items()}
             for w, row in slow_h.items()
         }
-        assert {
-            (perm[y], perm[w]): fast.mu(y, w)
-            for w in range(len(perm))
-            for y in range(w)
-            if fast.mu(y, w)
-        } == slow_mu
+        assert _nonzero_mu(fast) == {(y.images, w.images): m for (y, w), m in slow_mu.items()}
 
 
-def test_table_recursion_runs_on_the_integer_index(monkeypatch):
-    # S_6 is built once (720 permutations) and s w once per generator and
-    # element (5 * 720 calls of apply_s); the recursion builds no permutation
-    from wcell.permutations import Permutation
-
-    counts = {"apply_s": 0, "Permutation": 0}
-    apply_s, init = hecke.apply_s, Permutation.__init__
-
-    def counted_apply_s(s, w):
-        counts["apply_s"] += 1
-        return apply_s(s, w)
+def test_table_makes_every_column_without_a_permutation(monkeypatch):
+    # the recursion runs on one-line image tuples from the first column to
+    # the last: S_6 has 720 columns, and no Permutation is built for them
+    made = []
+    init = Permutation.__init__
 
     def counted_init(self, images):
-        counts["Permutation"] += 1
+        made.append(images)
         init(self, images)
 
-    monkeypatch.setattr(hecke, "apply_s", counted_apply_s)
     monkeypatch.setattr(Permutation, "__init__", counted_init)
-    table = hecke.kl_table.__wrapped__(6)
-    assert counts == {"apply_s": 5 * 720, "Permutation": 720 + 5 * 720}
-    assert [length(w) for w in table.perms] == table.lengths == sorted(table.lengths)
-    assert all(table.index[w] == k for k, w in enumerate(table.perms))
+    table = hecke.kl_table(6)
+    assert made == []
+    assert len(table) == 720
+    assert set(table) == {w.images for w in all_permutations(6)}
 
 
 def test_first_nontrivial_kl_polynomials():
@@ -331,12 +326,8 @@ def test_first_nontrivial_kl_polynomials():
     # 4231: the classical pairs plus their left-descent propagations down to
     # the identity, all equal to 1 + q
     table = hecke.kl_table(4)
-    perm = table.perms
     nontrivial = {
-        (perm[y].images, perm[w].images): table.kl_polynomial(y, w)
-        for w, row in table.h.items()
-        for y in row
-        if y != w and table.kl_polynomial(y, w) != (1,)
+        (y, w): p for w, column in table.items() for y, p in column.items() if p != (1,)
     }
     assert nontrivial == {
         ((1, 2, 3, 4), (3, 4, 1, 2)): (1, 1),
@@ -349,36 +340,27 @@ def test_first_nontrivial_kl_polynomials():
 
 
 def test_mu_values_only_on_odd_length_gaps():
-    table = hecke.kl_table(5)
-    mus = {(y, w): table.mu(y, w) for w in range(len(table.perms)) for y in range(w)}
-    assert any(mus.values())
+    mus = _nonzero_mu(hecke.kl_table(5))
+    assert mus
     for (y, w), m in mus.items():
-        assert m >= 0
-        assert not m or (table.lengths[w] - table.lengths[y]) % 2 == 1
+        assert m > 0
+        assert (inversions(w) - inversions(y)) % 2 == 1
 
 
 def test_oracle_bound(monkeypatch):
     monkeypatch.setenv("WCELL_ORACLE_MAX", "6")
     with pytest.raises(hecke.OracleBoundError):
-        hecke.kl_table.__wrapped__(7)
+        hecke.kl_table(7)
     monkeypatch.setenv("WCELL_ORACLE_MAX", "3")
     with pytest.raises(hecke.OracleBoundError):
-        hecke.kl_table.__wrapped__(4)
-
-
-def _table_columns(table):
-    """The columns of a KLTable, keyed by one-line images."""
-    perm = table.perms
-    return {
-        perm[w].images: {perm[y].images: p for y, p in row.items()} for w, row in table.h.items()
-    }
+        hecke.kl_table(4)
 
 
 def test_columns_on_demand_equal_the_table():
     # every column that a cell's words, or their images w w0, reach; then
     # every column, asked for longest first so that each one recurses
     for n in range(1, 7):
-        table = _table_columns(hecke.kl_table(n))
+        table = dict(hecke.kl_table(n))
         for lam in tb.partitions_of(n):
             words = [tb.word(t).images for t in tb.enumerate_std(lam)]
             for keys in (words, [w[::-1] for w in words]):
@@ -412,6 +394,17 @@ def test_left_cell_graph_smallest_shapes():
     g = hecke.kl_left_cell_graph((2, 1))
     assert g.num_vertices == 2
     assert g.simple_edges() == [(0, 1)]
+
+
+def test_empty_shape_oracle_equals_the_builder_and_round_trips(built):
+    g = hecke.kl_left_cell_graph(())
+    assert hecke.graphs_equal_under(built(()), g, [0])
+    for oracle in (g, hecke.kl_regular_graph(0)):
+        assert oracle.n == 1
+        doc = wg.to_json_str(oracle)
+        back = wg.from_json_str(doc)
+        assert (back.n, back.tau, back.mu, back.labels) == (1, oracle.tau, oracle.mu, oracle.labels)
+        assert wg.to_json_str(back) == doc
 
 
 def test_both_orientations_give_the_same_cell_graph():

@@ -5,7 +5,7 @@ import pickle
 
 import pytest
 
-from wcell import hecke, knuth, rsk
+from wcell import knuth, rsk
 from wcell import tableaux as tb
 from wcell import wgraph as wg
 
@@ -25,12 +25,6 @@ VALUES = [
         wg.CellDecomposition,
         {"blocks": (frozenset({0}),), "block_of": (0,), "closure": (frozenset({0}),)},
         "block_of",
-        (1,),
-    ),
-    (
-        hecke.KLTable,
-        {"n": 1, "perms": ((1,),), "index": ((1,),), "h": ((0, 1),), "lengths": (0,)},
-        "lengths",
         (1,),
     ),
     (knuth.DKMove, {"source": T21, "target": T21_OTHER, "kind": 1, "index": 2}, "kind", 2),

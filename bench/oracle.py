@@ -3,12 +3,11 @@
 For n = 6, 7 and 8, runs kl_left_cell_graph(lam) for every partition lam of
 n, on the --before source tree and on this checkout's src, alternately,
 REPEAT times each.  Every run is a fresh interpreter that reports its own
-seconds, ru_maxrss, the KL columns it made and a digest of the graphs; both
-trees must give the same digest.  A tree whose oracle builds the whole
-kl_table(n) makes n! columns once for all shapes; one that makes columns on
-demand reports the sum over the shapes and the largest shape's count.  The
-before side is skipped for n in AFTER_ONLY, where it would build
-kl_table(n).
+seconds, ru_maxrss, the KL columns it made (calls of _Columns.__missing__)
+and a digest of the graphs; both trees must give the same digest.  As
+`wcell oracle` does, the run shares one column store, kl_columns(n, ()),
+across the shapes; on a tree whose kl_left_cell_graph takes no store it
+calls kl_left_cell_graph(lam) alone, with a fresh store for each shape.
 
 Run from the repository root, with the parent commit's tree unpacked
 somewhere, for example:
@@ -27,31 +26,32 @@ import subprocess
 import sys
 
 SIZES = (6, 7, 8)
-# kl_table(8) would hold on the order of 150M entries
-AFTER_ONLY = (8,)
 REPEAT = 3
 CHILD = """
-import hashlib, resource, sys, time
+import hashlib, inspect, resource, sys, time
 from wcell import hecke, tableaux as tb
 n = int(sys.argv[1])
-reached = []
-if hasattr(hecke, "kl_columns"):
-    make = hecke.kl_columns
+made = 0
+make = hecke._Columns.__missing__
 
-    def counted(n, wanted):
-        columns = make(n, wanted)
-        reached.append(len(columns))
-        return columns
+def counted(self, w):
+    global made
+    made += 1
+    return make(self, w)
 
-    hecke.kl_columns = counted
+hecke._Columns.__missing__ = counted
 shapes = tb.partitions_of(n)
+shared = "columns" in inspect.signature(hecke.kl_left_cell_graph).parameters
 start = time.perf_counter()
-graphs = [hecke.kl_left_cell_graph(lam) for lam in shapes]
+if shared:
+    columns = hecke.kl_columns(n, ())
+    graphs = [hecke.kl_left_cell_graph(lam, columns) for lam in shapes]
+else:
+    graphs = [hecke.kl_left_cell_graph(lam) for lam in shapes]
 seconds = time.perf_counter() - start
 rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-reached = reached or [len(hecke.kl_table(n).h)]
 digest = hashlib.sha256(repr([(g.tau, sorted(g.mu.items())) for g in graphs]).encode()).hexdigest()
-print(seconds, rss_kb, sum(reached), max(reached), digest[:16])
+print(seconds, rss_kb, made, int(shared), digest[:16])
 """
 
 
@@ -60,8 +60,8 @@ def _run(src: str, n: int):
     out = subprocess.run(
         [sys.executable, "-c", CHILD, str(n)], env=env, capture_output=True, text=True, check=True
     )
-    seconds, rss_kb, total, largest, digest = out.stdout.split()
-    return round(float(seconds), 3), round(int(rss_kb) / 1024, 1), int(total), int(largest), digest
+    seconds, rss_kb, made, shared, digest = out.stdout.split()
+    return round(float(seconds), 3), round(int(rss_kb) / 1024, 1), int(made), shared == "1", digest
 
 
 def main(argv=None) -> int:
@@ -72,8 +72,6 @@ def main(argv=None) -> int:
     rows = []
     for n in SIZES:
         trees = {"before": args.before, "after": "src"}
-        if n in AFTER_ONLY:
-            del trees["before"]
         runs = {side: [] for side in trees}
         for _ in range(REPEAT):
             for side, src in trees.items():
@@ -87,11 +85,9 @@ def main(argv=None) -> int:
                 "seconds": [s for s, *_rest in results],
                 "median_s": statistics.median(s for s, *_rest in results),
                 "peak_rss_mb": [r for _s, r, *_rest in results],
-                "columns": results[0][2],
-                "largest_shape_columns": results[0][3],
+                "columns_made": results[0][2],
+                "one_store_for_all_shapes": results[0][3],
             }
-        if n in AFTER_ONLY:
-            row["before"] = "not run: the parent's oracle would build kl_table(%d)" % n
         rows.append(row)
         print(json.dumps(row), flush=True)
     commit = subprocess.run(
@@ -99,8 +95,9 @@ def main(argv=None) -> int:
     ).stdout.strip()
     record = {
         "what": "seconds and peak RSS (ru_maxrss of a fresh interpreter) of "
-                "hecke.kl_left_cell_graph on every partition of n, and the KL columns made, "
-                "for the parent's src (before) and this checkout's src (after), run alternately",
+                "hecke.kl_left_cell_graph on every partition of n, and the KL columns made "
+                "(with one store for all shapes where the tree takes one), for the parent's src "
+                "(before) and this checkout's src (after), run alternately",
         "command": "python3 bench/oracle.py --before <parent>/src --out BENCH_oracle.json",
         "commit": commit,
         "python": platform.python_version(),

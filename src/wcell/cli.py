@@ -1,7 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 all checks pass / output written, 1 a verification failed,
-2 usage or parse errors (bad flags, malformed shapes, unreadable files).
+2 usage or parse errors (bad flags, malformed shapes, unreadable files) and
+output that cannot be written (an unwritable file, or standard output
+closed by its reader, as in `wcell oracle --n 6 | head -1`).
 
 Shapes are comma-separated column heights ("5,4,2"); tableaux print as
 '/'-separated rows, e.g. "1 3/2".
@@ -10,6 +12,7 @@ Shapes are comma-separated column heights ("5,4,2"); tableaux print as
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from functools import lru_cache
 
@@ -98,10 +101,13 @@ def _cmd_oracle(args) -> int:
     shapes = [_parse_shape(args.shape)] if args.shape else tb.partitions_of(n)
     if args.shape and sum(shapes[0]) != n:
         raise _UsageError(f"shape {args.shape} is not a partition of {n}")
+    # one store for every shape: their cells reach the same short elements,
+    # and each KL column is made once; it goes when the command returns
+    columns = hecke.kl_columns(n, ())
     failures = 0
     for lam in shapes:
         g = builder.build_cell_graph(lam)
-        o = hecke.kl_left_cell_graph(lam)
+        o = hecke.kl_left_cell_graph(lam, columns)
         same = hecke.graphs_equal_under(g, o, {v: v for v in g.vertices()})
         print(f"shape {','.join(map(str, lam))}: {'EQUAL' if same else 'DIFFER'}")
         failures += 0 if same else 1
@@ -185,7 +191,15 @@ def run(argv) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed standard output; point it at devnull so that the
+        # flush at exit finds nowhere to fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 2
+    sys.exit(code)
 
 
 if __name__ == "__main__":

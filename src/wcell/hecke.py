@@ -12,10 +12,13 @@ The Kazhdan-Lusztig polynomials P_{y,w} come from the usual recursion
 C_{sw} = C_s C_w - sum mu(y, w) C_y, one column P_{.,w} at a time, kept as
 coefficient tuples and keyed by the one-line images of the elements.  Each
 column is made when first asked for, from the columns it needs, and kept
-only as long as the caller holds the result.  kl_left_cell_graph asks only
+only as long as the caller holds the store.  kl_left_cell_graph asks only
 for the columns of one cell's elements (or of their images under
-w -> w w0, when those are shorter); kl_table asks for every column of S_n,
-for kl_regular_graph.  Both stop at the one bound WCELL_ORACLE_MAX on n.
+w -> w w0, when those are shorter), in a store of its own or in one the
+caller passes; the recursion takes every cell of S_n down through the same
+short elements, so a store shared by the shapes of one n makes each of
+those columns once.  kl_table asks for every column of S_n, for
+kl_regular_graph.  Both stop at the one bound WCELL_ORACLE_MAX on n.
 None of this is consulted by the cell builder; it exists to validate
 builder output on small ranks.
 
@@ -275,6 +278,7 @@ class _Columns(dict):
     def __init__(self, n: int):
         identity = tuple(range(1, n + 1))
         super().__init__({identity: {identity: (1,)}})
+        self.n = n
         self.left = [_Memo(partial(apply_s_images, s)) for s in range(1, n)]
         self.lengths = _Memo(inversions)
 
@@ -320,8 +324,10 @@ def kl_columns(n: int, wanted) -> _Columns:
     Each P_{y,w} is a tuple of coefficients from the constant term up to the
     last nonzero one, for each y below w in the Bruhat order.  Only the
     columns the recursion reaches from wanted are made, and the result
-    holds each of them.  Every call starts afresh: nothing is kept once the
-    caller drops the result.
+    holds each of them.  Every call starts afresh, from the identity alone;
+    the result is the one store that keeps them, and later reads of it make
+    and keep whatever else they reach.  kl_columns(n, ()) is an empty store
+    for kl_left_cell_graph to share.
     """
     columns = _Columns(n)
     for w in wanted:
@@ -343,11 +349,11 @@ def _oracle_graph(n, elements, labels, keys, columns) -> wg.SColoredGraph:
     """The W-graph on the given elements: left descent sets as colours and
     mu values as weights, stored only where they define arcs.
 
-    keys[a] stands for elements[a] in columns, a _Columns that holds the
-    column of every key.  It is the element itself, or its image x w0 for
-    every element, since mu(x, y) = mu(y w0, x w0) (Kazhdan-Lusztig 1979,
-    Corollary 3.2); either way the mu of two vertices is read off the
-    column of the longer key.
+    keys[a] stands for elements[a] in columns, a _Columns that makes the
+    column of a key when it is first read.  It is the element itself, or
+    its image x w0 for every element, since mu(x, y) = mu(y w0, x w0)
+    (Kazhdan-Lusztig 1979, Corollary 3.2); either way the mu of two
+    vertices is read off the column of the longer key.
     """
     tau = [left_descents(w) for w in elements]
     lengths = columns.lengths
@@ -367,28 +373,38 @@ def _oracle_graph(n, elements, labels, keys, columns) -> wg.SColoredGraph:
     return wg.SColoredGraph(max(n, 1), tau, mu, labels)
 
 
-def kl_left_cell_graph(lam) -> wg.SColoredGraph:
+def kl_left_cell_graph(lam, columns=None) -> wg.SColoredGraph:
     """The left-cell graph on the reading words of STD(lam), labelled by tableaux.
 
     Vertices follow the lexicographic order of the tableaux.  Only the KL
     columns that the cell's elements reach are computed.  When the words
     are longer than half of l(w0) on average, the columns of the shorter
     elements w w0 (one-line images reversed) are used instead.
+
+    columns, when given, is a store for S_n made by kl_columns(n, ()): the
+    columns are read from it, and whatever the recursion makes is added to
+    it, so the shapes of one n that share it make each column once.  None
+    gives the call a fresh store of its own.  A store for another n raises
+    ValueError.
     """
     lam = tb.check_partition(lam)
     n = sum(lam)
     check_oracle_bound(n)
+    if columns is not None and columns.n != n:
+        raise ValueError(f"a KL column store for S_{columns.n} cannot serve the shape {lam} of {n}")
     tabs = tb.enumerate_std(lam)
     words = [tb.word(t) for t in tabs]
     flip = 2 * sum(map(length, words)) > len(words) * (n * (n - 1) // 2)
-    return _left_cell_graph(n, words, tuple((0, t) for t in tabs), flip)
+    return _left_cell_graph(n, words, tuple((0, t) for t in tabs), flip, columns)
 
 
-def _left_cell_graph(n: int, words, labels, flip: bool) -> wg.SColoredGraph:
+def _left_cell_graph(n: int, words, labels, flip: bool, columns=None) -> wg.SColoredGraph:
     """The W-graph on words, with mu read from the columns of the words, or
-    of their images w w0 when flip."""
+    of their images w w0 when flip, made in columns or in a fresh store."""
     keys = [w.images[::-1] if flip else w.images for w in words]
-    return _oracle_graph(n, words, labels, keys, kl_columns(n, keys))
+    if columns is None:
+        columns = kl_columns(n, ())
+    return _oracle_graph(n, words, labels, keys, columns)
 
 
 def kl_regular_graph(n: int) -> wg.SColoredGraph:

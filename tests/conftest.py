@@ -16,3 +16,19 @@ def built():
         return _BUILT[lam]
 
     return get
+
+
+@pytest.fixture
+def made_columns(monkeypatch):
+    """The KL columns made while the test runs, in order, one per _Columns.__missing__ call."""
+    from wcell import hecke
+
+    made = []
+    make = hecke._Columns.__missing__
+
+    def counted(self, w):
+        made.append(w)
+        return make(self, w)
+
+    monkeypatch.setattr(hecke._Columns, "__missing__", counted)
+    return made

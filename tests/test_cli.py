@@ -292,13 +292,14 @@ def test_oracle_rank_above_the_bound_fails_before_any_work(monkeypatch, capsys):
     assert "n=60 exceeds the oracle bound 6" in err
 
 
-def _fresh_interpreter(*argv, **env):
+def _fresh_interpreter(*argv, stdout=subprocess.PIPE, **env):
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, *argv],
         env=dict(os.environ, PYTHONPATH=path, **env),
-        capture_output=True,
+        stdout=stdout,
+        stderr=subprocess.PIPE,
         text=True,
     )
 
@@ -413,13 +414,37 @@ def _oracle_in_a_fresh_process(n):
     return out.stdout.splitlines()
 
 
+def test_oracle_runs_make_their_columns_afresh(capsys, made_columns):
+    # the store lives for one run: a second run makes every column again
+    made = made_columns
+    assert run(["oracle", "--n", "5"]) == 0
+    first = list(made)
+    assert run(["oracle", "--n", "5"]) == 0
+    assert first and made == first + first
+    assert capsys.readouterr().out.count("EQUAL") == 14
+
+
+def test_output_closed_by_its_reader_is_exit_2_without_a_traceback():
+    # as in `wcell oracle --n 6 | head -1`, with the reader gone before the
+    # first write
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        out = _fresh_interpreter("-m", "wcell.cli", "oracle", "--n", "3", stdout=write)
+    finally:
+        os.close(write)
+    assert out.returncode == 2
+    assert "Traceback" not in out.stderr and "Exception ignored" not in out.stderr
+
+
 def test_builder_equals_oracle_at_rank_7():
     lines = _oracle_in_a_fresh_process(7)
     assert len(lines) == 15 and all(line.endswith(": EQUAL") for line in lines)
 
 
 def test_builder_equals_oracle_at_rank_8():
-    # about 4 s and 50 MB; runs where WCELL_ORACLE_MAX admits rank 8
+    # about 3 s and 102 MB peak in the child, which keeps every KL column of
+    # the run in one store; runs where WCELL_ORACLE_MAX admits rank 8
     lines = _oracle_in_a_fresh_process(8)
     assert len(lines) == 22 and all(line.endswith(": EQUAL") for line in lines)
 

@@ -385,6 +385,37 @@ def test_cell_columns_are_made_afresh_on_each_call(monkeypatch):
     assert first and made == first + first
 
 
+def test_a_shared_store_gives_the_graphs_of_fresh_stores():
+    for n in range(1, 8):
+        columns = hecke.kl_columns(n, ())
+        for lam in tb.partitions_of(n):
+            shared, fresh = hecke.kl_left_cell_graph(lam, columns), hecke.kl_left_cell_graph(lam)
+            assert (shared.tau, shared.mu, shared.labels) == (fresh.tau, fresh.mu, fresh.labels)
+
+
+def test_a_store_shared_by_the_shapes_of_n_makes_each_column_once(made_columns):
+    made = made_columns
+    shapes = tb.partitions_of(6)
+    # each store starts from the identity, which __missing__ does not make
+    separate = 0
+    for lam in shapes:
+        before = len(made)
+        hecke.kl_left_cell_graph(lam)
+        separate += 1 + len(made) - before
+    assert separate == 198
+    made.clear()
+    columns = hecke.kl_columns(6, ())
+    for lam in shapes:
+        hecke.kl_left_cell_graph(lam, columns)
+    assert len(made) == len(set(made)) == 106
+    assert len(columns) == 107 and set(made) == columns.keys() - {tuple(range(1, 7))}
+
+
+def test_a_store_for_another_n_is_refused():
+    with pytest.raises(ValueError, match="S_5"):
+        hecke.kl_left_cell_graph((3, 2, 1), hecke.kl_columns(5, ()))
+
+
 # ---------------------------------------------------------------------------
 # oracle graphs
 

@@ -4,9 +4,27 @@ The Hecke algebra is taken over Z[q, q^-1] with the quadratic relation
 H_s^2 = 1 + (q - q^-1) H_s.  verify_hecke_relations checks that a graph
 defines a module of it on integer matrices evaluated at one integer q,
 chosen large enough for the test to be exact.  It works with the
-generator matrices shifted by -q^2 I, filled from one pass over the
-weights, and evaluates each relation one column at a time, skipping the
-columns where it cannot fail; no product matrix is held.
+generator matrices shifted by -q^2 I, A'_s = d D_s + q W_s with
+d = -(q^2 + 1), D_s the diagonal of the vertices s colours and W_s the
+weights, filled from one pass over the weights.  Each relation is read one
+column v at a time, and each kind of column has a normal form whose zero
+test needs no product:
+
+- commuting, only s colours v: the column is q sum mu(u, v)(q W_s u - d u)
+  over the u of W_t v that s does not colour (the u it colours give
+  d q mu(u, v) u on both sides), so it is zero iff s colours them all.
+- commuting, neither colours v: the d q terms cancel, leaving
+  q^2 (W_s W_t v - W_t W_s v), whose two-paths v -> u -> x pass only
+  through middles u the outer generator does not colour.
+- braid (s, t), only s colours v: with beta = W_t v and gamma the part
+  of W_s beta on rows t does not colour, the column is
+  q^2 [d (gamma - v) - q (W_t gamma - beta)]; its even and odd parts
+  vanish separately, so it is zero iff gamma = v.
+- both colour v: A'_s v = A'_t v = d v, so the column is 0.
+- braid, neither colours v: the full products of that one column.
+
+Only a column found nonzero is evaluated in full, for its witness; no
+product matrix is held.
 
 The Kazhdan-Lusztig polynomials P_{y,w} come from the usual recursion
 C_{sw} = C_s C_w - sum mu(y, w) C_y, one column P_{.,w} at a time, kept as
@@ -102,14 +120,37 @@ def verify_hecke_relations(g: wg.SColoredGraph) -> wg.CheckReport:
     q > B: its lower terms sum to at most (B - 1) q^(d-1) < q^d in absolute
     value.  So evaluating at q = B + 1 is an exact test.
 
-    Each pair is evaluated one column v at a time, in increasing v, and
-    stops at its first nonzero column; the witness is (u, v) with u the
-    smallest nonzero row there.  Columns where A'v and B'v are both
-    multiples of v (each generator colours v or gives it no weight) are
-    skipped where they cannot differ: in a commuting pair always, since
-    scalars commute, and in a braid pair when the two scalars a, b are
-    equal, since the column is then (a - b)(ab - q^2) v = 0.  No product
-    matrix is held.
+    Each pair is read one column v at a time, in increasing v, and stops
+    at its first nonzero column.  Write A' = d D + q W and B' = d E + q V
+    with d = -(q^2 + 1): D and E are the 0/1 diagonals of the vertices
+    that s and t colour, W and V hold the integer weights (W u = 0 when s
+    colours u, and W u lies on vertices s colours; likewise V for t).
+    Each column reduces to a normal form whose zero test needs no product:
+
+    - commuting, s and t colour v: d^2 v - d^2 v = 0, skipped.
+    - commuting, only s colours v: the column is q sum mu(u, v)(q W u - d u)
+      over u in V v with s not in tau(u), since the u that s colours give
+      d q mu(u, v) u on both sides.  W u lies on vertices s colours and
+      u does not, so the terms cannot cancel: the column is zero iff s
+      colours every u in V v.  Likewise with s, t swapped.
+    - commuting, neither colours v: the d q mu(u, v) u terms of the u
+      coloured by both cancel, leaving q^2 (W (1 - D) V v - V (1 - E) W v),
+      an integer two-path sum over middle vertices u not coloured by the
+      other generator.
+    - braid, only s colours v: with beta = V v and
+      gamma = (1 - E) W beta (two-paths v -> u -> x with t, not s, in tau(u)
+      and s, not t, in tau(x)), the column is q^2 [d (gamma - v)
+      - q (V gamma - beta)], since V D beta = 0 and V W beta = V gamma.  Its
+      even and odd parts in q vanish separately, and gamma = v gives
+      V gamma = beta: the column is zero iff gamma = v.  Likewise with s, t
+      swapped, which negates the column.
+    - braid, s and t colour v: d^3 - d^3 + q^2 (d - d) = 0, skipped.
+    - braid, neither colours v: the full two products of the column.
+
+    Only a column found nonzero is evaluated in full, once, for the
+    witness (u, v): u is its smallest nonzero row.  No product matrix is
+    held, and a diagonal column is made only when such an evaluation
+    reads it.
 
     The quadratic relation A_s^2 = q^2 I + (q^2 - 1) A_s holds on every
     S-coloured graph (see the comment below), so it is not checked.  A_s
@@ -125,42 +166,9 @@ def verify_hecke_relations(g: wg.SColoredGraph) -> wg.CheckReport:
     # A_s v = q^2 v + q sum mu(u, v) u over u coloured by s, each with
     # A_s u = -u (u != v: SColoredGraph rejects self-weights), so
     # A_s^2 v = q^4 v + (q^3 - q) sum mu(u, v) u = (q^2 I + (q^2 - 1) A_s) v.
-    tau = g.tau
-    gens = sorted({t for s in set().union(*tau) for t in (s - 1, s, s + 1) if 1 <= t <= g.n - 1})
-    support: dict[int, set] = {s: set() for s in gens}
-    for v, colours in enumerate(tau):
-        for s in colours:
-            support[s].add(v)
-    # weights[s][v][u] = mu(u, v) for s in tau(u) \ tau(v): the columns of
-    # A'_s off the vertices s colours, scaled by q in place once q is known
-    weights: dict[int, dict] = {s: {} for s in gens}
-    for (u, v), w in g.mu.items():
-        for s in tau[u] - tau[v]:
-            cols = weights[s]
-            col = cols.get(v)
-            if col is None:
-                cols[v] = {u: w}
-            else:
-                col[u] = w
-    norm = 1 + max(
-        (sum(map(abs, col.values())) for cols in weights.values() for col in cols.values()),
-        default=0,
-    )
-    q = 2 * norm**3 + 1
-    q2 = q * q
-    zero: dict = {}  # shared by every column that is 0; never written
-    mats = {}
-    for s in gens:
-        mat = [zero] * len(tau)
-        for v in support[s]:
-            mat[v] = {v: -q2 - 1}
-        for v, col in weights[s].items():
-            for u in col:
-                col[u] *= q
-            mat[v] = col
-        mats[s] = mat
+    q2, mats = _shifted_matrices(g)
     bad = []
-    coloured = sorted(s for s in gens if support[s])
+    coloured = [s for s in mats if mats[s].support]  # mats is in increasing s
     braids = sorted({(t, t + 1) for s in coloured for t in (s - 1, s) if 1 <= t <= g.n - 2})
     # A weight mu(u, x) enters A'_s only when s is in tau(u) \ tau(x); outside
     # the generators with weights every A'_s is diagonal, and diagonal
@@ -173,21 +181,143 @@ def verify_hecke_relations(g: wg.SColoredGraph) -> wg.CheckReport:
         as far as the check reads them."""
         for k, s in enumerate(coloured):
             for t in coloured[bisect_left(coloured, s + 2, k):]:
-                if (weights[s] or weights[t]) and support[s] != support[t]:
+                if (mats[s] or mats[t]) and mats[s].support != mats[t].support:
                     yield s, t
 
     for s, t in merge(braids, commuting()):
-        columns = weights[s].keys() | weights[t].keys()
+        a, b = mats[s], mats[t]
+        # the columns where A' or B' holds weights; every other column is
+        # 0 or d v in each, which commute, and a braid pair adds those where
+        # only one generator colours v, since d v and 0 fail the braid
+        columns = a.keys() | b.keys()
         if t - s >= 2:
-            kind, witness = "commuting", _commuting_witness(mats[s], mats[t], sorted(columns))
+            kind = "commuting"
+            v = _first_commuting_column(a, b, sorted(columns))
+            witness = v is not None and _commuting_witness(a, b, (v,))
         else:
-            columns |= support[s] ^ support[t]
-            kind, witness = "braid", _braid_witness(mats[s], mats[t], sorted(columns), q2)
+            kind = "braid"
+            columns |= a.support ^ b.support
+            v = _first_braid_column(a, b, sorted(columns), q2)
+            witness = v is not None and _braid_witness(a, b, (v,), q2)
         if witness:
             bad.append((kind, s, t, *witness))
             if len(bad) == 10:
                 break
     return wg.CheckReport("hecke-relations", not bad, tuple(bad))
+
+
+_ZERO: dict = {}  # the column of every vertex without weights; never written
+
+
+class _Shifted(dict):
+    """The columns of one A'_s = A_s - q^2 I, by vertex.
+
+    The stored columns are {u: q mu(u, v)}, at the v that s does not
+    colour.  Reading any other column v gives {v: diagonal}, made afresh,
+    when v is in support (the vertices s colours), and 0 otherwise.
+    """
+
+    __slots__ = ("support", "diagonal")
+
+    def __missing__(self, v):
+        return {v: self.diagonal} if v in self.support else _ZERO
+
+
+def _shifted_matrices(g: wg.SColoredGraph):
+    """q^2 and {s: A'_s as a _Shifted} for every generator within distance 1
+    of a colour, at the q of verify_hecke_relations."""
+    tau = g.tau
+    gens = sorted({t for s in set().union(*tau) for t in (s - 1, s, s + 1) if 1 <= t <= g.n - 1})
+    mats = {s: _Shifted() for s in gens}
+    for cols in mats.values():
+        cols.support = set()
+    for v, colours in enumerate(tau):
+        for s in colours:
+            mats[s].support.add(v)
+    # mats[s][v][u] = mu(u, v) for s in tau(u) \ tau(v), scaled by q in
+    # place once q is known
+    for (u, v), w in g.mu.items():
+        for s in tau[u] - tau[v]:
+            cols = mats[s]
+            col = cols.get(v)
+            if col is None:
+                cols[v] = {u: w}
+            else:
+                col[u] = w
+    norm = 1 + max(
+        (sum(map(abs, col.values())) for cols in mats.values() for col in cols.values()),
+        default=0,
+    )
+    q = 2 * norm**3 + 1
+    q2 = q * q
+    for cols in mats.values():
+        cols.diagonal = -q2 - 1
+        for col in cols.values():
+            for u in col:
+                col[u] *= q
+    return q2, mats
+
+
+def _first_commuting_column(a, b, columns):
+    """The first of the given columns v where A'B' - B'A' is nonzero, by
+    the normal forms of verify_hecke_relations; None if there is none.
+
+    a and b are _Shifted.  Their stored columns sit only at the vertices
+    their generator does not colour, so the two-path sums read through
+    them skip the middle vertices that generator colours.
+    """
+    sa, sb, aget, bget = a.support, b.support, a.get, b.get
+    for v in columns:
+        if v in sa:
+            if v not in sb and not sa.issuperset(bget(v, _ZERO)):
+                return v
+        elif v in sb:
+            if not sb.issuperset(aget(v, _ZERO)):
+                return v
+        else:
+            # q^2 (W V v - V W v); the middles coloured by both, whose
+            # d q terms cancel, have no stored column in either
+            acc: dict[int, int] = {}
+            get = acc.get
+            for u, c in bget(v, _ZERO).items():
+                for x, e in aget(u, _ZERO).items():
+                    acc[x] = get(x, 0) + e * c
+            for u, c in aget(v, _ZERO).items():
+                for x, e in bget(u, _ZERO).items():
+                    acc[x] = get(x, 0) - e * c
+            if any(acc.values()):
+                return v
+    return None
+
+
+def _first_braid_column(a, b, columns, q2):
+    """The first of the given columns v where
+    A'B'A' - B'A'B' + q^2 (B' - A') is nonzero, by the normal forms of
+    verify_hecke_relations; None if there is none.  a and b are _Shifted,
+    read as in _first_commuting_column."""
+    sa, sb = a.support, b.support
+    for v in columns:
+        if v in sa:
+            if v in sb:
+                continue
+            x, y, sy = a, b, sb
+        elif v in sb:
+            x, y, sy = b, a, sa
+        else:
+            if _braid_witness(a, b, (v,), q2):
+                return v
+            continue
+        # only x's generator colours v: q^2 gamma, the rows y's colours dropped
+        acc: dict[int, int] = {}
+        get = acc.get
+        xget = x.get
+        for u, c in y.get(v, _ZERO).items():
+            for r, e in xget(u, _ZERO).items():
+                if r not in sy:
+                    acc[r] = get(r, 0) + e * c
+        if acc.pop(v, 0) != q2 or any(acc.values()):
+            return v
+    return None
 
 
 def _commuting_witness(a, b, columns):

@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 
 import pytest
@@ -188,30 +190,91 @@ def test_single_weight_corruptions_are_caught(built):
 
 def test_relation_check_stops_at_its_tenth_witness(monkeypatch):
     # odd generators colour vertex 0 and even ones vertex 1, so every
-    # commuting pair of opposite parity fails; the sorted walk checks the
-    # braid (1, 2) on both columns, then fails on the first column of each
-    # of (1, 4), (1, 6), ..., (1, 22) and stops
+    # commuting pair of opposite parity fails; the sorted walk reads the
+    # braid (1, 2) on both columns, then the first column of each of
+    # (1, 4), (1, 6), ..., (1, 22), evaluates that column alone in full for
+    # its witness, and stops
     n = 200
     g = wg.SColoredGraph(n, [range(1, n, 2), range(2, n, 2)], {(0, 1): 1, (1, 0): 1})
-    kinds, columns = [], []
+    read = {}
 
-    def counted(kind, witness):
+    def counted(name):
+        function, calls = getattr(hecke, name), read.setdefault(name, [])
+
         def feed(cols):
-            kinds.append(kind)
+            calls.append([])
             for v in cols:
-                columns.append(v)
+                calls[-1].append(v)
                 yield v
 
-        return lambda a, b, cols, *rest: witness(a, b, feed(cols), *rest)
+        monkeypatch.setattr(hecke, name, lambda a, b, cols, *rest: function(a, b, feed(cols), *rest))
 
     for kind in ("braid", "commuting"):
-        name = f"_{kind}_witness"
-        monkeypatch.setattr(hecke, name, counted(kind, getattr(hecke, name)))
+        counted(f"_first_{kind}_column")
+        counted(f"_{kind}_witness")
     report = hecke.verify_hecke_relations(g)
     assert not report.ok
     assert report.violations == tuple(("commuting", 1, t, 0, 0) for t in range(4, 24, 2))
-    assert kinds == ["braid"] + ["commuting"] * 10
-    assert columns == [0, 1] + [0] * 10
+    # one list per pair (or per witness), holding the columns read
+    assert read == {
+        "_first_braid_column": [[0, 1]],
+        "_braid_witness": [],
+        "_first_commuting_column": [[0]] * 10,
+        "_commuting_witness": [[0]] * 10,
+    }
+
+
+def _column_verdicts(g):
+    """((kind, case), verdict) for every column v of every pair s < t of
+    generators with a shifted matrix: case says which of s, t colour v, and
+    verdict is whether the column is zero by the normal form of
+    _first_commuting_column or _first_braid_column.  Each verdict is first
+    asserted equal to the full evaluation of that column alone by
+    _commuting_witness or _braid_witness, on the shifted matrices made from
+    helpers.integer_module_matrices."""
+    q2, mats = hecke._shifted_matrices(g)
+    gens = sorted(mats)
+    full = {
+        s: [{u: e - q2 * (u == v) for u, e in col.items()} for v, col in enumerate(m)]
+        for s, m in zip(gens, integer_module_matrices(g, math.isqrt(q2), gens))
+    }
+    out = []
+    for s, t in itertools.combinations(gens, 2):
+        kind = "commuting" if t - s >= 2 else "braid"
+        for v in g.vertices():
+            if kind == "commuting":
+                zero = hecke._first_commuting_column(mats[s], mats[t], (v,)) is None
+                full_zero = hecke._commuting_witness(full[s], full[t], (v,)) is None
+            else:
+                zero = hecke._first_braid_column(mats[s], mats[t], (v,), q2) is None
+                full_zero = hecke._braid_witness(full[s], full[t], (v,), q2) is None
+            assert zero == full_zero, (kind, s, t, v)
+            case = ("neither", "one", "both")[(s in g.tau[v]) + (t in g.tau[v])]
+            out.append(((kind, case), zero))
+    return out
+
+
+def test_each_column_normal_form_equals_the_full_column(built):
+    # the report tests see only the first failing column of each pair, so
+    # a wrong normal form behind an earlier failure would go unseen there
+    rng = random.Random(1807)
+    graphs = []
+    for n in range(8):
+        for lam in tb.partitions_of(n):
+            graphs.append(built(lam))
+            graphs.extend(corruptions(built(lam), rng, 20))
+    seen = {}
+    for g in graphs:
+        for case, zero in _column_verdicts(g):
+            seen.setdefault(case, set()).add(zero)
+    for case in (("commuting", "one"), ("commuting", "neither"), ("braid", "one")):
+        assert seen[case] == {True, False}, case
+
+
+@settings(max_examples=300, deadline=None)
+@given(g=_coloured_graphs())
+def test_each_column_normal_form_equals_the_full_column_on_any_graph(g):
+    _column_verdicts(g)
 
 
 @pytest.mark.parametrize("lam", [(3, 3, 2, 1), (4, 3, 2, 1), (4, 3, 2, 1, 1)])

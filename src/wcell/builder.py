@@ -14,18 +14,23 @@ descent set.  Three classes of weights are populated:
 Every other weight is zero.  Tableaux are used only to enumerate and label
 the vertices 0..N-1, in increasing lexicographic order.  A CellIndex holds
 the column word of each vertex (the column of each entry 1..n, which
-determines the tableau), the dict from word to vertex, the descent bitmasks
-(d is a descent when col(d) >= col(d+1)), which also give the colours, and
-the one weight table, cols[t] = {u: mu(u, t)}, the layout of
-SColoredGraph.column, with the parity and largest strong descent of each
-vertex and a memo of favourable prefixes.  The rest runs on these integers:
-s_i t is the word with the letters of i and i+1 exchanged.
+determines the tableau), the same word packed into one integer with a
+fixed-width field per letter and the dict from packed word to vertex, the
+descent bitmasks (d is a descent when col(d) >= col(d+1)), which also give
+the colours, and the one weight table, cols[t] = {u: mu(u, t)}, the layout
+of SColoredGraph.column, with the parity and largest strong descent of each
+vertex and the two memos of mu_probable.  The rest runs on these integers:
+s_i t is the word with the letters of i and i+1 exchanged, two fields of
+the packed word.
 
 The probable-pair identity refers only to weights whose target is
 lexicographically smaller than t, once the pair is replaced by its
 canonical favourable representative, so the table is filled one lex-column
 at a time.  Within a column the pairs are independent.  Lex order refines
 dominance, so the scan for the pairs of t reads only the vertices before t.
+The terms of the identity depend only on t, its representative t0 and the
+restriction number, not on u, so mu_probable makes them once per such
+group and keeps them only while it builds the column of t.
 
 Only probable pairs of opposite parity are evaluated.  The parity of a
 vertex is the number of entry pairs a < b with col(b) <= col(a), mod 2: the
@@ -49,20 +54,44 @@ from . import wgraph as wg
 
 
 class CellIndex(NamedTuple):
-    """The integer index of one cell, read from the column words of its tableaux alone."""
+    """The integer index of one cell, read from the column words of its tableaux alone.
+
+    Each word is also packed into one integer, letter by letter from the
+    first, each letter in a field of width bits, enough for the largest
+    letter.  Two words of one length first differ in the field of the
+    highest set bit of the XOR of their integers, and the words sharing
+    their first k letters are one range of integers.  prefixes and groups
+    are memos of mu_probable.
+    """
 
     words: list[tuple[int, ...]]  # column word of each vertex
-    index: dict[tuple[int, ...], int]  # vertex of each word
+    packed: list[int]  # each word as one integer, its first letter in the highest field
+    vertex: dict[int, int]  # vertex of each packed word
+    width: int  # bits of one letter's field
     masks: list[int]  # bit d set when d is a descent: word[d - 1] >= word[d]
     cols: list[dict[int, int]]  # cols[t][u] = mu(u, t); absent entries are zero
     parity: list[int]  # length of the reading word of each vertex, mod 2
     strong: list[int]  # largest strong descent e, col(e) > col(e+1), of each vertex; 0 if none
-    prefixes: dict[tuple[int, ...], tuple[int, ...]]  # memo of knuth.favourable_prefix
+    # packed uw[:i+1] + tw[i:i+1] -> packed knuth.favourable_prefix(uw, tw) shifted
+    # above the letters from i on, i the restriction number
+    prefixes: dict[int, int]
+    # {it: {(it0, i): terms}}: the terms of _group_terms for one target it only
+    groups: dict[int, dict[tuple[int, int], list[tuple[dict[int, int], int]]]]
 
 
-def _swap(word, e: int):
-    """The word of s_e t: the letters of the entries e and e+1 exchanged."""
-    return word[: e - 1] + (word[e], word[e - 1]) + word[e + 1 :]
+def _swap(p: int, word, e: int, width: int) -> int:
+    """The packed word of s_e t, from the packed word p of t and its letters
+    word: the fields of the entries e and e+1 exchanged."""
+    d = word[e - 1] ^ word[e]
+    return p ^ (d << width | d) << width * (len(word) - e - 1)
+
+
+def _pack(word, width: int) -> int:
+    """The letters of word in fields of width bits, the first letter highest."""
+    p = 0
+    for c in word:
+        p = p << width | c
+    return p
 
 
 def cell_index(tabs) -> CellIndex:
@@ -79,14 +108,16 @@ def cell_index(tabs) -> CellIndex:
     seen once.
     """
     words = [t.column_word for t in tabs]
-    index = {w: v for v, w in enumerate(words)}
+    width = max((max(w, default=1) for w in words), default=1).bit_length()
+    packed = [_pack(w, width) for w in words]
+    vertex = {p: v for v, p in enumerate(packed)}
     masks = [sum(1 << d for d in range(1, len(w)) if w[d - 1] >= w[d]) for w in words]
     cols: list[dict[int, int]] = [{} for _ in words]
     parity, strong = [], []
     for it, w in enumerate(words):
         for i in range(1, len(w)):
             if w[i - 1] < w[i]:
-                iu = index.get(_swap(w, i))
+                iu = vertex.get(_swap(packed[it], w, i, width))
                 if iu is not None:
                     cols[it][iu] = 1
                     if masks[it] & ~masks[iu]:
@@ -98,7 +129,7 @@ def cell_index(tabs) -> CellIndex:
             seen[c] += 1
         parity.append(pairs & 1)
         strong.append(next((e for e in range(len(w) - 1, 0, -1) if w[e - 1] > w[e]), 0))
-    return CellIndex(words, index, masks, cols, parity, strong, {})
+    return CellIndex(words, packed, vertex, width, masks, cols, parity, strong, {}, {})
 
 
 def mu_probable(iu: int, it: int, cell: CellIndex, rep=None) -> int:
@@ -112,28 +143,68 @@ def mu_probable(iu: int, it: int, cell: CellIndex, rep=None) -> int:
     the commuting j - i = 1 subcase) or of length three (otherwise).  Every
     weight it consults lies in a column below it, so it is already final.
 
-    The prefix depends only on the words up to and including their first
-    difference, so it is memoised in cell.prefixes under that key.  t0
-    agrees with t past i and a strong descent e > i reads only letters past
-    i, so j is the largest strong descent of t, cell.strong[it], when that
-    exceeds i.
+    Everything up to the representative runs on the packed words.  The
+    letter i is the field of the highest set bit of the XOR of the two, and
+    tail is the bits of the letters from i on.  The prefix depends only on
+    the words up to and including their first difference, so it is
+    memoised in cell.prefixes under those letters, packed, and stored
+    shifted above tail: each representative is that prefix OR the tail bits
+    of its word, one lookup in cell.vertex.
+
+    The identity sums mu(u0, x) over signed terms that depend only on the
+    group (t, t0, i): _group_terms makes them, and runs the schedule
+    assertions, once per group, into cell.groups.  That memo holds the
+    groups of one target: a call for another target empties it first, so
+    it stays one column's size whatever the order of the calls.  Only the
+    sum over the terms is made per call.
 
     A member of knuth.favourable_set may be passed as a vertex pair rep;
     the result does not depend on the choice.
     """
-    words, index, masks, cols = cell.words, cell.index, cell.masks, cell.cols
-    uw, tw = words[iu], words[it]
-    i = next((e for e, (a, b) in enumerate(zip(uw, tw)) if a != b), len(uw))
-    key = uw[: i + 1] + tw[i : i + 1]
-    prefix = cell.prefixes.get(key)
-    if prefix is None:
-        prefix = cell.prefixes[key] = knuth.favourable_prefix(uw, tw)[1]
-    iu0, it0 = rep if rep is not None else (index[prefix + uw[i:]], index[prefix + tw[i:]])
+    width = cell.width
+    pu, pt = cell.packed[iu], cell.packed[it]
+    tail = -(-(pu ^ pt).bit_length() // width) * width
+    i = len(cell.words[it]) - tail // width
+    if rep is None:
+        head = tail - width  # the bits of the letters after i
+        key = (pu >> head) << width | (pt >> head) & ((1 << width) - 1)
+        high = cell.prefixes.get(key)
+        if high is None:
+            prefix = knuth.favourable_prefix(cell.words[iu], cell.words[it])[1]
+            high = cell.prefixes[key] = _pack(prefix, width) << tail
+        low = (1 << tail) - 1
+        iu0, it0 = cell.vertex[high | pu & low], cell.vertex[high | pt & low]
+    else:
+        iu0, it0 = rep
+    groups = cell.groups.get(it)
+    if groups is None:
+        cell.groups.clear()
+        groups = cell.groups[it] = {}
+    terms = groups.get((it0, i))
+    if terms is None:
+        terms = groups[it0, i] = _group_terms(it, it0, i, cell)
+    total = 0
+    for col, w in terms:
+        total += w * col.get(iu0, 0)
+    return total
+
+
+def _group_terms(it: int, it0: int, i: int, cell: CellIndex) -> list[tuple[dict[int, int], int]]:
+    """The terms (cols[x], sign * mu(x, base)) of mu_probable's identity for
+    the target it, its representative it0 and the restriction number i:
+    mu(u0, t) is the sum of weight * col.get(u0, 0) over them.
+
+    t0 agrees with t past i and a strong descent e > i reads only letters
+    past i, so j is the largest strong descent of t, cell.strong[it], when
+    that exceeds i.  Every schedule assertion depends only on (it, it0, i).
+    """
+    words, packed, vertex, width = cell.words, cell.packed, cell.vertex, cell.width
+    masks, cols = cell.masks, cell.cols
     t0 = words[it0]
     j = cell.strong[it]
     if j <= i:
         raise AssertionError("restriction number must precede max strong descent")
-    iv = index[_swap(t0, j)]
+    iv = vertex[_swap(packed[it0], t0, j, width)]
     if j - i >= 2 or t0[j - 2] < t0[j]:
         if iv >= it:
             raise AssertionError("schedule violation: column of s_j t0 not final")
@@ -141,12 +212,12 @@ def mu_probable(iu: int, it: int, cell: CellIndex, rep=None) -> int:
     else:
         if t0[j - 2] == t0[j]:
             raise AssertionError("entries j-1 and j+1 cannot share a column here")
-        iw = index[_swap(words[iv], j - 1)]
+        iw = vertex[_swap(packed[iv], words[iv], j - 1, width)]
         if iw >= it:
             raise AssertionError("schedule violation: column of s_{j-1} s_j t0 not final")
         base, plus, minus, skip, neighbour = iw, j, j - 1, iv, True
     both = (1 << plus) | (1 << minus)
-    total = 0
+    terms = []
     for x, w in cols[base].items():
         pattern = masks[x] & both
         if pattern == 1 << plus:
@@ -156,13 +227,13 @@ def mu_probable(iu: int, it: int, cell: CellIndex, rep=None) -> int:
         else:
             continue
         if neighbour:
-            x = index[_swap(words[x], knuth.neighbour_swap(words[x], j - 1))]
+            x = vertex[_swap(packed[x], words[x], knuth.neighbour_swap(words[x], j - 1), width)]
         if x >= it:
             raise AssertionError(
                 f"schedule violation: lookup of column {x} while building column {it}"
             )
-        total += sign * w * cols[x].get(iu0, 0)
-    return total
+        terms.append((cols[x], sign * w))
+    return terms
 
 
 def probable_pairs(cell: CellIndex) -> list[tuple[int, int]]:

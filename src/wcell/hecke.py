@@ -112,9 +112,12 @@ def verify_hecke_relations(g: wg.SColoredGraph) -> wg.CheckReport:
     leaves every entry of LHS - RHS the same polynomial in Z[q], and the
     bound on q stays exact.  Measure a column by the sum of the absolute
     coefficients of its entries; this norm is submultiplicative.  Every
-    entry of A_s is a monomial, so the largest column norm L of all A_s at
-    q = 1 is 1 + sum |mu(u, v)| over u coloured by s, for s not in tau(v),
-    or 1 if there is no such v; and each entry of LHS - RHS has absolute
+    entry of A_s is a monomial, so the column norm of A_s at v is 1 when s
+    colours v and 1 + sum |mu(u, v)| over u coloured by s otherwise.  Every
+    column norm of every A_s is therefore at most
+    L = 1 + max over v of sum |mu(u, v)| over all u, which one pass over
+    the weights gives before any matrix is filled, so that the weights are
+    stored already multiplied by q.  Each entry of LHS - RHS has absolute
     coefficient sum at most B = 2 L^3.  A nonzero integer polynomial of
     degree d with coefficient sum at most B cannot vanish at an integer
     q > B: its lower terms sum to at most (B - 1) q^(d-1) < q^d in absolute
@@ -227,34 +230,28 @@ def _shifted_matrices(g: wg.SColoredGraph):
     """q^2 and {s: A'_s as a _Shifted} for every generator within distance 1
     of a colour, at the q of verify_hecke_relations."""
     tau = g.tau
+    norms = [1] * len(tau)  # 1 + sum |mu(u, v)| over all u, by v
+    for (u, v), w in g.mu.items():
+        norms[v] += abs(w)
+    q = 2 * max(norms, default=1) ** 3 + 1
+    q2 = q * q
     gens = sorted({t for s in set().union(*tau) for t in (s - 1, s, s + 1) if 1 <= t <= g.n - 1})
     mats = {s: _Shifted() for s in gens}
     for cols in mats.values():
         cols.support = set()
+        cols.diagonal = -q2 - 1
     for v, colours in enumerate(tau):
         for s in colours:
             mats[s].support.add(v)
-    # mats[s][v][u] = mu(u, v) for s in tau(u) \ tau(v), scaled by q in
-    # place once q is known
+    # mats[s][v][u] = q mu(u, v) for s in tau(u) \ tau(v)
     for (u, v), w in g.mu.items():
         for s in tau[u] - tau[v]:
             cols = mats[s]
             col = cols.get(v)
             if col is None:
-                cols[v] = {u: w}
+                cols[v] = {u: q * w}
             else:
-                col[u] = w
-    norm = 1 + max(
-        (sum(map(abs, col.values())) for cols in mats.values() for col in cols.values()),
-        default=0,
-    )
-    q = 2 * norm**3 + 1
-    q2 = q * q
-    for cols in mats.values():
-        cols.diagonal = -q2 - 1
-        for col in cols.values():
-            for u in col:
-                col[u] *= q
+                col[u] = q * w
     return q2, mats
 
 

@@ -357,29 +357,33 @@ def restrict(g: SColoredGraph, J) -> SColoredGraph:
 def check_admissible(g: SColoredGraph) -> CheckReport:
     """Nonnegative integer weights, symmetric on incomparable colours, bipartite."""
     bad = []
-    for (u, v), w in sorted(g.mu.items()):
+    mu, tau = g.mu, g.tau
+    for u, v in sorted(mu):
         if len(bad) >= _MAX_WITNESSES:
             break
+        w = mu[u, v]
         if not isinstance(w, int) or w < 0:
             bad.append(("negative-weight", u, v, w))
             continue
-        tu, tv = g.tau[u], g.tau[v]
-        if not tu <= tv and not tv <= tu and g.weight(v, u) != w:
-            bad.append(("asymmetric", u, v, w, g.weight(v, u)))
-    adjacency: dict[int, set[int]] = {v: set() for v in g.vertices()}
-    for v, u, _w in g.arcs():
+        tu, tv = tau[u], tau[v]
+        if not tu <= tv and not tv <= tu and mu.get((v, u), 0) != w:
+            bad.append(("asymmetric", u, v, w, mu.get((v, u), 0)))
+    # the arcs v -> u in increasing (v, u), the order of g.arcs(): each set
+    # takes its members in that order, so the search visits them in it
+    adjacency: list[set[int]] = [set() for _ in tau]
+    for v, u in sorted([(v, u) for u, v in mu if not tau[u] <= tau[v]]):
         adjacency[v].add(u)
         adjacency[u].add(v)
-    colour: dict[int, int] = {}
+    colour = [-1] * len(tau)
     for root in g.vertices():
-        if root in colour:
+        if colour[root] >= 0:
             continue
         colour[root] = 0
         frontier = [root]
         while frontier:
             v = frontier.pop()
             for u in adjacency[v]:
-                if u not in colour:
+                if colour[u] < 0:
                     colour[u] = 1 - colour[v]
                     frontier.append(u)
                 elif colour[u] == colour[v]:
@@ -626,12 +630,13 @@ def run_checks(g: SColoredGraph, rules=ALL_RULES) -> list[CheckReport]:
 
 _VERTEX = '%s\n    {\n      "id": %d,\n      "tau": %s,\n      "label": %s\n    }'
 _LABEL = '{\n        "molecule": %d,\n        "tableau": "%s"\n      }'
-_WEIGHT = '%s\n    {\n      "from": %d,\n      "to": %d,\n      "w": %d\n    }'
+_WEIGHT = ',\n    {\n      "from": %d,\n      "to": %d,\n      "w": %d\n    }'
+_BLOCK = 1024  # weights formatted by one % in json_chunks
 
 
 def json_chunks(g: SColoredGraph):
-    """The text of to_json_str in pieces, one vertex or weight each, so a
-    writer never holds it whole; the layout is the one in the module
+    """The text of to_json_str in pieces, one vertex or _BLOCK weights each,
+    so a writer never holds it whole; the layout is the one in the module
     docstring."""
     yield '{\n  "n": %d,\n  "vertices": [' % g.n
     labels = g.labels or (None,) * g.num_vertices
@@ -642,11 +647,17 @@ def json_chunks(g: SColoredGraph):
         yield _VERTEX % (sep, v, colours, label)
         sep = ","
     yield '%s],\n  "mu": [' % ("\n  " if sep else "")
-    sep = ""
-    for (u, v), w in sorted(g.mu.items()):
-        yield _WEIGHT % (sep, u, v, w)
-        sep = ","
-    yield "%s]\n}\n" % ("\n  " if sep else "")
+    mu = g.mu
+    keys = sorted(mu)
+    for start in range(0, len(keys), _BLOCK):
+        block = keys[start : start + _BLOCK]
+        args = []
+        for key in block:
+            args += key
+            args.append(mu[key])
+        text = (_WEIGHT * len(block)) % tuple(args)
+        yield text[1:] if start == 0 else text  # no comma before the first weight
+    yield "%s]\n}\n" % ("\n  " if keys else "")
 
 
 def to_json_str(g: SColoredGraph) -> str:

@@ -757,3 +757,98 @@ def to_json_obj(g: wg.SColoredGraph) -> dict:
         for (u, v), w in sorted(g.mu.items())
     ]
     return {"n": g.n, "vertices": vertices, "mu": mu}
+
+
+# ---------------------------------------------------------------------------
+# The probable-pair weight without memos: the reference for
+# builder.mu_probable, which finds the restriction number on packed words and
+# memoises the identity's terms per group (t, t0, i).
+
+
+def _swap_word(word, e: int):
+    """The word of s_e t: the letters of the entries e and e+1 exchanged."""
+    return word[: e - 1] + (word[e], word[e - 1]) + word[e + 1 :]
+
+
+def mu_probable(iu: int, it: int, cell, index, rep=None) -> int:
+    """mu(iu, it) by the polygon-rule identity, everything made afresh per
+    call on the column words; index maps each word of cell to its vertex."""
+    words, masks, cols = cell.words, cell.masks, cell.cols
+    uw, tw = words[iu], words[it]
+    i = next((e for e, (a, b) in enumerate(zip(uw, tw)) if a != b), len(uw))
+    prefix = knuth.favourable_prefix(uw, tw)[1]
+    iu0, it0 = rep if rep is not None else (index[prefix + uw[i:]], index[prefix + tw[i:]])
+    t0 = words[it0]
+    j = cell.strong[it]
+    if j <= i:
+        raise AssertionError("restriction number must precede max strong descent")
+    iv = index[_swap_word(t0, j)]
+    if j - i >= 2 or t0[j - 2] < t0[j]:
+        if iv >= it:
+            raise AssertionError("schedule violation: column of s_j t0 not final")
+        base, plus, minus, skip, neighbour = iv, i, j, it0, False
+    else:
+        if t0[j - 2] == t0[j]:
+            raise AssertionError("entries j-1 and j+1 cannot share a column here")
+        iw = index[_swap_word(words[iv], j - 1)]
+        if iw >= it:
+            raise AssertionError("schedule violation: column of s_{j-1} s_j t0 not final")
+        base, plus, minus, skip, neighbour = iw, j, j - 1, iv, True
+    both = (1 << plus) | (1 << minus)
+    total = 0
+    for x, w in cols[base].items():
+        pattern = masks[x] & both
+        if pattern == 1 << plus:
+            sign = 1
+        elif pattern == 1 << minus and x != skip:
+            sign = -1
+        else:
+            continue
+        if neighbour:
+            x = index[_swap_word(words[x], knuth.neighbour_swap(words[x], j - 1))]
+        if x >= it:
+            raise AssertionError(
+                f"schedule violation: lookup of column {x} while building column {it}"
+            )
+        total += sign * w * cols[x].get(iu0, 0)
+    return total
+
+
+# ---------------------------------------------------------------------------
+# The admissible rule through g.arcs(): the reference for
+# wgraph.check_admissible, which builds its adjacency straight from g.mu.
+
+
+def check_admissible(g: wg.SColoredGraph) -> wg.CheckReport:
+    """Nonnegative integer weights, symmetric on incomparable colours, bipartite."""
+    bad = []
+    for (u, v), w in sorted(g.mu.items()):
+        if len(bad) >= wg._MAX_WITNESSES:
+            break
+        if not isinstance(w, int) or w < 0:
+            bad.append(("negative-weight", u, v, w))
+            continue
+        tu, tv = g.tau[u], g.tau[v]
+        if not tu <= tv and not tv <= tu and g.weight(v, u) != w:
+            bad.append(("asymmetric", u, v, w, g.weight(v, u)))
+    adjacency: dict[int, set[int]] = {v: set() for v in g.vertices()}
+    for v, u, _w in g.arcs():
+        adjacency[v].add(u)
+        adjacency[u].add(v)
+    colour: dict[int, int] = {}
+    for root in g.vertices():
+        if root in colour:
+            continue
+        colour[root] = 0
+        frontier = [root]
+        while frontier:
+            v = frontier.pop()
+            for u in adjacency[v]:
+                if u not in colour:
+                    colour[u] = 1 - colour[v]
+                    frontier.append(u)
+                elif colour[u] == colour[v]:
+                    bad.append(("odd-cycle", v, u))
+                    frontier = []
+                    break
+    return wg.CheckReport("admissible", not bad, tuple(bad[:wg._MAX_WITNESSES]))

@@ -3,10 +3,13 @@ import hashlib
 import json
 import os
 
+import random
+
 import pytest
 
+import helpers
 from helpers import extended_dominance_leq as dominance_reference
-from wcell import builder, hecke, knuth
+from wcell import builder, cli, hecke, knuth
 from wcell import tableaux as tb
 from wcell import wgraph as wg
 
@@ -140,19 +143,84 @@ def test_mu_probable_matches_oracle_values(built):
 
 
 def test_mu_probable_independent_of_representative(built):
-    for n in (5, 6):
+    # every member of favourable_set as rep, against the canonical weight
+    # and the memo-free reference: first grouped by target, in a shuffled
+    # order within each column (the memo is reused), then with the calls
+    # shuffled across columns (the memo is emptied at each new target)
+    rng = random.Random(1807)
+    for n in (5, 6, 7, 8):
         for lam in tb.partitions_of(n):
             tabs = tuple(tb.enumerate_std(lam))
             g = built(lam)
             cell = builder.cell_index(tabs)
             for it in g.vertices():
                 cell.cols[it].update(g.column(it))
-            for iu, it in builder.probable_pairs(builder.cell_index(tabs)):
-                u, t = tabs[iu], tabs[it]
-                reference = builder.mu_probable(iu, it, cell)
-                for u0, t0 in knuth.favourable_set(u, t):
-                    rep = (cell.index[u0.column_word], cell.index[t0.column_word])
-                    assert builder.mu_probable(iu, it, cell, rep=rep) == reference
+            index = {w: v for v, w in enumerate(cell.words)}
+            calls = [
+                (iu, it, (tabs.index(u0), tabs.index(t0)))
+                for iu, it in builder.probable_pairs(cell)
+                for u0, t0 in knuth.favourable_set(tabs[iu], tabs[it])
+            ]
+            rng.shuffle(calls)
+            for order in (sorted(calls, key=lambda call: call[1]), calls):
+                for iu, it, rep in order:
+                    reference = helpers.mu_probable(iu, it, cell, index)
+                    assert helpers.mu_probable(iu, it, cell, index, rep=rep) == reference
+                    assert builder.mu_probable(iu, it, cell, rep=rep) == reference, (lam, iu, it)
+
+
+def test_mu_probable_equals_memo_free_reference():
+    # every evaluated pair, in the order and on the table of build_cell_graph
+    shapes = [lam for n in range(1, 9) for lam in tb.partitions_of(n)] + [(4, 3, 2, 1, 1)]
+    evaluated = 0
+    for lam in shapes:
+        cell = builder.cell_index(tuple(tb.enumerate_std(lam)))
+        index = {w: v for v, w in enumerate(cell.words)}
+        for iu, it in builder.probable_pairs(cell):
+            if cell.parity[iu] != cell.parity[it]:
+                w = builder.mu_probable(iu, it, cell)
+                assert w == helpers.mu_probable(iu, it, cell, index), (lam, iu, it)
+                evaluated += 1
+                if w:
+                    cell.cols[it][iu] = w
+    assert evaluated > 18338
+
+
+def _made_cells(monkeypatch):
+    """The indexes builder.cell_index makes while the test runs, in order."""
+    cells = []
+    cell_index = builder.cell_index
+    monkeypatch.setattr(builder, "cell_index", lambda tabs: cells.append(cell_index(tabs)) or cells[-1])
+    return cells
+
+
+def test_memo_holds_one_column_after_a_build(monkeypatch):
+    cells = _made_cells(monkeypatch)
+    builder.build_cell_graph((4, 3, 2, 1))
+    (cell,) = cells
+    last = max(it for iu, it in builder.probable_pairs(cell) if cell.parity[iu] != cell.parity[it])
+    assert list(cell.groups) == [last]
+    assert cell.groups[last]
+
+
+def test_packed_words_above_255_build_the_same_graph(tmp_path, monkeypatch):
+    # 256 columns: the largest letter needs 9 bits.  SHA-256 of the document
+    # written before the words were packed: 256 vertices, 510 weights
+    cells = _made_cells(monkeypatch)
+    lam = (2,) + (1,) * 255
+    out = tmp_path / "wide.json"
+    assert cli.run(["build", "--shape", ",".join(map(str, lam)), "--out", str(out)]) == 0
+    digest = "53f14f106e50b0303074bb7ae3e86cb9f20e65320d488adc39911243cd5cedb9"
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    (cell,) = cells
+    assert cell.width == 9 and max(cell.words[0]) == 256
+    # the packed words are distinct and first differ in the field of the
+    # highest set bit of their XOR
+    assert len(cell.vertex) == len(cell.words) == 256
+    for pu, uw in zip(cell.packed, cell.words):
+        for pt, tw in zip(cell.packed[::15], cell.words[::15]):
+            first = next((e for e, (a, b) in enumerate(zip(uw, tw)) if a != b), len(uw))
+            assert len(uw) - -(-(pu ^ pt).bit_length() // 9) == first
 
 
 def test_final_graph_edges_are_simple_and_bipartite(built):

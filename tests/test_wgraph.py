@@ -270,6 +270,22 @@ def test_admissible_rejects_asymmetric_incomparable_pair():
     assert any(v[0] == "asymmetric" for v in report.violations)
 
 
+def test_admissible_reports_match_reference(built):
+    # every shape with n <= 7 and 20 seeded single corruptions of each, also
+    # with the vertices shuffled, so that mu is no longer column-major
+    rng = random.Random(1807)
+    kinds = set()
+    for n in range(1, 8):
+        for lam in tb.partitions_of(n):
+            g = built(lam)
+            for h in [g] + corruptions(g, rng, 20):
+                for x in (h, _shuffled(h, rng)):
+                    report = wg.check_admissible(x)
+                    assert report == helpers.check_admissible(x), lam
+                    kinds.update(w[0] for w in report.violations)
+    assert kinds == {"negative-weight", "asymmetric", "odd-cycle"}
+
+
 def test_compatibility_unbonded_pair_fails():
     g = wg.SColoredGraph(4, [{1}, {3}], {(1, 0): 1})
     assert not wg.check_compatibility(g).ok

@@ -7,8 +7,8 @@ and after the checks, and the report.  "before" is the tree given by
 --before, "after" is this checkout's src.  The "after" interpreter then
 runs verify_hecke_relations_composed of tests/helpers.py, which composes
 whole product matrices, once on the same graph (after its RSS is read).
-The program exits 1 unless, on every shape, all three reports pass and
-are equal.
+The program stops with exit status 1, and writes no record, at the first
+shape whose three reports do not all pass and agree.
 
 Run from the repository root, with the parent commit's tree unpacked
 somewhere, for example:
@@ -18,12 +18,7 @@ somewhere, for example:
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
-import platform
-import subprocess
-import sys
+import harness
 
 SHAPES = ((4, 3, 2, 1), (4, 3, 2, 1, 1), (4, 3, 2, 1, 1, 1))
 REPEAT = 3
@@ -46,8 +41,9 @@ for _ in range(repeat):
     report = hecke.verify_hecke_relations(g)
     times.append(time.perf_counter() - start)
 out = {
-    "vertices": g.num_vertices, "weights": len(g.mu), "best_s": min(times),
-    "peak_rss_mb": {"build": build_rss, "check": rss_mb()}, "report": listed(report),
+    "vertices": g.num_vertices, "weights": len(g.mu), "best_s": round(min(times), 3),
+    "peak_rss_mb": {"build": round(build_rss, 1), "check": round(rss_mb(), 1)},
+    "report": listed(report),
 }
 if composed:
     import helpers
@@ -56,29 +52,16 @@ print(json.dumps(out))
 """
 
 
-def _run(src: str, lam, composed: bool) -> dict:
-    tests = os.path.abspath("tests")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([os.path.abspath(src), tests]))
-    out = subprocess.run(
-        [sys.executable, "-c", CHILD, ",".join(map(str, lam)), str(REPEAT), str(int(composed))],
-        env=env, capture_output=True, text=True, check=True,
-    )
-    run = json.loads(out.stdout)
-    run["best_s"] = round(run["best_s"], 3)
-    run["peak_rss_mb"] = {k: round(v, 1) for k, v in run["peak_rss_mb"].items()}
-    return run
-
-
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--before", required=True, help="src directory of the parent commit")
-    ap.add_argument("--out", required=True, help="JSON file to write")
-    args = ap.parse_args(argv)
-    rows = []
-    failed = False
+def rows(trees):
     for lam in SHAPES:
-        runs = {"before": _run(args.before, lam, False), "after": _run("src", lam, True)}
+        shape = ",".join(map(str, lam))
+        runs = {
+            side: harness.child(src, CHILD, shape, REPEAT, int(side == "after"), tests=True)
+            for side, src in trees.items()
+        }
         reports = [runs["after"].pop("composed")] + [run.pop("report") for run in runs.values()]
+        if any(r != reports[0] for r in reports) or not reports[0][1]:
+            raise SystemExit(f"{lam}: reports differ or fail: {reports}")
         row = {
             "shape": list(lam),
             "vertices": runs["after"]["vertices"],
@@ -88,33 +71,18 @@ def main(argv=None) -> int:
                for side, run in runs.items()},
         }
         row["speedup"] = round(row["before"]["best_s"] / row["after"]["best_s"], 2)
-        rows.append(row)
-        print(json.dumps(row), flush=True)
-        if any(r != reports[0] for r in reports) or not reports[0][1]:
-            print(f"{lam}: reports differ or fail: {reports}", file=sys.stderr)
-            failed = True
-    commit = subprocess.run(
-        ["git", "rev-parse", "HEAD"], capture_output=True, text=True, check=False
-    ).stdout.strip()
-    record = {
-        "what": "best of `repeat` seconds of hecke.verify_hecke_relations on the same built "
-                "graph for the parent's src (before) and this checkout's src (after), and peak "
-                "RSS (ru_maxrss) after the build and after the checks, each side in a fresh "
-                "interpreter; both reports pass and equal tests/helpers.py "
-                "verify_hecke_relations_composed",
-        "command": "python3 bench/hecke.py --before <parent>/src --out BENCH_hecke.json",
-        "commit": commit,
-        "python": platform.python_version(),
-        "machine": platform.machine(),
-        "cpus": os.cpu_count(),
-        "repeat": REPEAT,
-        "rows": rows,
-    }
-    with open(args.out, "w") as fh:
-        json.dump(record, fh, indent=2)
-        fh.write("\n")
-    return 1 if failed else 0
+        yield row
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    harness.main(
+        __doc__,
+        "best of `repeat` seconds of hecke.verify_hecke_relations on the same built "
+        "graph for the parent's src (before) and this checkout's src (after), and peak "
+        "RSS (ru_maxrss) after the build and after the checks, each side in a fresh "
+        "interpreter; both reports pass and equal tests/helpers.py "
+        "verify_hecke_relations_composed",
+        "python3 bench/hecke.py --before <parent>/src --out BENCH_hecke.json",
+        rows,
+        repeat=REPEAT,
+    )

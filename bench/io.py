@@ -18,13 +18,9 @@ somewhere, for example:
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
-import platform
 import statistics
-import subprocess
-import sys
+
+import harness
 
 SHAPES = ((4, 3, 2, 1, 1), (4, 3, 2, 1, 1, 1))
 REPEAT = 5
@@ -59,53 +55,23 @@ read_s = time.perf_counter() - start
 rss.append(rss_mb())
 assert wg.to_json_str(h) == text, "the reloaded graph writes other bytes"
 print(json.dumps({
-    "write_s": write_s, "read_s": read_s, "bytes": len(text),
-    "weights": len(h.mu), "peak_rss_mb": dict(zip(("build", "write", "read"), rss)),
+    "write_s": round(write_s, 4), "read_s": round(read_s, 4),
+    "bytes": len(text), "weights": len(h.mu),
+    "peak_rss_mb": {stage: round(mb, 1) for stage, mb in zip(("build", "write", "read"), rss)},
     "digest": hashlib.sha256(text.encode()).hexdigest(),
 }))
 """
 
 
-def _run(src: str, lam) -> dict:
-    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-    out = subprocess.run(
-        [sys.executable, "-c", CHILD, ",".join(map(str, lam))],
-        env=env, capture_output=True, text=True, check=True,
-    )
-    run = json.loads(out.stdout)
-    for key in ("write_s", "read_s"):
-        run[key] = round(run[key], 4)
-    run["peak_rss_mb"] = {k: round(v, 1) for k, v in run["peak_rss_mb"].items()}
-    return run
-
-
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--before", required=True, help="src directory of the parent commit")
-    ap.add_argument("--out", required=True, help="JSON file to write")
-    args = ap.parse_args(argv)
-    trees = {"before": args.before, "after": "src"}
-    rows = []
+def rows(trees):
     for lam in SHAPES:
-        runs = {side: [] for side in trees}
-        for k in range(REPEAT):
-            # alternate which tree runs first
-            for side in sorted(trees, reverse=k % 2 == 1):
-                runs[side].append(_run(trees[side], lam))
-        fixed = {
-            key: {r[key] for side in runs.values() for r in side}
-            for key in ("digest", "bytes", "weights")
-        }
-        for key, values in fixed.items():
-            if len(values) != 1:
-                raise SystemExit(f"{lam}: the trees disagree on {key}: {values}")
-        row = {"shape": list(lam), **{key: values.pop() for key, values in fixed.items()}}
+        shape = ",".join(map(str, lam))
+        runs = harness.alternate(trees, REPEAT, lambda src: harness.child(src, CHILD, shape))
+        row = {"shape": list(lam), **harness.agreed(str(lam), runs, ("digest", "bytes", "weights"))}
         if row["digest"] != PINNED[lam]:
             raise SystemExit(f"{lam}: digest {row['digest']} differs from the pinned one")
         for side, results in runs.items():
-            row[side] = {
-                key: [r[key] for r in results] for key in ("write_s", "read_s")
-            }
+            row[side] = {key: [r[key] for r in results] for key in ("write_s", "read_s")}
             row[side].update(
                 {f"median_{key}": statistics.median(row[side][key]) for key in ("write_s", "read_s")}
             )
@@ -117,29 +83,17 @@ def main(argv=None) -> int:
             row[f"{key[:-2]}_speedup"] = round(
                 row["before"][f"median_{key}"] / row["after"][f"median_{key}"], 2
             )
-        rows.append(row)
-        print(json.dumps(row), flush=True)
-    commit = subprocess.run(
-        ["git", "rev-parse", "HEAD"], capture_output=True, text=True, check=False
-    ).stdout.strip()
-    record = {
-        "what": "seconds to stream wgraph.json_chunks to a file and to load it with "
-                "wgraph.from_json_str, and peak RSS (ru_maxrss) after the build, the write and "
-                "the read, in a fresh interpreter, for the parent's src (before) and this "
-                "checkout's src (after), run alternately; both write the same bytes",
-        "command": "python3 bench/io.py --before <parent>/src --out BENCH_io.json",
-        "commit": commit,
-        "python": platform.python_version(),
-        "machine": platform.machine(),
-        "cpus": os.cpu_count(),
-        "repeat": REPEAT,
-        "rows": rows,
-    }
-    with open(args.out, "w") as fh:
-        json.dump(record, fh, indent=2)
-        fh.write("\n")
-    return 0
+        yield row
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    harness.main(
+        __doc__,
+        "seconds to stream wgraph.json_chunks to a file and to load it with "
+        "wgraph.from_json_str, and peak RSS (ru_maxrss) after the build, the write and "
+        "the read, in a fresh interpreter, for the parent's src (before) and this "
+        "checkout's src (after), run alternately; both write the same bytes",
+        "python3 bench/io.py --before <parent>/src --out BENCH_io.json",
+        rows,
+        repeat=REPEAT,
+    )

@@ -5,10 +5,9 @@ checkout's src, alternately, REPEAT times each.  Every child is a fresh
 interpreter that builds the cell once with build_cell_graph (seconds, peak
 RSS and the SHA-256 of to_json_str), then runs the phases one at a time:
 enumerate_std, cell_index, probable_pairs and the mu_probable loop, which
-evaluates the pairs build_cell_graph evaluates (those of opposite parity
-when the cell index has parities, all of them otherwise).  Both trees must
-give the same digest, probable pairs and nonzero weights, and the digests
-of the two large shapes must equal PINNED.
+evaluates the pairs build_cell_graph evaluates, those of opposite parity.
+Both trees must give the same digest, probable pairs and nonzero weights,
+and the digests of the two large shapes must equal PINNED.
 
 Run from the repository root, with the parent commit's tree unpacked
 somewhere, for example:
@@ -18,13 +17,9 @@ somewhere, for example:
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
-import platform
 import statistics
-import subprocess
-import sys
+
+import harness
 
 SHAPES = ((4, 3, 2, 1, 1), (4, 3, 2, 1, 1, 1), (5, 3, 2, 1, 1, 1))
 REPEAT = 3
@@ -50,58 +45,34 @@ cell = builder.cell_index(tabs)
 marks.append(time.perf_counter())
 pairs = builder.probable_pairs(cell)
 marks.append(time.perf_counter())
-parity = getattr(cell, "parity", None)
+parity = cell.parity
 evaluated = nonzero = 0
 for iu, it in pairs:
-    if parity is None or parity[iu] != parity[it]:
+    if parity[iu] != parity[it]:
         evaluated += 1
         w = builder.mu_probable(iu, it, cell)
         if w:
             nonzero += 1
             cell.cols[it][iu] = w
 marks.append(time.perf_counter())
-phases = [b - a for a, b in zip(marks, marks[1:])]
+phases = [round(b - a, 3) for a, b in zip(marks, marks[1:])]
 print(json.dumps({
     "seconds": dict(zip(("enumerate_std", "cell_index", "probable_pairs", "mu_probable"), phases),
-                    build_cell_graph=build_s),
+                    build_cell_graph=round(build_s, 3)),
     "probable_pairs": len(pairs), "evaluated": evaluated, "nonzero": nonzero,
-    "peak_rss_mb": rss_kb / 1024, "digest": digest,
+    "peak_rss_mb": round(rss_kb / 1024, 1), "digest": digest,
 }))
 """
 
 
-def _run(src: str, lam) -> dict:
-    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-    out = subprocess.run(
-        [sys.executable, "-c", CHILD, ",".join(map(str, lam))],
-        env=env, capture_output=True, text=True, check=True,
-    )
-    run = json.loads(out.stdout)
-    run["seconds"] = {k: round(v, 3) for k, v in run["seconds"].items()}
-    run["peak_rss_mb"] = round(run["peak_rss_mb"], 1)
-    return run
-
-
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--before", required=True, help="src directory of the parent commit")
-    ap.add_argument("--out", required=True, help="JSON file to write")
-    args = ap.parse_args(argv)
-    trees = {"before": args.before, "after": "src"}
-    rows = []
+def rows(trees):
     for lam in SHAPES:
-        runs = {side: [] for side in trees}
-        for _ in range(REPEAT):
-            for side, src in trees.items():
-                runs[side].append(_run(src, lam))
-        fixed = {
-            key: {r[key] for side in runs.values() for r in side}
-            for key in ("digest", "probable_pairs", "nonzero")
+        shape = ",".join(map(str, lam))
+        runs = harness.alternate(trees, REPEAT, lambda src: harness.child(src, CHILD, shape))
+        row = {
+            "shape": list(lam),
+            **harness.agreed(str(lam), runs, ("digest", "probable_pairs", "nonzero")),
         }
-        for key, values in fixed.items():
-            if len(values) != 1:
-                raise SystemExit(f"{lam}: the trees disagree on {key}: {values}")
-        row = {"shape": list(lam), **{key: values.pop() for key, values in fixed.items()}}
         if row["digest"] != PINNED.get(lam, row["digest"]):
             raise SystemExit(f"{lam}: digest {row['digest']} differs from the pinned one")
         for side, results in runs.items():
@@ -116,29 +87,17 @@ def main(argv=None) -> int:
                 "peak_rss_mb": [r["peak_rss_mb"] for r in results],
             }
         row["build_speedup"] = round(row["before"]["median_build_s"] / row["after"]["median_build_s"], 2)
-        rows.append(row)
-        print(json.dumps(row), flush=True)
-    commit = subprocess.run(
-        ["git", "rev-parse", "HEAD"], capture_output=True, text=True, check=False
-    ).stdout.strip()
-    record = {
-        "what": "seconds of each phase and of the whole build_cell_graph, probable pairs, pairs "
-                "evaluated, nonzero weights and peak RSS (ru_maxrss after the build, in a fresh "
-                "interpreter), for the parent's src (before) and this checkout's src (after), "
-                "run alternately",
-        "command": "python3 bench/per_pair.py --before <parent>/src --out BENCH_pairs.json",
-        "commit": commit,
-        "python": platform.python_version(),
-        "machine": platform.machine(),
-        "cpus": os.cpu_count(),
-        "repeat": REPEAT,
-        "rows": rows,
-    }
-    with open(args.out, "w") as fh:
-        json.dump(record, fh, indent=2)
-        fh.write("\n")
-    return 0
+        yield row
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    harness.main(
+        __doc__,
+        "seconds of each phase and of the whole build_cell_graph, probable pairs, pairs "
+        "evaluated, nonzero weights and peak RSS (ru_maxrss after the build, in a fresh "
+        "interpreter), for the parent's src (before) and this checkout's src (after), "
+        "run alternately",
+        "python3 bench/per_pair.py --before <parent>/src --out BENCH_pairs.json",
+        rows,
+        repeat=REPEAT,
+    )

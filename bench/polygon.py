@@ -15,14 +15,9 @@ Run from the repository root:
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
-import platform
-import subprocess
-import sys
 import time
 
+import harness
 import helpers
 from wcell import builder, hecke
 from wcell import wgraph as wg
@@ -47,11 +42,7 @@ def _polygon(check):
     return lambda g: [check(g, 2), check(g, 3)]
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--out", required=True, help="JSON file to write")
-    args = ap.parse_args(argv)
-    rows = []
+def rows(_trees):
     for lam in SHAPES:
         g = builder.build_cell_graph(lam)
         row = {
@@ -69,29 +60,18 @@ def main(argv=None) -> int:
         row["polygon_over_hecke"] = round(
             row["polygon_r2_r3_s"]["after"] / row["verify_hecke_relations_s"], 2
         )
-        rows.append(row)
-        print(json.dumps(row), flush=True)
-    commit = subprocess.run(
-        ["git", "rev-parse", "HEAD"], capture_output=True, text=True, check=False
-    ).stdout.strip()
-    record = {
-        "what": "seconds of check_polygon r2 + r3 before (tests/helpers.py reference, "
-                "the former package code) and after (wcell.wgraph), and of "
-                "verify_hecke_relations, on the same built graph; best of `repeat` runs "
-                "(the reference runs once)",
-        "command": "PYTHONPATH=src:tests python3 bench/polygon.py --out BENCH_polygon.json",
-        "commit": commit,
-        "python": platform.python_version(),
-        "machine": platform.machine(),
-        "cpus": os.cpu_count(),
-        "repeat": REPEAT,
-        "rows": rows,
-    }
-    with open(args.out, "w") as fh:
-        json.dump(record, fh, indent=2)
-        fh.write("\n")
-    return 0
+        yield row
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    harness.main(
+        __doc__,
+        "seconds of check_polygon r2 + r3 before (tests/helpers.py reference, "
+        "the former package code) and after (wcell.wgraph), and of "
+        "verify_hecke_relations, on the same built graph; best of `repeat` runs "
+        "(the reference runs once)",
+        "PYTHONPATH=src:tests python3 bench/polygon.py --out BENCH_polygon.json",
+        rows,
+        before=False,
+        repeat=REPEAT,
+    )

@@ -24,13 +24,11 @@ somewhere, for example:
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
-import platform
 import statistics
-import subprocess
-import sys
+
+import harness
 
 IMPORT_RUNS = 9
 # build + verify pairs per child, for each shape
@@ -73,27 +71,17 @@ print(json.dumps({"build_s": build, "verify_s": verify,
 """
 
 
-def _child(src: str, *argv: str) -> str:
-    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-    proc = subprocess.run([sys.executable, "-c", *argv], env=env, capture_output=True, text=True)
-    if proc.returncode != 0:
-        raise SystemExit(f"a child on {src} failed: {proc.stderr.strip()[-500:]}")
-    return proc.stdout
-
-
 def _quartiles(values) -> dict:
     q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": round(q2, 5), "q1": round(q1, 5), "q3": round(q3, 5)}
 
 
 def _import_row(trees: dict) -> dict:
-    runs = {side: [] for side in trees}
-    for side, src in trees.items():
-        _child(src, IMPORT_CHILD)
-    for k in range(IMPORT_RUNS):
-        # alternate which tree runs first
-        for side in sorted(trees, reverse=k % 2 == 1):
-            runs[side].append(round(float(_child(trees[side], IMPORT_CHILD)), 5))
+    for src in trees.values():
+        harness.child(src, IMPORT_CHILD)
+    runs = harness.alternate(
+        trees, IMPORT_RUNS, lambda src: round(harness.child(src, IMPORT_CHILD), 5)
+    )
     row = {side: {"runs": values, **_quartiles(values)} for side, values in runs.items()}
     row["speedup"] = round(row["before"]["median"] / row["after"]["median"], 2)
     return row
@@ -101,17 +89,11 @@ def _import_row(trees: dict) -> dict:
 
 def _run_row(trees: dict, lam) -> dict:
     shape = ",".join(map(str, lam))
-    runs = {side: [] for side in trees}
-    for k in range(ROUNDS):
-        for side in sorted(trees, reverse=k % 2 == 1):
-            runs[side].append(json.loads(_child(trees[side], RUN_CHILD, shape, str(CALLS[lam]))))
-    fixed = {
-        key: {r[key] for side in runs.values() for r in side} for key in ("digest", "report")
-    }
-    for key, values in fixed.items():
-        if len(values) != 1:
-            raise SystemExit(f"{lam}: the trees disagree on the {key}: {values}")
-    row = {"shape": list(lam), "calls": CALLS[lam], **{k: v.pop() for k, v in fixed.items()}}
+    runs = harness.alternate(
+        trees, ROUNDS, lambda src: harness.child(src, RUN_CHILD, shape, CALLS[lam])
+    )
+    row = {"shape": list(lam), "calls": CALLS[lam]}
+    row.update(harness.agreed(str(lam), runs, ("digest", "report")))
     for side, results in runs.items():
         row[side] = {}
         for key in ("build_s", "verify_s"):
@@ -124,42 +106,24 @@ def _run_row(trees: dict, lam) -> dict:
     return row
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--before", required=True, help="src directory of the parent commit")
-    ap.add_argument("--out", required=True, help="JSON file to write")
-    args = ap.parse_args(argv)
-    trees = {"before": args.before, "after": "src"}
+if __name__ == "__main__":
+    trees, out = harness.arguments(__doc__)
     imports = _import_row(trees)
     print(json.dumps({"import_s": imports}), flush=True)
     rows = []
     for lam in CALLS:
         rows.append(_run_row(trees, lam))
         print(json.dumps(rows[-1]), flush=True)
-    commit = subprocess.run(
-        ["git", "rev-parse", "HEAD"], capture_output=True, text=True, check=False
-    ).stdout.strip()
-    record = {
-        "what": "seconds of `import wcell.cli` in a fresh interpreter (import_s), and seconds "
-                "of one in-process cli.run of `build` and of `verify --hecke` after the first "
-                "such pair (runs), for the parent's src (before) and this checkout's src "
-                "(after), run alternately; both write the same bytes and print the same reports",
-        "command": "python3 bench/startup.py --before <parent>/src --out BENCH_startup.json",
-        "commit": commit,
-        "python": platform.python_version(),
-        "machine": platform.machine(),
-        "cpus": os.cpu_count(),
-        "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
-        "import_runs": IMPORT_RUNS,
-        "rounds": ROUNDS,
-        "import_s": imports,
-        "runs": rows,
-    }
-    with open(args.out, "w") as fh:
-        json.dump(record, fh, indent=2)
-        fh.write("\n")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    harness.write(
+        out,
+        "seconds of `import wcell.cli` in a fresh interpreter (import_s), and seconds "
+        "of one in-process cli.run of `build` and of `verify --hecke` after the first "
+        "such pair (runs), for the parent's src (before) and this checkout's src "
+        "(after), run alternately; both write the same bytes and print the same reports",
+        "python3 bench/startup.py --before <parent>/src --out BENCH_startup.json",
+        PYTHONDONTWRITEBYTECODE=os.environ.get("PYTHONDONTWRITEBYTECODE"),
+        import_runs=IMPORT_RUNS,
+        rounds=ROUNDS,
+        import_s=imports,
+        runs=rows,
+    )

@@ -132,7 +132,7 @@ def cell_index(tabs) -> CellIndex:
     return CellIndex(words, packed, vertex, width, masks, cols, parity, strong, {}, {})
 
 
-def mu_probable(iu: int, it: int, cell: CellIndex, rep=None) -> int:
+def mu_probable(iu: int, it: int, cell: CellIndex) -> int:
     """Weight mu(iu, it) of a probable pair of vertices, via the polygon-rule identity.
 
     The pair is replaced by its favourable representative (iu0, it0), whose
@@ -157,25 +157,19 @@ def mu_probable(iu: int, it: int, cell: CellIndex, rep=None) -> int:
     groups of one target: a call for another target empties it first, so
     it stays one column's size whatever the order of the calls.  Only the
     sum over the terms is made per call.
-
-    A member of knuth.favourable_set may be passed as a vertex pair rep;
-    the result does not depend on the choice.
     """
     width = cell.width
     pu, pt = cell.packed[iu], cell.packed[it]
     tail = -(-(pu ^ pt).bit_length() // width) * width
     i = len(cell.words[it]) - tail // width
-    if rep is None:
-        head = tail - width  # the bits of the letters after i
-        key = (pu >> head) << width | (pt >> head) & ((1 << width) - 1)
-        high = cell.prefixes.get(key)
-        if high is None:
-            prefix = knuth.favourable_prefix(cell.words[iu], cell.words[it])[1]
-            high = cell.prefixes[key] = _pack(prefix, width) << tail
-        low = (1 << tail) - 1
-        iu0, it0 = cell.vertex[high | pu & low], cell.vertex[high | pt & low]
-    else:
-        iu0, it0 = rep
+    head = tail - width  # the bits of the letters after i
+    key = (pu >> head) << width | (pt >> head) & ((1 << width) - 1)
+    high = cell.prefixes.get(key)
+    if high is None:
+        prefix = knuth.favourable_prefix(cell.words[iu], cell.words[it])[1]
+        high = cell.prefixes[key] = _pack(prefix, width) << tail
+    low = (1 << tail) - 1
+    iu0, it0 = cell.vertex[high | pu & low], cell.vertex[high | pt & low]
     groups = cell.groups.get(it)
     if groups is None:
         cell.groups.clear()

@@ -26,7 +26,8 @@ The tableau text is StandardTableau.text(): the rows of a normal-shape
 tableau joined by "/", each row its positive entries in ASCII digits without
 leading zeros, joined by single spaces; ``""`` is the empty tableau.  It
 holds only digits, spaces and "/", so it needs no JSON escaping, and the
-loader accepts no other label text.
+loader accepts no other label text.  The loader also rejects a document with
+two weight entries for one (from, to) pair, whichever weights they give.
 """
 
 from __future__ import annotations
@@ -710,7 +711,8 @@ def from_json_obj(obj: dict) -> SColoredGraph:
     if len(targets) > 1:
         raise ValueError("label tableaux must all hold the same entries")
     mu = {}
-    for e in _field(obj, "mu", list):
+    entries = _field(obj, "mu", list)
+    for e in entries:
         if type(e) is not dict:
             raise ValueError(f"weight entry must be dict, got {e!r}")
         try:
@@ -720,6 +722,8 @@ def from_json_obj(obj: dict) -> SColoredGraph:
         if type(u) is not int or type(v) is not int or type(w) is not int:
             raise ValueError(f"weight entry {e!r} must hold ints")
         mu[u, v] = w
+    if len(mu) != len(entries):
+        raise ValueError("two weight entries for one (from, to) pair")
     return SColoredGraph(n, tau, mu, tuple(labels) if targets else None)
 
 

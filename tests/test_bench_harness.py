@@ -1,0 +1,46 @@
+import importlib.util
+import os
+from pathlib import Path
+
+import pytest
+
+_SPEC = importlib.util.spec_from_file_location(
+    "harness", Path(__file__).resolve().parents[1] / "bench" / "harness.py"
+)
+harness = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(harness)
+
+
+def test_alternate_reverses_the_sides_on_odd_rounds():
+    order = []
+
+    def run(src):
+        order.append(src)
+        return len(order)
+
+    runs = harness.alternate({"before": "old", "after": "new"}, 4, run)
+    assert order == ["old", "new", "new", "old", "old", "new", "new", "old"]
+    assert runs == {"before": [1, 4, 5, 8], "after": [2, 3, 6, 7]}
+
+
+def test_agreed_returns_the_shared_values_and_names_a_disagreeing_key():
+    runs = {"before": [{"digest": "a", "s": 1}], "after": [{"digest": "a", "s": 2}]}
+    assert harness.agreed("n=6", runs, ("digest",)) == {"digest": "a"}
+    runs["after"].append({"digest": "b", "s": 3})
+    with pytest.raises(SystemExit) as exc:
+        harness.agreed("n=6", runs, ("s", "digest"))
+    # a string code makes the interpreter print it and exit 1
+    assert exc.value.code == "n=6: the runs disagree on s: 1 and 2"
+
+
+def test_child_returns_its_json_and_stops_with_the_stderr_tail_on_failure():
+    code = "import json, os, sys; print(json.dumps([sys.argv[1:], os.environ['WCELL_X']]))"
+    assert harness.child("src", code, 7, "a", WCELL_X=8) == [["7", "a"], "8"]
+    path = harness.child("src", "import json, os; print(json.dumps(os.environ['PYTHONPATH']))",
+                         tests=True)
+    assert path == os.pathsep.join([os.path.abspath("src"), os.path.abspath("tests")])
+    failing = "import sys; sys.stderr.write('x' * 2000 + 'the last words'); sys.exit(3)"
+    with pytest.raises(SystemExit) as exc:
+        harness.child("src", failing)
+    assert exc.value.code.startswith("a child on src exited 3: x")
+    assert exc.value.code.endswith("the last words") and len(exc.value.code) < 600

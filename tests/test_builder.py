@@ -143,10 +143,11 @@ def test_mu_probable_matches_oracle_values(built):
 
 
 def test_mu_probable_independent_of_representative(built):
-    # every member of favourable_set as rep, against the canonical weight
-    # and the memo-free reference: first grouped by target, in a shuffled
-    # order within each column (the memo is reused), then with the calls
-    # shuffled across columns (the memo is emptied at each new target)
+    # the memo-free reference gives the same weight with every member of
+    # favourable_set as rep (the lemma), and the builder, on its canonical
+    # representative, gives that weight too: first grouped by target, in a
+    # shuffled order within each column (the memo is reused), then with the
+    # calls shuffled across columns (the memo is emptied at each new target)
     rng = random.Random(1807)
     for n in (5, 6, 7, 8):
         for lam in tb.partitions_of(n):
@@ -166,7 +167,7 @@ def test_mu_probable_independent_of_representative(built):
                 for iu, it, rep in order:
                     reference = helpers.mu_probable(iu, it, cell, index)
                     assert helpers.mu_probable(iu, it, cell, index, rep=rep) == reference
-                    assert builder.mu_probable(iu, it, cell, rep=rep) == reference, (lam, iu, it)
+                    assert builder.mu_probable(iu, it, cell) == reference, (lam, iu, it)
 
 
 def test_mu_probable_equals_memo_free_reference():

@@ -120,6 +120,14 @@ _GOOD = {
         {**_GOOD, "mu": [{"from": 0, "to": 1, "w": True}]},
         {**_GOOD, "mu": [{"from": 0.0, "to": 1, "w": 1}]},
         {**_GOOD, "mu": [[0, 0, 1]]},
+        {
+            **_GOOD,
+            "mu": [
+                {"from": 0, "to": 1, "w": 1},
+                {"from": 1, "to": 0, "w": 1},
+                {"from": 0, "to": 1, "w": 5},
+            ],
+        },
         {"vertices": [], "mu": []},
         {"n": 0, "vertices": [], "mu": []},
         {"n": -5, "vertices": [{"id": 0, "tau": [], "label": None}], "mu": []},

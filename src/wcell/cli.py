@@ -98,8 +98,8 @@ def _cmd_oracle(args) -> int:
     if n < 1:
         raise _UsageError(f"--n must be at least 1, got {n}")
     hecke.check_oracle_bound(n)
-    shapes = [_parse_shape(args.shape)] if args.shape else tb.partitions_of(n)
-    if args.shape and sum(shapes[0]) != n:
+    shapes = tb.partitions_of(n) if args.shape is None else [_parse_shape(args.shape)]
+    if args.shape is not None and sum(shapes[0]) != n:
         raise _UsageError(f"shape {args.shape} is not a partition of {n}")
     # one store for every shape: their cells reach the same short elements,
     # and each KL column is made once; it goes when the command returns

@@ -2,29 +2,10 @@
 
 The Hecke algebra is taken over Z[q, q^-1] with the quadratic relation
 H_s^2 = 1 + (q - q^-1) H_s.  verify_hecke_relations checks that a graph
-defines a module of it on integer matrices evaluated at one integer q,
-chosen large enough for the test to be exact.  It works with the
-generator matrices shifted by -q^2 I, A'_s = d D_s + q W_s with
-d = -(q^2 + 1), D_s the diagonal of the vertices s colours and W_s the
-weights, filled from one pass over the weights.  Each relation is read one
-column v at a time, and each kind of column has a normal form whose zero
-test needs no product:
-
-- commuting, only s colours v: the column is q sum mu(u, v)(q W_s u - d u)
-  over the u of W_t v that s does not colour (the u it colours give
-  d q mu(u, v) u on both sides), so it is zero iff s colours them all.
-- commuting, neither colours v: the d q terms cancel, leaving
-  q^2 (W_s W_t v - W_t W_s v), whose two-paths v -> u -> x pass only
-  through middles u the outer generator does not colour.
-- braid (s, t), only s colours v: with beta = W_t v and gamma the part
-  of W_s beta on rows t does not colour, the column is
-  q^2 [d (gamma - v) - q (W_t gamma - beta)]; its even and odd parts
-  vanish separately, so it is zero iff gamma = v.
-- both colour v: A'_s v = A'_t v = d v, so the column is 0.
-- braid, neither colours v: the full products of that one column.
-
-Only a column found nonzero is evaluated in full, for its witness; no
-product matrix is held.
+defines a module of it, exactly and without giving q a value: each column
+of each relation is a few integer vectors of path sums over the weights,
+one per power of q, which its docstring derives.  No product matrix is
+held.
 
 The Kazhdan-Lusztig polynomials P_{y,w} come from the usual recursion
 C_{sw} = C_s C_w - sum mu(y, w) C_y, one column P_{.,w} at a time, kept as
@@ -89,71 +70,64 @@ def check_oracle_bound(n: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Hecke relations on shifted module matrices
+# Hecke relations as integer path sums
 
 
 def verify_hecke_relations(g: wg.SColoredGraph) -> wg.CheckReport:
-    """Commuting and braid identities, checked exactly at one integer q.
+    """Commuting and braid identities, checked exactly in Z[q].
 
     With A_s = q T_s the relations read A_s A_t = A_t A_s and
-    A_s A_t A_s = A_t A_s A_t.  They are evaluated on the shifted matrices
-    A'_s = A_s - q^2 I.  The column of v in A'_s is -(q^2 + 1) v when s
-    colours v, and otherwise q mu(u, v) u for every u coloured by s (never
-    v itself: SColoredGraph rejects self-weights).  So a weight mu(u, v)
-    enters A'_s exactly for the s in tau(u) but not in tau(v), and one pass
-    over the weights fills every column.  With A, B for A_s, A_t and A', B' for
-    their shifts, two identities hold in Z[q]:
+    A_s A_t A_s = A_t A_s A_t.  The column of v in A_s is -v when s colours
+    v, and otherwise q^2 v plus q mu(u, v) u for every u coloured by s
+    (never v itself: SColoredGraph rejects self-weights).  Shift by -q^2 I:
+    for a pair s, t write A' = A_s - q^2 I = d D + q W and
+    B' = A_t - q^2 I = d E + q V, with d = -(q^2 + 1), D and E the 0/1
+    diagonals of the vertices s and t colour, and W and V the integer
+    weights.  W v = 0 when s colours v, and W v lies on vertices s colours,
+    so W D = 0 and D W = W; likewise V for t.  Two identities hold in Z[q]:
 
-        AB - BA = A'B' - B'A',
-        ABA - BAB = A'B'A' - B'A'B' + q^2 (B' - A').
+        A_s A_t - A_t A_s = A'B' - B'A',
+        A_s A_t A_s - A_t A_s A_t = A'B'A' - B'A'B' + q^2 (B' - A').
 
-    The first is immediate.  The second expands A = A' + q^2 I and uses the
-    quadratic relation, which reads A'^2 = -(q^2 + 1) A'.  So the shift
-    leaves every entry of LHS - RHS the same polynomial in Z[q], and the
-    bound on q stays exact.  Measure a column by the sum of the absolute
-    coefficients of its entries; this norm is submultiplicative.  Every
-    entry of A_s is a monomial, so the column norm of A_s at v is 1 when s
-    colours v and 1 + sum |mu(u, v)| over u coloured by s otherwise.  Every
-    column norm of every A_s is therefore at most
-    L = 1 + max over v of sum |mu(u, v)| over all u, which one pass over
-    the weights gives before any matrix is filled, so that the weights are
-    stored already multiplied by q.  Each entry of LHS - RHS has absolute
-    coefficient sum at most B = 2 L^3.  A nonzero integer polynomial of
-    degree d with coefficient sum at most B cannot vanish at an integer
-    q > B: its lower terms sum to at most (B - 1) q^(d-1) < q^d in absolute
-    value.  So evaluating at q = B + 1 is an exact test.
+    The first is immediate.  The second expands A_s = A' + q^2 I and uses
+    the quadratic relation, which reads A'^2 = d A'.  Each pair is read one
+    column v at a time, in increasing v, and stops at its first nonzero
+    column.  Write beta = V v, R for the part of beta on the vertices s
+    does not colour, gamma for the part of W beta on the vertices t does
+    not colour, m1 = V W v and m2 = W V v.  Each column is a sum of integer
+    vectors, each times a polynomial in q:
 
-    Each pair is read one column v at a time, in increasing v, and stops
-    at its first nonzero column.  Write A' = d D + q W and B' = d E + q V
-    with d = -(q^2 + 1): D and E are the 0/1 diagonals of the vertices
-    that s and t colour, W and V hold the integer weights (W u = 0 when s
-    colours u, and W u lies on vertices s colours; likewise V for t).
-    Each column reduces to a normal form whose zero test needs no product:
+    - s and t colour v: A'v = B'v = d v, so both columns are 0.
+    - commuting, only s colours v: A'B'v - B'A'v = q A'beta - d q beta
+      = q^2 W R + (q^3 + q) R, since W beta = W R and
+      d (D beta - beta) = -d R.  R and W R lie on disjoint rows, so the
+      column is zero iff R is, that is iff s colours every vertex of V v.
+    - commuting, neither colours v: A'B'v - B'A'v
+      = d q (D V v - E W v) + q^2 (m2 - m1).  D V v and E W v are both the
+      sum of mu(u, v) u over the u coloured by s and t, so the column is
+      q^2 (m2 - m1).
+    - braid, only s colours v: A'B'A'v = d q A'beta
+      = d q (d D beta + q W beta), and B'A'B'v = q B'(d D beta + q W beta)
+      = q (d^2 D beta + d q E W beta + q^2 V W beta), since beta and so
+      D beta lie on vertices t colours.  With V W beta = V gamma and
+      beta = V v the column is -(q^4 + q^2)(gamma - v) - q^3 V (gamma - v),
+      zero iff gamma = v.
+    - braid, neither colours v: A'v = q W v lies on vertices s colours, so
+      E W v = D E W v and W E W v = 0, and
+      A'B'A'v = q A'(d E W v + q m1) = d^2 q E W v + d q^2 D m1 + q^3 W m1.
+      Likewise B'A'B'v = d^2 q D V v + d q^2 E m2 + q^3 V m2, and
+      E W v = D V v as above, so the column is -(q^4 + q^2) P + q^3 Q with
+      P = D m1 - E m2 and Q = W m1 - V m2 + V v - W v.  Neither generator
+      colours v, so with n1 = m1 - v and n2 = m2 - v these are
+      P = D n1 - E n2 and Q = W n1 - V n2.
 
-    - commuting, s and t colour v: d^2 v - d^2 v = 0, skipped.
-    - commuting, only s colours v: the column is q sum mu(u, v)(q W u - d u)
-      over u in V v with s not in tau(u), since the u that s colours give
-      d q mu(u, v) u on both sides.  W u lies on vertices s colours and
-      u does not, so the terms cannot cancel: the column is zero iff s
-      colours every u in V v.  Likewise with s, t swapped.
-    - commuting, neither colours v: the d q mu(u, v) u terms of the u
-      coloured by both cancel, leaving q^2 (W (1 - D) V v - V (1 - E) W v),
-      an integer two-path sum over middle vertices u not coloured by the
-      other generator.
-    - braid, only s colours v: with beta = V v and
-      gamma = (1 - E) W beta (two-paths v -> u -> x with t, not s, in tau(u)
-      and s, not t, in tau(x)), the column is q^2 [d (gamma - v)
-      - q (V gamma - beta)], since V D beta = 0 and V W beta = V gamma.  Its
-      even and odd parts in q vanish separately, and gamma = v gives
-      V gamma = beta: the column is zero iff gamma = v.  Likewise with s, t
-      swapped, which negates the column.
-    - braid, s and t colour v: d^3 - d^3 + q^2 (d - d) = 0, skipped.
-    - braid, neither colours v: the full two products of the column.
-
-    Only a column found nonzero is evaluated in full, once, for the
-    witness (u, v): u is its smallest nonzero row.  No product matrix is
-    held, and a diagonal column is made only when such an evaluation
-    reads it.
+    Swapping s and t negates each column, so the cases where only t
+    colours v read the same with the roles swapped.  Within a column the
+    polynomials that multiply the vectors differ in parity, so a row is
+    zero as a polynomial iff every vector is zero there.  The witness of a
+    failing pair is (u, v), with v its first nonzero column and u the
+    smallest row where one of its vectors is nonzero.  No product matrix
+    is held and q is never given a value.
 
     The quadratic relation A_s^2 = q^2 I + (q^2 - 1) A_s holds on every
     S-coloured graph (see the comment below), so it is not checked.  A_s
@@ -162,21 +136,22 @@ def verify_hecke_relations(g: wg.SColoredGraph) -> wg.CheckReport:
     colours nothing has A'_s = 0.  The braid relations are checked for
     every bonded pair with at least one generator colouring some vertex:
     when t colours nothing the braid difference is -q^2 A'_s, which is
-    nonzero.  So only generators within distance 1 of a colour get a
-    matrix, and the cost does not grow with n beyond the colours in use.
+    nonzero.  So only generators within distance 1 of a colour get
+    weights, and the cost does not grow with n beyond the colours in use.
     """
     # Quadratic relation: if s is in tau(v) then A_s v = -v.  Otherwise
     # A_s v = q^2 v + q sum mu(u, v) u over u coloured by s, each with
     # A_s u = -u (u != v: SColoredGraph rejects self-weights), so
     # A_s^2 v = q^4 v + (q^3 - q) sum mu(u, v) u = (q^2 I + (q^2 - 1) A_s) v.
-    q2, mats = _shifted_matrices(g)
+    gens = _generator_weights(g)
     bad = []
-    coloured = [s for s in mats if mats[s].support]  # mats is in increasing s
+    coloured = [s for s in gens if gens[s][1]]  # gens is in increasing s
     braids = sorted({(t, t + 1) for s in coloured for t in (s - 1, s) if 1 <= t <= g.n - 2})
-    # A weight mu(u, x) enters A'_s only when s is in tau(u) \ tau(x); outside
+    # A weight mu(u, x) enters W_s only when s is in tau(u) \ tau(x); outside
     # the generators with weights every A'_s is diagonal, and diagonal
     # matrices commute, so a commuting pair can fail only if s or t has
-    # weights and A'_s != A'_t.  Both generators then colour some vertex.
+    # weights and their supports differ.  Both generators then colour some
+    # vertex.
     from heapq import merge  # here, so that importing the CLI stays light
 
     def commuting():
@@ -184,24 +159,20 @@ def verify_hecke_relations(g: wg.SColoredGraph) -> wg.CheckReport:
         as far as the check reads them."""
         for k, s in enumerate(coloured):
             for t in coloured[bisect_left(coloured, s + 2, k):]:
-                if (mats[s] or mats[t]) and mats[s].support != mats[t].support:
+                if (gens[s][0] or gens[t][0]) and gens[s][1] != gens[t][1]:
                     yield s, t
 
     for s, t in merge(braids, commuting()):
-        a, b = mats[s], mats[t]
-        # the columns where A' or B' holds weights; every other column is
-        # 0 or d v in each, which commute, and a braid pair adds those where
+        a, b = gens[s], gens[t]
+        # the columns where W or V holds weights; every other column is 0
+        # or d v in each, which commute, and a braid pair adds those where
         # only one generator colours v, since d v and 0 fail the braid
-        columns = a.keys() | b.keys()
+        columns = a[0].keys() | b[0].keys()
         if t - s >= 2:
-            kind = "commuting"
-            v = _first_commuting_column(a, b, sorted(columns))
-            witness = v is not None and _commuting_witness(a, b, (v,))
+            kind, witness = "commuting", _first_commuting_failure(a, b, sorted(columns))
         else:
             kind = "braid"
-            columns |= a.support ^ b.support
-            v = _first_braid_column(a, b, sorted(columns), q2)
-            witness = v is not None and _braid_witness(a, b, (v,), q2)
+            witness = _first_braid_failure(a, b, sorted(columns | (a[1] ^ b[1])))
         if witness:
             bad.append((kind, s, t, *witness))
             if len(bad) == 10:
@@ -212,151 +183,117 @@ def verify_hecke_relations(g: wg.SColoredGraph) -> wg.CheckReport:
 _ZERO: dict = {}  # the column of every vertex without weights; never written
 
 
-class _Shifted(dict):
-    """The columns of one A'_s = A_s - q^2 I, by vertex.
-
-    The stored columns are {u: q mu(u, v)}, at the v that s does not
-    colour.  Reading any other column v gives {v: diagonal}, made afresh,
-    when v is in support (the vertices s colours), and 0 otherwise.
-    """
-
-    __slots__ = ("support", "diagonal")
-
-    def __missing__(self, v):
-        return {v: self.diagonal} if v in self.support else _ZERO
-
-
-def _shifted_matrices(g: wg.SColoredGraph):
-    """q^2 and {s: A'_s as a _Shifted} for every generator within distance 1
-    of a colour, at the q of verify_hecke_relations."""
+def _generator_weights(g: wg.SColoredGraph) -> dict:
+    """{s: (weights, support)} for every generator s within distance 1 of a
+    colour, in increasing s: support is the set of vertices s colours, and
+    weights[v] = {u: mu(u, v)} over the u that s colours, stored only at
+    the v that s does not colour and that have such a u."""
     tau = g.tau
-    norms = [1] * len(tau)  # 1 + sum |mu(u, v)| over all u, by v
-    for (u, v), w in g.mu.items():
-        norms[v] += abs(w)
-    q = 2 * max(norms, default=1) ** 3 + 1
-    q2 = q * q
     gens = sorted({t for s in set().union(*tau) for t in (s - 1, s, s + 1) if 1 <= t <= g.n - 1})
-    mats = {s: _Shifted() for s in gens}
-    for cols in mats.values():
-        cols.support = set()
-        cols.diagonal = -q2 - 1
+    table = {s: ({}, set()) for s in gens}
     for v, colours in enumerate(tau):
         for s in colours:
-            mats[s].support.add(v)
-    # mats[s][v][u] = q mu(u, v) for s in tau(u) \ tau(v)
+            table[s][1].add(v)
     for (u, v), w in g.mu.items():
         for s in tau[u] - tau[v]:
-            cols = mats[s]
+            cols = table[s][0]
             col = cols.get(v)
             if col is None:
-                cols[v] = {u: q * w}
+                cols[v] = {u: w}
             else:
-                col[u] = q * w
-    return q2, mats
+                col[u] = w
+    return table
 
 
-def _first_commuting_column(a, b, columns):
-    """The first of the given columns v where A'B' - B'A' is nonzero, by
-    the normal forms of verify_hecke_relations; None if there is none.
+def _paths(w: dict, col: dict, acc: dict, sign: int = 1) -> dict:
+    """acc + sign W col, in place, for W a weights table of
+    _generator_weights: each entry c at u of col adds c mu(x, u) at every x
+    of the column W stores at u."""
+    get, wget = acc.get, w.get
+    for u, c in col.items():
+        c *= sign
+        for x, e in wget(u, _ZERO).items():
+            acc[x] = get(x, 0) + e * c
+    return acc
 
-    a and b are _Shifted.  Their stored columns sit only at the vertices
-    their generator does not colour, so the two-path sums read through
-    them skip the middle vertices that generator colours.
-    """
-    sa, sb, aget, bget = a.support, b.support, a.get, b.get
+
+def _first_row(*vectors) -> int:
+    """The smallest row where one of the vectors is nonzero; one must be."""
+    return min(u for vec in vectors for u, c in vec.items() if c)
+
+
+def _first_commuting_failure(a, b, columns):
+    """(u, v) for the first of the given columns v where A_s A_t - A_t A_s
+    is nonzero and its smallest nonzero row u, by the normal forms of
+    verify_hecke_relations; None if there is none.  a and b are the
+    (weights, support) of s and t."""
+    (wa, sa), (wb, sb) = a, b
     for v in columns:
         if v in sa:
-            if v not in sb and not sa.issuperset(bget(v, _ZERO)):
-                return v
+            if v in sb or sa.issuperset(wb.get(v, _ZERO)):
+                continue
+            w, r = wa, {u: c for u, c in wb[v].items() if u not in sa}
         elif v in sb:
-            if not sb.issuperset(aget(v, _ZERO)):
-                return v
+            if sb.issuperset(wa.get(v, _ZERO)):
+                continue
+            w, r = wb, {u: c for u, c in wa[v].items() if u not in sb}
         else:
-            # q^2 (W V v - V W v); the middles coloured by both, whose
-            # d q terms cancel, have no stored column in either
-            acc: dict[int, int] = {}
-            get = acc.get
-            for u, c in bget(v, _ZERO).items():
-                for x, e in aget(u, _ZERO).items():
-                    acc[x] = get(x, 0) + e * c
-            for u, c in aget(v, _ZERO).items():
-                for x, e in bget(u, _ZERO).items():
-                    acc[x] = get(x, 0) - e * c
-            if any(acc.values()):
-                return v
+            # q^2 (m2 - m1), the most common column: _paths inline.  The
+            # middles coloured by both have no stored column
+            m = {}
+            get = m.get
+            for u, c in wb.get(v, _ZERO).items():
+                for x, e in wa.get(u, _ZERO).items():
+                    m[x] = get(x, 0) + e * c
+            for u, c in wa.get(v, _ZERO).items():
+                for x, e in wb.get(u, _ZERO).items():
+                    m[x] = get(x, 0) - e * c
+            if any(m.values()):
+                return _first_row(m), v
+            continue
+        # (q^3 + q) R + q^2 W R, and R is not zero
+        return _first_row(r, _paths(w, r, {})), v
     return None
 
 
-def _first_braid_column(a, b, columns, q2):
-    """The first of the given columns v where
-    A'B'A' - B'A'B' + q^2 (B' - A') is nonzero, by the normal forms of
-    verify_hecke_relations; None if there is none.  a and b are _Shifted,
-    read as in _first_commuting_column."""
-    sa, sb = a.support, b.support
+def _first_braid_failure(a, b, columns):
+    """(u, v) for the first of the given columns v where
+    A_s A_t A_s - A_t A_s A_t is nonzero and its smallest nonzero row u, by
+    the normal forms of verify_hecke_relations; None if there is none.  a
+    and b are the (weights, support) of s and t."""
+    (wa, sa), (wb, sb) = a, b
     for v in columns:
         if v in sa:
             if v in sb:
                 continue
-            x, y, sy = a, b, sb
+            x, y, sy = wa, wb, sb
         elif v in sb:
-            x, y, sy = b, a, sa
+            x, y, sy = wb, wa, sa
         else:
-            if _braid_witness(a, b, (v,), q2):
-                return v
+            # -(q^4 + q^2) P + q^3 Q, through n1 = m1 - v and n2 = m2 - v
+            n1, n2 = _paths(wb, wa.get(v, _ZERO), {}), _paths(wa, wb.get(v, _ZERO), {})
+            n1[v] = n1.get(v, 0) - 1
+            n2[v] = n2.get(v, 0) - 1
+            even = {u: c for u, c in n1.items() if u in sa}
+            for u, c in n2.items():
+                if u in sb:
+                    even[u] = even.get(u, 0) - c
+            odd = _paths(wa, n1, _paths(wb, n2, {}, -1))
+            if any(even.values()) or any(odd.values()):
+                return _first_row(even, odd), v
             continue
-        # only x's generator colours v: q^2 gamma, the rows y's colours dropped
-        acc: dict[int, int] = {}
-        get = acc.get
-        xget = x.get
+        # only x's generator colours v: -(q^4 + q^2) gv - q^3 Y gv with
+        # gv = gamma - v, gamma the rows of X Y v that y's generator does
+        # not colour
+        gv = {}
+        get = gv.get
         for u, c in y.get(v, _ZERO).items():
-            for r, e in xget(u, _ZERO).items():
+            for r, e in x.get(u, _ZERO).items():
                 if r not in sy:
-                    acc[r] = get(r, 0) + e * c
-        if acc.pop(v, 0) != q2 or any(acc.values()):
-            return v
-    return None
-
-
-def _commuting_witness(a, b, columns):
-    """(u, v) for the first of the given columns v where A'B' - B'A' is
-    nonzero, and its smallest nonzero row u; None if there is none."""
-    for v in columns:
-        acc: dict[int, int] = {}
-        get = acc.get
-        for u, c in b[v].items():
-            for x, e in a[u].items():
-                acc[x] = get(x, 0) + e * c
-        for u, c in a[v].items():
-            for x, e in b[u].items():
-                acc[x] = get(x, 0) - e * c
-        if any(acc.values()):
-            return min(x for x, e in acc.items() if e), v
-    return None
-
-
-def _braid_witness(a, b, columns, q2):
-    """(u, v) for the first of the given columns v where
-    A'B'A' - B'A'B' + q^2 (B' - A') is nonzero, and its smallest nonzero
-    row u; None if there is none."""
-    for v in columns:
-        av, bv = a[v], b[v]
-        acc = {u: q2 * c for u, c in bv.items()}
-        get = acc.get
-        for u, c in av.items():
-            acc[u] = get(u, 0) - q2 * c
-        for x, y, col, sign in ((a, b, av, 1), (b, a, bv, -1)):
-            # acc += sign X Y X v, through mid = Y X v
-            mid: dict[int, int] = {}
-            mget = mid.get
-            for u, c in col.items():
-                for r, e in y[u].items():
-                    mid[r] = mget(r, 0) + e * c
-            for u, c in mid.items():
-                c *= sign
-                for r, e in x[u].items():
-                    acc[r] = get(r, 0) + e * c
-        if any(acc.values()):
-            return min(u for u, c in acc.items() if c), v
+                    gv[r] = get(r, 0) + e * c
+        gv[v] = get(v, 0) - 1
+        if any(gv.values()):
+            return _first_row(gv, _paths(y, gv, {})), v
     return None
 
 

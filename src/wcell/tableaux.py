@@ -578,21 +578,20 @@ def m_critical_tableau(shape: SkewShape, m: int) -> StandardTableau:
 # text round-trip
 
 
-def from_rows(rows, offset=None, shapes=None) -> StandardTableau:
+def from_rows(rows, shapes=None) -> StandardTableau:
     """Build a normal-shape tableau from its internal rows.
 
     One pass checks that the row lengths weakly decrease, that the entries
-    form a contiguous interval (from offset + 1 when offset is given) and
-    that they increase along rows and down columns.  ``shapes``, when
-    given, maps row-length tuples to the SkewShape that calls share.
+    form a contiguous interval from the smallest of them and that they
+    increase along rows and down columns.  ``shapes``, when given, maps
+    row-length tuples to the SkewShape that calls share.
     """
     rows = [list(r) for r in rows]
     lengths = tuple(map(len, rows))
     if any(a < b for a, b in zip(lengths, lengths[1:])):
         raise ValueError("row lengths must weakly decrease")
     size = sum(lengths)
-    if offset is None:
-        offset = min(min(r) for r in rows if r) - 1 if size else 0
+    offset = min(min(r) for r in rows if r) - 1 if size else 0
     boxes = [None] * size
     for i, row in enumerate(rows, start=1):
         for j, e in enumerate(row, start=1):

@@ -462,9 +462,10 @@ def verify_hecke_relations(g: wg.SColoredGraph) -> wg.CheckReport:
 
 
 # ---------------------------------------------------------------------------
-# Hecke relations on whole integer product matrices: the reference for
-# hecke.verify_hecke_relations, which evaluates the same relations at the
-# same q one column at a time on shifted matrices.
+# Hecke relations on whole integer product matrices, evaluated at one
+# integer q large enough to be exact: the reference for
+# hecke.verify_hecke_relations, which checks the same relations in Z[q]
+# one column at a time.
 
 
 def integer_module_matrices(g: wg.SColoredGraph, q: int, gens):
@@ -509,19 +510,27 @@ def first_difference(mat_a, mat_b):
     return None
 
 
-def verify_hecke_relations_composed(g: wg.SColoredGraph) -> wg.CheckReport:
-    """Commuting and braid identities on A_s = q T_s at q = 2 L^3 + 1, each
-    pair compared on whole product matrices: the same pairs in the same
-    order and the same stop at ten witnesses as hecke.verify_hecke_relations."""
-    support = {s: [v for v in g.vertices() if s in g.tau[v]] for s in set().union(*g.tau)}
-    gens = sorted({t for s in support for t in (s - 1, s, s + 1) if 1 <= t <= g.n - 1})
+def exact_q(g: wg.SColoredGraph, gens) -> int:
+    """q = 2 L^3 + 1, with L the largest column norm (sum of the absolute
+    coefficients) of A_s over s in gens.  The norm is submultiplicative, so
+    each entry of a relation's LHS - RHS has coefficient sum at most 2 L^3,
+    and a nonzero integer polynomial with coefficient sum at most B cannot
+    vanish at an integer q > B: evaluating at this q is an exact test."""
     norm = max(
         (1 + sum(abs(w) for u, w in g.column(v).items() if s in g.tau[u])
          for s in gens for v in g.vertices() if s not in g.tau[v]),
         default=1,
     )
-    q = 2 * norm**3 + 1
-    mats = dict(zip(gens, integer_module_matrices(g, q, gens)))
+    return 2 * norm**3 + 1
+
+
+def verify_hecke_relations_composed(g: wg.SColoredGraph) -> wg.CheckReport:
+    """Commuting and braid identities on A_s = q T_s at exact_q, each pair
+    compared on whole product matrices: the same pairs in the same order and
+    the same stop at ten witnesses as hecke.verify_hecke_relations."""
+    support = {s: [v for v in g.vertices() if s in g.tau[v]] for s in set().union(*g.tau)}
+    gens = sorted({t for s in support for t in (s - 1, s, s + 1) if 1 <= t <= g.n - 1})
+    mats = dict(zip(gens, integer_module_matrices(g, exact_q(g, gens), gens)))
     bad = []
     braids = sorted({(t, t + 1) for s in support for t in (s - 1, s) if 1 <= t <= g.n - 2})
     reach = set().union(*(g.tau[u] - g.tau[x] for u, x in g.mu))

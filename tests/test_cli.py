@@ -37,6 +37,11 @@ def test_malformed_shape_is_usage_error(capsys):
     assert "weakly decreasing" in capsys.readouterr().err
     assert run(["tableaux", "--shape", "a,b"]) == 2
     assert run(["build", "--shape", "0", "--out", "/tmp/x.json"]) == 2
+    # an empty --shape is a malformed shape, not "every shape"
+    assert run(["build", "--shape", "", "--out", "/tmp/x.json"]) == 2
+    capsys.readouterr()
+    assert run(["oracle", "--n", "3", "--shape", ""]) == 2
+    assert "malformed shape ''" in capsys.readouterr().err
 
 
 def test_unknown_flag_is_usage_error():

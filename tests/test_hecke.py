@@ -1,5 +1,4 @@
 import itertools
-import math
 import random
 
 import pytest
@@ -8,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from helpers import (
     compose_integer,
     corruptions,
+    exact_q,
     first_difference,
     integer_module_matrices,
     kl_table_slow,
@@ -94,11 +94,6 @@ def test_relation_polynomial_with_an_integer_root_fails(root):
     a, b = integer_module_matrices(g, root, [1, 2])
     aba = compose_integer(a, compose_integer(b, a))
     assert first_difference(aba, compose_integer(b, compose_integer(a, b))) is None
-    # the shifted matrices A - q^2 I hide it at the root as well
-    q2 = root * root
-    a2, b2 = ([{u: e - q2 * (u == v) for u, e in col.items()} for v, col in enumerate(m)]
-              for m in (a, b))
-    assert hecke._braid_witness(a2, b2, g.vertices(), q2) is None
     assert hecke.verify_hecke_relations(g).violations == (("braid", 1, 2, 1, 2),)
 
 
@@ -192,8 +187,7 @@ def test_relation_check_stops_at_its_tenth_witness(monkeypatch):
     # odd generators colour vertex 0 and even ones vertex 1, so every
     # commuting pair of opposite parity fails; the sorted walk reads the
     # braid (1, 2) on both columns, then the first column of each of
-    # (1, 4), (1, 6), ..., (1, 22), evaluates that column alone in full for
-    # its witness, and stops
+    # (1, 4), (1, 6), ..., (1, 22), which is its witness, and stops
     n = 200
     g = wg.SColoredGraph(n, [range(1, n, 2), range(2, n, 2)], {(0, 1): 1, (1, 0): 1})
     read = {}
@@ -207,56 +201,53 @@ def test_relation_check_stops_at_its_tenth_witness(monkeypatch):
                 calls[-1].append(v)
                 yield v
 
-        monkeypatch.setattr(hecke, name, lambda a, b, cols, *rest: function(a, b, feed(cols), *rest))
+        monkeypatch.setattr(hecke, name, lambda a, b, cols: function(a, b, feed(cols)))
 
     for kind in ("braid", "commuting"):
-        counted(f"_first_{kind}_column")
-        counted(f"_{kind}_witness")
+        counted(f"_first_{kind}_failure")
     report = hecke.verify_hecke_relations(g)
     assert not report.ok
     assert report.violations == tuple(("commuting", 1, t, 0, 0) for t in range(4, 24, 2))
-    # one list per pair (or per witness), holding the columns read
+    # one list per pair, holding the columns read
     assert read == {
-        "_first_braid_column": [[0, 1]],
-        "_braid_witness": [],
-        "_first_commuting_column": [[0]] * 10,
-        "_commuting_witness": [[0]] * 10,
+        "_first_braid_failure": [[0, 1]],
+        "_first_commuting_failure": [[0]] * 10,
     }
 
 
-def _column_verdicts(g):
-    """((kind, case), verdict) for every column v of every pair s < t of
-    generators with a shifted matrix: case says which of s, t colour v, and
-    verdict is whether the column is zero by the normal form of
-    _first_commuting_column or _first_braid_column.  Each verdict is first
-    asserted equal to the full evaluation of that column alone by
-    _commuting_witness or _braid_witness, on the shifted matrices made from
-    helpers.integer_module_matrices."""
-    q2, mats = hecke._shifted_matrices(g)
-    gens = sorted(mats)
-    full = {
-        s: [{u: e - q2 * (u == v) for u, e in col.items()} for v, col in enumerate(m)]
-        for s, m in zip(gens, integer_module_matrices(g, math.isqrt(q2), gens))
-    }
+def _column_witnesses(g):
+    """((kind, case), witness) for every column v of every pair s < t of
+    generators with weights: case says which of s, t colour v, and witness
+    is what _first_commuting_failure or _first_braid_failure returns for
+    that column alone.  Each witness is first asserted equal to the first
+    difference of that column of the whole products at the exact q of
+    helpers.verify_hecke_relations_composed."""
+    table = hecke._generator_weights(g)
+    gens = list(table)
+    mats = dict(zip(gens, integer_module_matrices(g, exact_q(g, gens), gens)))
     out = []
     for s, t in itertools.combinations(gens, 2):
-        kind = "commuting" if t - s >= 2 else "braid"
+        a, b = mats[s], mats[t]
+        if t - s >= 2:
+            kind, first = "commuting", hecke._first_commuting_failure
+            lhs, rhs = compose_integer(a, b), compose_integer(b, a)
+        else:
+            kind, first = "braid", hecke._first_braid_failure
+            lhs = compose_integer(a, compose_integer(b, a))
+            rhs = compose_integer(b, compose_integer(a, b))
         for v in g.vertices():
-            if kind == "commuting":
-                zero = hecke._first_commuting_column(mats[s], mats[t], (v,)) is None
-                full_zero = hecke._commuting_witness(full[s], full[t], (v,)) is None
-            else:
-                zero = hecke._first_braid_column(mats[s], mats[t], (v,), q2) is None
-                full_zero = hecke._braid_witness(full[s], full[t], (v,), q2) is None
-            assert zero == full_zero, (kind, s, t, v)
+            witness = first(table[s], table[t], (v,))
+            full = first_difference(lhs[v:v + 1], rhs[v:v + 1])
+            assert witness == (full and (full[0], v)), (kind, s, t, v)
             case = ("neither", "one", "both")[(s in g.tau[v]) + (t in g.tau[v])]
-            out.append(((kind, case), zero))
+            out.append(((kind, case), witness))
     return out
 
 
 def test_each_column_normal_form_equals_the_full_column(built):
     # the report tests see only the first failing column of each pair, so
-    # a wrong normal form behind an earlier failure would go unseen there
+    # a wrong normal form or witness row behind an earlier failure would go
+    # unseen there
     rng = random.Random(1807)
     graphs = []
     for n in range(8):
@@ -265,16 +256,17 @@ def test_each_column_normal_form_equals_the_full_column(built):
             graphs.extend(corruptions(built(lam), rng, 20))
     seen = {}
     for g in graphs:
-        for case, zero in _column_verdicts(g):
-            seen.setdefault(case, set()).add(zero)
-    for case in (("commuting", "one"), ("commuting", "neither"), ("braid", "one")):
-        assert seen[case] == {True, False}, case
+        for case, witness in _column_witnesses(g):
+            seen.setdefault(case, set()).add(witness is None)
+    for kind, case in itertools.product(("commuting", "braid"), ("one", "neither")):
+        assert seen[kind, case] == {True, False}, (kind, case)
+    assert seen["commuting", "both"] == seen["braid", "both"] == {True}
 
 
 @settings(max_examples=300, deadline=None)
 @given(g=_coloured_graphs())
 def test_each_column_normal_form_equals_the_full_column_on_any_graph(g):
-    _column_verdicts(g)
+    _column_witnesses(g)
 
 
 @pytest.mark.parametrize("lam", [(3, 3, 2, 1), (4, 3, 2, 1), (4, 3, 2, 1, 1)])

@@ -15,6 +15,7 @@ import argparse
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
 
@@ -53,6 +54,12 @@ def agreed(where: str, runs: dict, keys) -> dict:
             if run[key] != value:
                 raise SystemExit(f"{where}: the runs disagree on {key}: {value!r} and {run[key]!r}")
     return shared
+
+
+def quartiles(values, digits: int = 5) -> dict:
+    """{"median", "q1", "q3"} of values, inclusive quartiles, rounded to digits."""
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": round(q2, digits), "q1": round(q1, digits), "q3": round(q3, digits)}
 
 
 def write(out: str, what: str, command: str, **fields) -> None:

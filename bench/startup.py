@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import json
 import os
-import statistics
 
 import harness
 
@@ -71,18 +70,13 @@ print(json.dumps({"build_s": build, "verify_s": verify,
 """
 
 
-def _quartiles(values) -> dict:
-    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return {"median": round(q2, 5), "q1": round(q1, 5), "q3": round(q3, 5)}
-
-
 def _import_row(trees: dict) -> dict:
     for src in trees.values():
         harness.child(src, IMPORT_CHILD)
     runs = harness.alternate(
         trees, IMPORT_RUNS, lambda src: round(harness.child(src, IMPORT_CHILD), 5)
     )
-    row = {side: {"runs": values, **_quartiles(values)} for side, values in runs.items()}
+    row = {side: {"runs": values, **harness.quartiles(values)} for side, values in runs.items()}
     row["speedup"] = round(row["before"]["median"] / row["after"]["median"], 2)
     return row
 
@@ -98,7 +92,7 @@ def _run_row(trees: dict, lam) -> dict:
         row[side] = {}
         for key in ("build_s", "verify_s"):
             row[side][f"first_{key}"] = [round(r[key][0], 5) for r in results]
-            row[side][key] = _quartiles([s for r in results for s in r[key][1:]])
+            row[side][key] = harness.quartiles([s for r in results for s in r[key][1:]])
     for key in ("build_s", "verify_s"):
         row[f"{key[:-2]}_speedup"] = round(
             row["before"][key]["median"] / row["after"][key]["median"], 2

@@ -454,116 +454,169 @@ def check_bonding(g: SColoredGraph) -> CheckReport:
     return CheckReport("bonding", not bad, tuple(bad))
 
 
-def polygon_sums(g: SColoredGraph, r: int, i: int, j: int):
-    """N^r_{i,j} and N^r_{j,i} from each start, on the entries the rule reads.
-
-    Yields (u, n_ij, n_ji) in increasing u for each vertex u with i, j
-    outside tau(u) and a weight into a vertex holding just one of them (no
-    other u starts a path).  n_ij maps each end v with i, j in tau(v) to
-    the sum of the weight products over directed paths from u to v whose
-    r-1 interior vertices alternate between containing i but not j and
-    containing j but not i, starting with i; n_ji starts with j.  Ends with
-    a zero sum may be missing.  Every nonzero weight counts as a step,
-    whether or not it is an arc.
-    """
-    if r not in (2, 3):
-        raise ValueError("only r = 2 and r = 3 occur in type A")
-    # 0: neither of i, j; 1: i only; 2: j only; 3: both
-    pat = [(i in s) | (j in s) << 1 for s in g.tau]
-    column = g.column
-    for u in g.vertices():
-        if pat[u]:
-            continue
-        # weight products of the walks to each last interior vertex, keyed
-        # by the pattern of the first one: 1 for N_ij, 2 for N_ji
-        walks: dict[int, dict] = {1: {}, 2: {}}
-        for x, w in column(u).items():
-            p = pat[x]
-            if p == 1 or p == 2:
-                walks[p][x] = w
-        if not (walks[1] or walks[2]):
-            continue
-        if r == 3:
-            # one more interior step, into the other pattern
-            step: dict[int, dict] = {1: {}, 2: {}}
-            for p in (1, 2):
-                acc = step[p]
-                for x, w in walks[p].items():
-                    for y, w2 in column(x).items():
-                        if pat[y] == 3 - p:
-                            acc[y] = acc.get(y, 0) + w * w2
-            walks = step
-        sums = []
-        for mid in (walks[1], walks[2]):
-            acc = {}
-            for x, w in mid.items():
-                for v, w2 in column(x).items():
-                    if pat[v] == 3:
-                        acc[v] = acc.get(v, 0) + w * w2
-            sums.append(acc)
-        yield u, sums[0], sums[1]
-
-
-def check_polygon(g: SColoredGraph, r: int) -> CheckReport:
-    """N^r_{i,j} = N^r_{j,i} for the applicable generator pairs.
-
-    r = 2 applies to every ordered pair i != j; r = 3 only to bonded pairs.
-    Stops at the first counterexample, reported as (u, v, i, j, r, N_ij, N_ji)
-    with the smallest (u, v) for the first failing pair.
-
-    The rule compares N_ij(u, v) with N_ji(u, v) only where i, j are outside
-    tau(u) and inside tau(v), so each pair costs one pass of polygon_sums:
-    it starts only from such u, walks both orders from the same column of
-    u, and keeps only such ends v.  With W nonzero weights and at most d in
-    a column, a pair costs O(W d) for r = 2 and O(W d^2) for r = 3, in exact
-    integers, and usually far less, since few vertices start a walk.  The
-    starts come in increasing u and the smallest differing end of the first
-    start that differs is taken, which is the smallest differing (u, v).
+def polygon_pairs(g: SColoredGraph, r: int) -> list[tuple[int, int]]:
+    """The generator pairs (i, j), i < j, that check_polygon tries, ascending.
 
     Only generators in the colour of some row u of a nonzero weight mu(u, v)
     are tried.  A path sum can end only at such a vertex, and the rule
     compares only sums whose end is coloured by both i and j, so a pair
-    with i or j outside those colours cannot fail.  polygon_sums reads i
-    and j only through the vertex sets they colour, their groups, and
-    swapping i and j swaps its two sums, so each pair of groups is tried
-    once, at its first pair (i, j): a pair of groups that passes passes
-    for every such pair.  The first pair of two groups joins their
-    smallest generators.  A pair of groups is tried only if some vertex
-    holds both (a path ends there) and some vertex holds neither (a path
-    starts there); one group paired with itself has neither kind of
-    interior vertex.  So a document with thousands of generators on few
-    vertices stays cheap.
+    with i or j outside those colours cannot fail.  The sums read i and j
+    only through the vertex sets they colour, their groups, and swapping i
+    and j swaps N_ij and N_ji, so each pair of groups is tried once, at its
+    first pair (i, j): a pair of groups that passes passes for every such
+    pair.  For r = 2 that pair joins the smallest generators of the two
+    groups; r = 3 reads only bonded pairs (i, i + 1).  A pair of groups is
+    tried only if some vertex holds both (a path ends there) and some
+    vertex holds neither (a path starts there); one group paired with
+    itself has neither kind of interior vertex.  So a document with
+    thousands of generators on few vertices stays cheap.
     """
-    gens = sorted(set().union(*(g.tau[u] for u, _ in g.mu)))
-    # group[i]: the set of vertices that i colours, as a bit mask
+    if r not in (2, 3):
+        raise ValueError("only r = 2 and r = 3 occur in type A")
+    gens = sorted(set().union(*map(g.tau.__getitem__, {u for u, _ in g.mu})))
+    # group[i]: the colours that hold i, as a bit mask over the distinct
+    # colours; two generators colour the same vertices exactly when they
+    # are in the same colours
+    colours = set(g.tau)
     group = dict.fromkeys(gens, 0)
-    for v, s in enumerate(g.tau):
-        for i in s & group.keys():
-            group[i] |= 1 << v
-    everyone = (1 << g.num_vertices) - 1
+    for c, s in enumerate(colours):
+        for i in s:
+            if i in group:
+                group[i] |= 1 << c
+    everyone = (1 << len(colours)) - 1
     if r == 2:
         # the smallest generator of each group, ascending
         firsts: dict[int, int] = {}
         for i in gens:
             firsts.setdefault(group[i], i)
         lows = list(firsts.values())
-        pairs = [(i, j) for a, i in enumerate(lows) for j in lows[a + 1 :]]
+        candidates = [(i, j) for a, i in enumerate(lows) for j in lows[a + 1 :]]
     else:
-        pairs = [(i, i + 1) for i in gens if i + 1 in group]
-    tried = set()
-    for i, j in pairs:
+        candidates = [(i, i + 1) for i in gens if i + 1 in group]
+    pairs, tried = [], set()
+    for i, j in candidates:
         a, b = group[i], group[j]
         if a == b or not a & b or a | b == everyone or (a, b) in tried:
             continue
         tried.update(((a, b), (b, a)))
-        for u, n_ij, n_ji in polygon_sums(g, r, i, j):
-            if n_ij == n_ji:
+        pairs.append((i, j))
+    return pairs
+
+
+def polygon_sums(g: SColoredGraph, r: int):
+    """N^r_{i,j} and N^r_{j,i} from each start, for every pair of polygon_pairs.
+
+    Yields (u, sums) in increasing u, where sums maps a pair (i, j) to the
+    dicts (n_ij, n_ji) of the sums from u.  n_ij maps each end v with i, j
+    in tau(v) to the sum of the weight products over directed paths from u
+    to v whose r-1 interior vertices alternate between containing i but not
+    j and containing j but not i, starting with i; n_ji starts with j.
+    Only starts u with i, j outside tau(u) count.  Pairs, ends and starts
+    with no path are missing.  Every nonzero weight counts as a step,
+    whether or not it is an arc.
+
+    Each alternating path is walked once for all pairs.  Bit 2k of a mask
+    stands for n_ij of the k-th pair (i, j) and bit 2k + 1 for its n_ji;
+    each vertex gets the mask of the sums it may start, be the first or
+    the second interior vertex of, or end.  A path counts in the sums of
+    the bits its vertices' masks share, so the walk keeps the running
+    intersection and drops a path once it is empty.
+    """
+    pairs = polygon_pairs(g, r)
+    if not pairs:
+        return
+    # first[i]: the sums whose first generator is i, held by their first
+    # interior vertex; second[i]: those whose second generator is i
+    first: dict[int, int] = {}
+    second: dict[int, int] = {}
+    for k, (i, j) in enumerate(pairs):
+        first[i] = first.get(i, 0) | 1 << 2 * k
+        first[j] = first.get(j, 0) | 2 << 2 * k
+        second[j] = second.get(j, 0) | 1 << 2 * k
+        second[i] = second.get(i, 0) | 2 << 2 * k
+    every = (1 << 2 * len(pairs)) - 1
+    kinds = {}
+    for s in set(g.tau):
+        # the sums whose first, and whose second, generator s holds
+        one = two = 0
+        for i in s:
+            if i in first:
+                one |= first[i]
+                two |= second[i]
+        # the sums a vertex of colour s may start, lead, follow and end
+        kinds[s] = (every & ~(one | two), one & ~two, two & ~one, one & two)
+    start, lead, follow, end = zip(*map(kinds.__getitem__, g.tau))
+    # roles[m]: (pair, 0 for n_ij or 1 for n_ji) for each bit of m
+    roles: dict[int, list] = {}
+    column = g.column
+    for u in g.vertices():
+        m0 = start[u]
+        if not m0:
+            continue
+        # (last interior vertex, weight product, mask) of the paths from u
+        lasts = []
+        for x, w in column(u).items():
+            m1 = m0 & lead[x]
+            if m1:
+                if r == 2:
+                    lasts.append((x, w, m1))
+                else:
+                    for y, w2 in column(x).items():
+                        m2 = m1 & follow[y]
+                        if m2:
+                            lasts.append((y, w * w2, m2))
+        sums: dict[tuple[int, int], tuple[dict, dict]] = {}
+        for z, w, m1 in lasts:
+            for v, w2 in column(z).items():
+                m = m1 & end[v]
+                if m:
+                    ks = roles.get(m)
+                    if ks is None:
+                        ks = roles[m] = []
+                        while m:
+                            k = (m & -m).bit_length() - 1
+                            ks.append((pairs[k >> 1], k & 1))
+                            m &= m - 1
+                    for pair, side in ks:
+                        both = sums.get(pair)
+                        if both is None:
+                            both = sums[pair] = ({}, {})
+                        n = both[side]
+                        n[v] = n.get(v, 0) + w * w2
+        if sums:
+            yield u, sums
+
+
+def check_polygon(g: SColoredGraph, r: int) -> CheckReport:
+    """N^r_{i,j} = N^r_{j,i} for the applicable generator pairs.
+
+    r = 2 applies to every ordered pair i != j; r = 3 only to bonded pairs;
+    any other r raises ValueError (from polygon_pairs, before the graph is
+    read).  Reports the first counterexample,
+    (u, v, i, j, r, N_ij, N_ji) with the smallest (u, v) for the smallest
+    failing pair (i, j).
+
+    The rule compares N_ij(u, v) with N_ji(u, v) only where i, j are outside
+    tau(u) and inside tau(v).  The pairs tried are those of polygon_pairs,
+    and the whole check is one pass of polygon_sums: one walk of the
+    alternating paths, from the starts in increasing u, for all pairs at
+    once.  With W nonzero weights and at most d in a column, that walk costs
+    O(W d) for r = 2 and O(W d^2) for r = 3, in exact integers, plus the
+    pairs each summed path counts for.  The first start at which a pair
+    differs, and its smallest differing end, give that pair's smallest
+    differing (u, v).
+    """
+    found = {}
+    for u, sums in polygon_sums(g, r):
+        for pair, (n_ij, n_ji) in sums.items():
+            if pair in found or n_ij == n_ji:
                 continue
             diff = [v for v in n_ij.keys() | n_ji.keys() if n_ij.get(v, 0) != n_ji.get(v, 0)]
             if diff:
                 v = min(diff)
-                witness = (u, v, i, j, r, n_ij.get(v, 0), n_ji.get(v, 0))
-                return CheckReport(f"polygon-r{r}", False, (witness,))
+                found[pair] = (u, v, *pair, r, n_ij.get(v, 0), n_ji.get(v, 0))
+    if found:
+        return CheckReport(f"polygon-r{r}", False, (found[min(found)],))
     return CheckReport(f"polygon-r{r}", True)
 
 

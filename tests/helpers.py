@@ -8,7 +8,8 @@ explicit path enumeration, tableau counts from enumeration of fillings.
 from bisect import bisect_left
 from collections import Counter
 from heapq import merge
-from itertools import permutations as itperm
+
+from hypothesis import strategies as st
 
 from wcell import knuth
 from wcell import tableaux as tb
@@ -250,6 +251,18 @@ def corruptions(g, rng, count):
             continue
         out.append(wg.SColoredGraph(g.n, tau, mu, g.labels))
     return out
+
+
+@st.composite
+def coloured_graphs(draw):
+    """Any S-coloured graph with n <= 6 and at most 6 vertices: weights in
+    [-3, 3], asymmetric, and into smaller colours too."""
+    n = draw(st.integers(1, 6))
+    colours = st.frozensets(st.integers(1, n - 1)) if n > 1 else st.just(frozenset())
+    tau = draw(st.lists(colours, min_size=1, max_size=6))
+    pairs = [(u, v) for u in range(len(tau)) for v in range(len(tau)) if u != v]
+    mu = draw(st.dictionaries(st.sampled_from(pairs), st.integers(-3, 3))) if pairs else {}
+    return wg.SColoredGraph(n, tau, mu)
 
 
 def skew_reading_word(t):

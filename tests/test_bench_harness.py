@@ -44,3 +44,10 @@ def test_child_returns_its_json_and_stops_with_the_stderr_tail_on_failure():
         harness.child("src", failing)
     assert exc.value.code.startswith("a child on src exited 3: x")
     assert exc.value.code.endswith("the last words") and len(exc.value.code) < 600
+
+
+def test_quartiles_are_inclusive_and_rounded():
+    assert harness.quartiles([5, 1, 3, 2, 4]) == {"median": 3, "q1": 2, "q3": 4}
+    assert harness.quartiles([0.123456, 0.2, 0.3], digits=3) == {
+        "median": 0.2, "q1": 0.162, "q3": 0.25
+    }

@@ -2,9 +2,10 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 from helpers import (
+    coloured_graphs,
     compose_integer,
     corruptions,
     exact_q,
@@ -13,7 +14,7 @@ from helpers import (
     kl_table_slow,
     verify_hecke_relations_composed,
 )
-from wcell import hecke, rsk
+from wcell import hecke
 from wcell import tableaux as tb
 from wcell import wgraph as wg
 from wcell.laurent import LaurentPolynomial, ONE, Q, QINV
@@ -21,7 +22,6 @@ from wcell.permutations import (
     Permutation,
     all_permutations,
     bruhat_leq,
-    identity,
     inversions,
     length,
     left_descents,
@@ -123,20 +123,8 @@ def _agree_with_laurent_reference(g):
     return fast.ok
 
 
-@st.composite
-def _coloured_graphs(draw):
-    """Any S-coloured graph with n <= 6 and at most 6 vertices: weights in
-    [-3, 3], asymmetric, and into smaller colours too."""
-    n = draw(st.integers(1, 6))
-    colours = st.frozensets(st.integers(1, n - 1)) if n > 1 else st.just(frozenset())
-    tau = draw(st.lists(colours, min_size=1, max_size=6))
-    pairs = [(u, v) for u in range(len(tau)) for v in range(len(tau)) if u != v]
-    mu = draw(st.dictionaries(st.sampled_from(pairs), st.integers(-3, 3))) if pairs else {}
-    return wg.SColoredGraph(n, tau, mu)
-
-
 @settings(max_examples=300, deadline=None)
-@given(g=_coloured_graphs())
+@given(g=coloured_graphs())
 def test_integer_check_agrees_with_laurent_reference_on_any_graph(g):
     _agree_with_laurent_reference(g)
 
@@ -158,7 +146,7 @@ def test_column_check_equals_composed_reference(built):
 
 
 @settings(max_examples=300, deadline=None)
-@given(g=_coloured_graphs())
+@given(g=coloured_graphs())
 def test_column_check_equals_composed_reference_on_any_graph(g):
     assert hecke.verify_hecke_relations(g) == verify_hecke_relations_composed(g)
 
@@ -264,7 +252,7 @@ def test_each_column_normal_form_equals_the_full_column(built):
 
 
 @settings(max_examples=300, deadline=None)
-@given(g=_coloured_graphs())
+@given(g=coloured_graphs())
 def test_each_column_normal_form_equals_the_full_column_on_any_graph(g):
     _column_witnesses(g)
 

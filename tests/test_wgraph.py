@@ -3,9 +3,10 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings
 
 import helpers
-from helpers import alternating_sum_slow, corruptions
+from helpers import alternating_sum_slow, coloured_graphs, corruptions
 from wcell import hecke
 from wcell import tableaux as tb
 from wcell import wgraph as wg
@@ -368,26 +369,33 @@ def test_polygon_sums_match_brute_force_sampled(built):
 
 
 def test_polygon_kernel_matches_reference_on_read_entries(built):
-    # every entry the rule reads: i, j outside tau(u) and inside tau(v)
-    negative = False
+    # every entry the rule reads for each pair the pass tries: i, j outside
+    # tau(u) and inside tau(v)
+    negative, tried = False, 0
     for g in _polygon_test_graphs(built):
-        for i in range(1, g.n - 1):
-            for j in range(i + 1, g.n):
-                for r in (2, 3) if j == i + 1 else (2,):
-                    ref_ij = helpers.alternating_sums(g, r, i, j)
-                    ref_ji = helpers.alternating_sums(g, r, j, i)
-                    starts = [u for u in g.vertices() if not {i, j} & g.tau[u]]
-                    ends = [v for v in g.vertices() if {i, j} <= g.tau[v]]
-                    got = {u: (n_ij, n_ji) for u, n_ij, n_ji in wg.polygon_sums(g, r, i, j)}
-                    assert list(got) == sorted(got) and set(got) <= set(starts)
-                    assert all(set(n_ij) | set(n_ji) <= set(ends) for n_ij, n_ji in got.values())
-                    for u in starts:
-                        n_ij, n_ji = got.get(u, ({}, {}))
-                        for v in ends:
-                            assert n_ij.get(v, 0) == ref_ij[u, v], (g.n, u, v, i, j, r)
-                            assert n_ji.get(v, 0) == ref_ji[u, v], (g.n, u, v, j, i, r)
-                            negative |= ref_ij[u, v] < 0 or ref_ji[u, v] < 0
-    assert negative
+        for r in (2, 3):
+            pairs = wg.polygon_pairs(g, r)
+            got = list(wg.polygon_sums(g, r))
+            assert [u for u, _ in got] == sorted({u for u, _ in got})
+            got = dict(got)
+            assert all(set(sums) <= set(pairs) for sums in got.values())
+            tried += len(pairs)
+            for i, j in pairs:
+                ref_ij = helpers.alternating_sums(g, r, i, j)
+                ref_ji = helpers.alternating_sums(g, r, j, i)
+                starts = [u for u in g.vertices() if not {i, j} & g.tau[u]]
+                ends = [v for v in g.vertices() if {i, j} <= g.tau[v]]
+                for u, sums in got.items():
+                    if (i, j) in sums:
+                        n_ij, n_ji = sums[i, j]
+                        assert u in starts and set(n_ij) | set(n_ji) <= set(ends)
+                for u in starts:
+                    n_ij, n_ji = got.get(u, {}).get((i, j), ({}, {}))
+                    for v in ends:
+                        assert n_ij.get(v, 0) == ref_ij[u, v], (g.n, u, v, i, j, r)
+                        assert n_ji.get(v, 0) == ref_ji[u, v], (g.n, u, v, j, i, r)
+                        negative |= ref_ij[u, v] < 0 or ref_ji[u, v] < 0
+    assert negative and tried
 
 
 def test_polygon_reports_match_reference(built):
@@ -423,39 +431,57 @@ def test_polygon_reports_first_counterexample():
     assert {nij, nji} == {0, 1}
 
 
+@settings(max_examples=300, deadline=None)
+@given(g=coloured_graphs())
+def test_polygon_reports_match_reference_on_any_graph(g):
+    # small graphs often give several generators one vertex set
+    for r in (2, 3):
+        fast, slow = wg.check_polygon(g, r), helpers.check_polygon(g, r)
+        assert (fast.ok, fast.violations) == (slow.ok, slow.violations)
+
+
+@pytest.mark.parametrize("r", [0, 1, 4, 5])
+def test_polygon_rejects_an_r_outside_2_and_3(built, r):
+    # before reading the graph: even no graph at all gives ValueError
+    for g in (None, built((1,)), built((2, 1)), built((3, 2, 1))):
+        with pytest.raises(ValueError, match="only r = 2 and r = 3"):
+            wg.check_polygon(g, r)
+
+
+# calls: for r = 2 and r = 3, the pairs that one call of check_polygon tries
 @pytest.mark.parametrize(
     "tau, mu, calls",
     [
         # generators 1, 3, 5 colour vertex 2 alone and 2, 4 colour 1 and 2:
         # one pair of groups, and r = 2 fails there
-        ([set(), {2, 4}, {1, 2, 3, 4, 5}], {(1, 0): 1, (2, 1): 1}, (1, 1)),
+        ([set(), {2, 4}, {1, 2, 3, 4, 5}], {(1, 0): 1, (2, 1): 1}, ([(1, 2)], [(1, 2)])),
         # a balanced square on the groups {1, 3} and {2, 3}: six pairs of
         # generators for r = 2 and four bonded ones, all passing
         (
             [set(), {1, 3, 5}, {2, 4}, {1, 2, 3, 4, 5}],
             {(1, 0): 1, (2, 0): 1, (3, 1): 1, (3, 2): 1},
-            (1, 1),
+            ([(1, 2)], [(1, 2)]),
         ),
         # no vertex holds both groups: no path can end, nothing is tried
-        ([{1, 3, 5}, {2, 4}], {(0, 1): 1, (1, 0): 1}, (0, 0)),
+        ([{1, 3, 5}, {2, 4}], {(0, 1): 1, (1, 0): 1}, ([], [])),
         # every vertex holds one of the groups: no path can start
-        ([{1, 3}, {1, 2, 3}], {(1, 0): 1}, (0, 0)),
+        ([{1, 3}, {1, 2, 3}], {(1, 0): 1}, ([], [])),
     ],
 )
 def test_polygon_tries_each_pair_of_groups_once(monkeypatch, tau, mu, calls):
     g = wg.SColoredGraph(6, tau, mu)
-    made = []
-    sums = wg.polygon_sums
+    made = {}
+    pairs_of = wg.polygon_pairs
 
-    def counted(g, r, i, j):
-        made.append(r)
-        return sums(g, r, i, j)
+    def recorded(g, r):
+        made[r] = pairs_of(g, r)
+        return made[r]
 
-    monkeypatch.setattr(wg, "polygon_sums", counted)
+    monkeypatch.setattr(wg, "polygon_pairs", recorded)
     for r, want in zip((2, 3), calls):
         fast, slow = wg.check_polygon(g, r), helpers.check_polygon(g, r)
         assert (fast.ok, fast.violations) == (slow.ok, slow.violations)
-        assert made.count(r) == want
+        assert made.pop(r) == want
 
 
 def test_polygon_rule_on_a_wide_document_is_quick():
@@ -467,6 +493,25 @@ def test_polygon_rule_on_a_wide_document_is_quick():
         start = time.perf_counter()
         assert wg.check_polygon(g, r).ok
         assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize("balanced", [True, False])
+def test_polygon_rule_on_overlapping_wide_groups_is_quick(balanced):
+    # the odd and the even generators of n = 3000 meet on vertex 3 and miss
+    # vertex 0, so the pair (1, 2) of their groups is tried; the square
+    # 0 -> 1 -> 3, 0 -> 2 -> 3 balances N_12 and N_21 unless one side is cut
+    n = 3000
+    odd, even = set(range(1, n, 2)), set(range(2, n, 2))
+    mu = {(1, 0): 1, (2, 0): 1, (3, 1): 1, (3, 2): 1}
+    if not balanced:
+        del mu[3, 2]
+    g = wg.SColoredGraph(n, [set(), odd, even, odd | even], mu)
+    for r, witness in ((2, (0, 3, 1, 2, 2, 1, 0)), (3, None)):
+        assert wg.polygon_pairs(g, r) == [(1, 2)]
+        start = time.perf_counter()
+        report = wg.check_polygon(g, r)
+        assert time.perf_counter() - start < 0.5
+        assert report.violations == (() if balanced or witness is None else (witness,))
 
 
 @pytest.mark.parametrize(

@@ -1,10 +1,12 @@
 """Time the KL oracle on every shape of n, and its peak RSS, before and after a change.
 
 For n = 6, 7 and 8, runs kl_left_cell_graph(lam) for every partition lam of
-n, on the --before source tree and on this checkout's src, alternately,
-REPEAT times each.  Every run is a fresh interpreter that reports its own
-seconds, ru_maxrss, the KL columns it made (calls of _Columns.__missing__)
-and a digest of the graphs; both trees must give the same digest.  As
+n, on the --before source tree and on this checkout's src, ROUNDS rounds,
+the sides alternating which goes first.  Every run is a fresh interpreter
+that reports its own seconds, ru_maxrss, the KL columns it made (calls of
+_Columns.__missing__) and a digest of the graphs; every run of both trees
+must give the same digest and column count.  Each side's row keeps every
+run's seconds and peak RSS with their median and quartiles.  As
 `wcell oracle` does, the run shares one column store, kl_columns(n, ()),
 across the shapes.
 
@@ -16,12 +18,10 @@ somewhere, for example:
 
 from __future__ import annotations
 
-import statistics
-
 import harness
 
 SIZES = (6, 7, 8)
-REPEAT = 3
+ROUNDS = 5
 CHILD = """
 import hashlib, json, resource, sys, time
 from wcell import hecke, tableaux as tb
@@ -49,16 +49,13 @@ print(json.dumps({"seconds": round(seconds, 3), "peak_rss_mb": round(rss_kb / 10
 def rows(trees):
     for n in SIZES:
         runs = harness.alternate(
-            trees, REPEAT, lambda src: harness.child(src, CHILD, n, WCELL_ORACLE_MAX=n)
+            trees, ROUNDS, lambda src: harness.child(src, CHILD, n, WCELL_ORACLE_MAX=n)
         )
-        row = {"n": n, **harness.agreed(f"n={n}", runs, ("graphs_sha256_16",))}
-        for side, results in runs.items():
-            row[side] = {
-                "seconds": [r["seconds"] for r in results],
-                "median_s": statistics.median(r["seconds"] for r in results),
-                "peak_rss_mb": [r["peak_rss_mb"] for r in results],
-                "columns_made": results[0]["columns_made"],
-            }
+        row = {"n": n, **harness.agreed(f"n={n}", runs, ("graphs_sha256_16", "columns_made"))}
+        for key in ("seconds", "peak_rss_mb"):
+            row[key] = {side: {"runs": [r[key] for r in results],
+                               **harness.quartiles([r[key] for r in results], 3)}
+                        for side, results in runs.items()}
         yield row
 
 
@@ -66,9 +63,11 @@ if __name__ == "__main__":
     harness.main(
         __doc__,
         "seconds and peak RSS (ru_maxrss of a fresh interpreter) of hecke.kl_left_cell_graph "
-        "on every partition of n, and the KL columns made in one store shared by the shapes, "
-        "for the parent's src (before) and this checkout's src (after), run alternately",
+        "on every partition of n, with the KL columns made in one store shared by the shapes, "
+        "for the parent's src (before) and this checkout's src (after), in each of `rounds` "
+        "rounds, the sides alternating; every run with the median and quartiles of each side; "
+        "the graph digest and the columns made agree on both sides",
         "python3 bench/oracle.py --before <parent>/src --out BENCH_oracle.json",
         rows,
-        repeat=REPEAT,
+        rounds=ROUNDS,
     )

@@ -16,8 +16,8 @@ for the columns of one cell's elements (or of their images under
 w -> w w0, when those are shorter), in a store of its own or in one the
 caller passes; the recursion takes every cell of S_n down through the same
 short elements, so a store shared by the shapes of one n makes each of
-those columns once.  kl_table asks for every column of S_n, for
-kl_regular_graph.  Both stop at the one bound WCELL_ORACLE_MAX on n.
+those columns once.  kl_table asks for every column of S_n; only tests
+and benchmarks call it.  Both stop at the one bound WCELL_ORACLE_MAX on n.
 None of this is consulted by the cell builder; it exists to validate
 builder output on small ranks.
 
@@ -35,16 +35,9 @@ from bisect import bisect_left
 from functools import partial
 from operator import add
 
-from . import rsk
 from . import tableaux as tb
 from . import wgraph as wg
-from .permutations import (
-    all_permutations,
-    apply_s_images,
-    inversions,
-    left_descents,
-    length,
-)
+from .permutations import apply_s_images, inversions, left_descents_images
 
 DEFAULT_ORACLE_MAX = 7
 
@@ -146,7 +139,7 @@ def verify_hecke_relations(g: wg.SColoredGraph) -> wg.CheckReport:
     gens = _generator_weights(g)
     bad = []
     coloured = [s for s in gens if gens[s][1]]  # gens is in increasing s
-    braids = sorted({(t, t + 1) for s in coloured for t in (s - 1, s) if 1 <= t <= g.n - 2})
+    braids = [(i, i + 1) for i in wg.bonds(g)]
     # A weight mu(u, x) enters W_s only when s is in tau(u) \ tau(x); outside
     # the generators with weights every A'_s is diagonal, and diagonal
     # matrices commute, so a commuting pair can fail only if s or t has
@@ -409,17 +402,18 @@ def kl_table(n: int) -> _Columns:
 # oracle graphs
 
 
-def _oracle_graph(n, elements, labels, keys, columns) -> wg.SColoredGraph:
-    """The W-graph on the given elements: left descent sets as colours and
-    mu values as weights, stored only where they define arcs.
+def _oracle_graph(n: int, words, labels, columns, flip: bool) -> wg.SColoredGraph:
+    """The W-graph on the one-line images words of elements of S_n: left
+    descent sets as colours and mu values as weights, stored only where
+    they define arcs.
 
-    keys[a] stands for elements[a] in columns, a _Columns that makes the
-    column of a key when it is first read.  It is the element itself, or
-    its image x w0 for every element, since mu(x, y) = mu(y w0, x w0)
-    (Kazhdan-Lusztig 1979, Corollary 3.2); either way the mu of two
-    vertices is read off the column of the longer key.
+    mu is read off the column of the longer of two keys in columns, a
+    _Columns for S_n.  The keys are the words, or when flip their images
+    w w0, since mu(x, y) = mu(y w0, x w0) (Kazhdan-Lusztig 1979,
+    Corollary 3.2).
     """
-    tau = [left_descents(w) for w in elements]
+    tau = [left_descents_images(w) for w in words]
+    keys = [w[::-1] for w in words] if flip else words
     lengths = columns.lengths
     mu: dict[tuple[int, int], int] = {}
     for b, kb in enumerate(keys):
@@ -454,36 +448,14 @@ def kl_left_cell_graph(lam, columns=None) -> wg.SColoredGraph:
     lam = tb.check_partition(lam)
     n = sum(lam)
     check_oracle_bound(n)
-    if columns is not None and columns.n != n:
-        raise ValueError(f"a KL column store for S_{columns.n} cannot serve the shape {lam} of {n}")
-    tabs = tb.enumerate_std(lam)
-    words = [tb.word(t) for t in tabs]
-    flip = 2 * sum(map(length, words)) > len(words) * (n * (n - 1) // 2)
-    return _left_cell_graph(n, words, tuple((0, t) for t in tabs), flip, columns)
-
-
-def _left_cell_graph(n: int, words, labels, flip: bool, columns=None) -> wg.SColoredGraph:
-    """The W-graph on words, with mu read from the columns of the words, or
-    of their images w w0 when flip, made in columns or in a fresh store."""
-    keys = [w.images[::-1] if flip else w.images for w in words]
     if columns is None:
         columns = kl_columns(n, ())
-    return _oracle_graph(n, words, labels, keys, columns)
-
-
-def kl_regular_graph(n: int) -> wg.SColoredGraph:
-    """The full left W-graph of S_n, labelled by Robinson-Schensted pairs.
-
-    Vertices follow the one-line order; a vertex label is (recording-class
-    index, insertion tableau).
-    """
-    elements = list(all_permutations(n))
-    pairs = [rsk.rs(w) for w in elements]
-    q_index: dict = {}
-    for _p, qtab in pairs:
-        q_index.setdefault(qtab, len(q_index))
-    labels = tuple((q_index[qtab], p) for p, qtab in pairs)
-    return _oracle_graph(n, elements, labels, [w.images for w in elements], kl_table(n))
+    elif columns.n != n:
+        raise ValueError(f"a KL column store for S_{columns.n} cannot serve the shape {lam} of {n}")
+    tabs = tb.enumerate_std(lam)
+    words = [tb.word_images(t) for t in tabs]
+    flip = 2 * sum(map(columns.lengths.__getitem__, words)) > len(words) * (n * (n - 1) // 2)
+    return _oracle_graph(n, words, tuple((0, t) for t in tabs), columns, flip)
 
 
 def graphs_equal_under(g1: wg.SColoredGraph, g2: wg.SColoredGraph, bijection) -> bool:

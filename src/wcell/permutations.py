@@ -108,10 +108,13 @@ def length(w: Permutation) -> int:
 
 def left_descents(w: Permutation) -> frozenset[int]:
     """Indices i with l(s_i w) < l(w): the value i appears after i+1."""
-    pos = [0] * (w.n + 1)
-    for p, v in enumerate(w.images):
-        pos[v] = p
-    return frozenset(i for i in range(1, w.n) if pos[i] > pos[i + 1])
+    return left_descents_images(w.images)
+
+
+def left_descents_images(images: tuple) -> frozenset[int]:
+    """left_descents on one-line images."""
+    pos = {v: p for p, v in enumerate(images)}
+    return frozenset(i for i in range(1, len(images)) if pos[i] > pos[i + 1])
 
 
 def right_descents(w: Permutation) -> frozenset[int]:

@@ -444,16 +444,16 @@ def restrict_gt(t: StandardTableau, m: int) -> StandardTableau:
 
 
 def word(t: StandardTableau) -> Permutation:
+    """The reading word word_images(t) as a Permutation."""
+    return Permutation(word_images(t))
+
+
+def word_images(t: StandardTableau) -> tuple[int, ...]:
     """Reading word: columns left to right, each read bottom to top."""
     if not (t.shape.is_normal and t.offset == 0):
         raise ValueError("word is defined for normal tableaux with target [1, n]")
-    images = []
-    cols: list[list[int]] = [[] for _ in t.shape.outer]
-    for e in t.entries():
-        cols[t.col_of(e) - 1].append(e)
-    for col in cols:
-        images.extend(reversed(col))
-    return Permutation(images)
+    cols = t.column_word  # entries grow down a column: read it in decreasing order
+    return tuple(sorted(range(1, len(cols) + 1), key=lambda e: (cols[e - 1], -e)))
 
 
 def perm(t: StandardTableau) -> Permutation:

@@ -425,16 +425,18 @@ def check_simplicity(g: SColoredGraph) -> CheckReport:
     return CheckReport("simplicity", not bad, tuple(bad))
 
 
-def check_bonding(g: SColoredGraph) -> CheckReport:
-    """Simply-laced bonding: unique opposite-pattern neighbour across each bond.
+def bonds(g: SColoredGraph) -> list[int]:
+    """The i <= n - 2, ascending, of the bonds (i, i + 1) with i or i + 1 in
+    some colour: at any other bond no vertex has either generator."""
+    return sorted({s for c in set().union(*g.tau) for s in (c - 1, c) if 1 <= s <= g.n - 2})
 
-    Only bonds (i, i+1) with i or i+1 in some colour are tried: for any
-    other bond every vertex has neither, so there is nothing to check.
-    """
+
+def check_bonding(g: SColoredGraph) -> CheckReport:
+    """Simply-laced bonding: unique opposite-pattern neighbour across each
+    bond of bonds(g)."""
     bad = []
     edges_at = _simple_adjacency(g)
-    coloured = set().union(*g.tau)
-    for i in sorted({s for c in coloured for s in (c - 1, c) if 1 <= s <= g.n - 2}):
+    for i in bonds(g):
         j = i + 1
         for v in g.vertices():
             has_i = i in g.tau[v]

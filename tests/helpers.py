@@ -3,6 +3,8 @@
 Everything here is deliberately naive and independent of the library code
 paths it checks: orders come from transitive closures, path sums from
 explicit path enumeration, tableau counts from enumeration of fillings.
+kl_regular_graph is the exception: it is the library's KL oracle run on all
+of S_n, which only tests need.
 """
 
 from bisect import bisect_left
@@ -11,7 +13,7 @@ from heapq import merge
 
 from hypothesis import strategies as st
 
-from wcell import knuth
+from wcell import hecke, knuth, rsk
 from wcell import tableaux as tb
 from wcell import wgraph as wg
 from wcell.knuth import _between_boxes, _graft, _prefix_with_top, restriction_number
@@ -382,6 +384,21 @@ def kl_table_slow(n: int):
             if m and y != w:
                 mu_pairs[(y, w)] = m
     return h, mu_pairs
+
+
+def kl_regular_graph(n: int) -> wg.SColoredGraph:
+    """The full left W-graph of S_n, labelled by Robinson-Schensted pairs.
+
+    Vertices follow the one-line order; a vertex label is (recording-class
+    index, insertion tableau).
+    """
+    elements = list(all_permutations(n))
+    pairs = [rsk.rs(w) for w in elements]
+    q_index: dict = {}
+    for _p, qtab in pairs:
+        q_index.setdefault(qtab, len(q_index))
+    labels = tuple((q_index[qtab], p) for p, qtab in pairs)
+    return hecke._oracle_graph(n, [w.images for w in elements], labels, hecke.kl_table(n), False)
 
 
 # ---------------------------------------------------------------------------

@@ -332,6 +332,12 @@ def test_cli_import_leaves_numpy_out():
     assert out.stdout.strip() == "False"
 
 
+def test_cli_import_leaves_rsk_out():
+    out = _fresh_interpreter("-c", "import sys, wcell.cli; print('wcell.rsk' in sys.modules)")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
+
+
 def test_cli_import_leaves_dataclasses_and_inspect_out_and_builds_no_parser():
     code = (
         "import sys, wcell.cli; "

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 
 import helpers
 from helpers import alternating_sum_slow, coloured_graphs, corruptions
-from wcell import hecke
 from wcell import tableaux as tb
 from wcell import wgraph as wg
 
@@ -72,7 +71,7 @@ def test_built_graphs_are_single_cells(built):
 
 
 def test_regular_graph_cell_count_n3():
-    reg = hecke.kl_regular_graph(3)
+    reg = helpers.kl_regular_graph(3)
     dec = wg.cells(reg)
     assert len(dec.blocks) == sum(tb.hook_count(l) for l in tb.partitions_of(3)) == 4
 
@@ -105,7 +104,7 @@ def test_disjoint_union_molecule_types(built):
 
 
 def test_regular_graph_molecule_multiset_n4():
-    reg = hecke.kl_regular_graph(4)
+    reg = helpers.kl_regular_graph(4)
     parts, types = wg.molecule_types(reg)
     expected = []
     for lam in tb.partitions_of(4):
@@ -161,7 +160,7 @@ def _reference_family(built, regular_ranks):
     """Built graphs of n <= 7, regular graphs, a union, shuffles, corruptions."""
     rng = random.Random(1807)
     shapes = [built(lam) for n in range(1, 8) for lam in tb.partitions_of(n)]
-    graphs = shapes + [hecke.kl_regular_graph(n) for n in regular_ranks]
+    graphs = shapes + [helpers.kl_regular_graph(n) for n in regular_ranks]
     graphs.append(graph_union(built((2, 1)), built((3,))))
     graphs += [_shuffled(g, rng) for g in graphs]
     for g in shapes:
@@ -188,14 +187,14 @@ def test_molecule_types_match_reference(built):
 
 @pytest.mark.parametrize("n, shapes", [(5, 7), (6, 11)])
 def test_one_cell_index_per_shape_in_typing(monkeypatch, n, shapes):
-    # kl_regular_graph(n) has a part for every left cell, but each shape's
+    # helpers.kl_regular_graph(n) has a part for every left cell, but each shape's
     # index is built once
     from wcell import builder
 
     calls = []
     cell_index = builder.cell_index
     monkeypatch.setattr(builder, "cell_index", lambda tabs: calls.append(1) or cell_index(tabs))
-    wg.molecule_types(hecke.kl_regular_graph(n))
+    wg.molecule_types(helpers.kl_regular_graph(n))
     assert len(calls) == shapes
 
 
@@ -328,7 +327,7 @@ def _check_polygon_pairs(g, quadruples):
 def _polygon_test_graphs(built):
     graphs = [built(lam) for lam in tb.partitions_of(5)]
     graphs += [built(lam) for lam in tb.partitions_of(6)]
-    graphs.append(hecke.kl_regular_graph(4))
+    graphs.append(helpers.kl_regular_graph(4))
     # a negative weight on an arc makes some sums negative
     g = built((3, 2))
     mu = dict(g.mu)
@@ -542,7 +541,7 @@ def test_ordered_on_built_graphs(built):
 
 def test_ordered_on_regular_graphs():
     for n in range(2, 6):
-        assert wg.check_ordered(hecke.kl_regular_graph(n)).ok
+        assert wg.check_ordered(helpers.kl_regular_graph(n)).ok
 
 
 def test_ordered_detects_corruption(built):
@@ -616,7 +615,7 @@ def test_json_text_equals_the_reference_encoding(built):
         wg.SColoredGraph(3, [set(), {1, 2}], {(1, 0): -3, (0, 1): 12}),  # empty colour
         wg.SColoredGraph(3, [{2}, {1}, set()], {(0, 1): 1, (2, 0): -1}, [(0, one), None, (7, two)]),
         wg.SColoredGraph(12, [set(range(1, 12))], {}, [(10, wide)]),
-        hecke.kl_regular_graph(3),
+        helpers.kl_regular_graph(3),
         built((3, 2)),
     ]
     for g in graphs:

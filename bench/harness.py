@@ -4,9 +4,9 @@ Each script compares the src tree given by --before, normally the parent
 commit's, with this checkout's src.  Every measurement is a fresh
 interpreter with one tree first on PYTHONPATH; the sides alternate, so that
 a drift of the machine does not fall on one side only; the values every run
-must share are checked; and the record names the commit, the Python
-version, the machine and its CPU count.  Run the scripts from the
-repository root.
+must share are checked; and the record names the commit, whether the
+measured checkout differed from it, the Python version, the machine and its
+CPU count.  Run the scripts from the repository root.
 """
 
 from __future__ import annotations
@@ -63,11 +63,15 @@ def quartiles(values, digits: int = 5) -> dict:
 
 
 def write(out: str, what: str, command: str, **fields) -> None:
-    """Write the record: what, command, commit, Python, machine and CPUs, then fields."""
-    commit = subprocess.run(
-        ["git", "rev-parse", "HEAD"], capture_output=True, text=True, check=False
-    ).stdout.strip()
-    record = {"what": what, "command": command, "commit": commit,
+    """Write the record: what, command, commit (HEAD) and dirty (whether a
+    tracked file differs from HEAD, so that the tree measured as "after" is
+    not that commit), Python, machine and CPUs, then fields."""
+    def git(*argv):
+        return subprocess.run(["git", *argv], capture_output=True, text=True, check=False)
+
+    record = {"what": what, "command": command,
+              "commit": git("rev-parse", "HEAD").stdout.strip(),
+              "dirty": git("diff", "--quiet", "HEAD", "--").returncode != 0,
               "python": platform.python_version(), "machine": platform.machine(),
               "cpus": os.cpu_count(), **fields}
     with open(out, "w") as fh:

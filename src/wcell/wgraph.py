@@ -8,7 +8,11 @@ not contained in tau(v).  An edge is a pair of opposite arcs; it is simple
 when both weights are 1.
 
 The rule checkers return structured reports rather than raising, so a
-failing graph can be inspected; the CLI maps reports to exit codes.
+failing graph can be inspected; the CLI maps reports to exit codes.  A
+report lists at most _MAX_WITNESSES witnesses, the first ones in increasing
+key order: (u, v) of the weight for the weight rules, (i, v) for bonding.
+A rule scans the weights in the order of g.mu and sorts only to write a
+failing report, so a passing graph is never sorted.
 
 A graph document is the JSON text that ``json.dumps(obj, indent=2)`` gives
 for the object below, plus a newline; json_chunks writes it from templates
@@ -32,6 +36,7 @@ two weight entries for one (from, to) pair, whichever weights they give.
 
 from __future__ import annotations
 
+from itertools import chain, islice
 from typing import NamedTuple, Optional
 
 from . import tableaux as tb
@@ -41,7 +46,7 @@ Label = tuple[int, StandardTableau]  # (molecule index, tableau)
 
 
 class SColoredGraph:
-    __slots__ = ("n", "tau", "mu", "labels", "_columns", "_vrange")
+    __slots__ = ("n", "tau", "mu", "labels", "_columns", "_colours", "_vrange")
 
     def __init__(self, n: int, tau, mu, labels=None):
         """n is the rank plus one: generator indices run over {1, ..., n-1}."""
@@ -49,11 +54,9 @@ class SColoredGraph:
         for s in tau:
             if any(not 1 <= i <= n - 1 for i in s):
                 raise ValueError(f"colour {set(s)} outside [1,{n-1}]")
-        mu = {
-            (u, v): w
-            for (u, v), w in mu.items()
-            if w != 0
-        }
+        mu = dict(mu)
+        if 0 in mu.values():
+            mu = {key: w for key, w in mu.items() if w != 0}
         nv = len(tau)
         for (u, v) in mu:
             if not (0 <= u < nv and 0 <= v < nv):
@@ -69,6 +72,7 @@ class SColoredGraph:
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "_columns", None)
+        object.__setattr__(self, "_colours", None)
         object.__setattr__(self, "_vrange", range(nv))
 
     def __setattr__(self, *a):
@@ -94,6 +98,24 @@ class SColoredGraph:
             object.__setattr__(self, "_columns", cols)
         return self._columns[v]
 
+    def colour_index(self) -> ColourIndex:
+        """The colours as integers, built the first time a rule reads them.
+
+        Like the columns of column(), the index is made once per graph and
+        kept: the rule checkers test subsets, strict subsets and bonds on
+        the masks, and both polygon checks share its colours and groups.
+        """
+        if self._colours is None:
+            mask_of = {s: sum(1 << i for i in s) for s in dict.fromkeys(self.tau)}
+            colours = tuple(mask_of)
+            groups: dict[int, int] = {}
+            for c, s in enumerate(colours):
+                for i in s:
+                    groups[i] = groups.get(i, 0) | 1 << c
+            masks = list(map(mask_of.__getitem__, self.tau))
+            object.__setattr__(self, "_colours", ColourIndex(masks, colours, groups))
+        return self._colours
+
     def is_labelled(self) -> bool:
         return self.labels is not None and all(l is not None for l in self.labels)
 
@@ -118,6 +140,22 @@ class SColoredGraph:
 
     def out_neighbours(self, v: int):
         return [u for u in self.column(v) if not self.tau[u] <= self.tau[v]]
+
+
+class ColourIndex:
+    """One graph's colours as integers (SColoredGraph.colour_index).
+
+    masks[v] is the sum of 1 << i over the i in tau(v); colours holds the
+    distinct colours, each once; groups[i], for each i in some colour, is
+    the set of colours that hold i, as a bit mask over their positions in
+    colours.  Two generators colour the same vertices exactly when their
+    groups are equal.
+    """
+
+    __slots__ = ("masks", "colours", "groups")
+
+    def __init__(self, masks: list[int], colours: tuple[frozenset[int], ...], groups: dict[int, int]):
+        self.masks, self.colours, self.groups = masks, colours, groups
 
 
 # ---------------------------------------------------------------------------
@@ -225,11 +263,15 @@ def cells(g: SColoredGraph) -> CellDecomposition:
 
 
 def _simple_adjacency(g: SColoredGraph) -> list[list[int]]:
-    """The simple-edge neighbours of each vertex."""
-    edges_at: list[list[int]] = [[] for _ in g.vertices()]
-    for u, v in g.simple_edges():
-        edges_at[u].append(v)
-        edges_at[v].append(u)
+    """The simple-edge neighbours of each vertex, in the order of g.mu."""
+    mu, masks = g.mu, g.colour_index().masks
+    edges_at: list[list[int]] = [[] for _ in g.tau]
+    for (u, v), w in mu.items():
+        if w == 1 and u < v and mu.get((v, u)) == 1:
+            mu_, mv = masks[u], masks[v]
+            if mu_ & ~mv and mv & ~mu_:
+                edges_at[u].append(v)
+                edges_at[v].append(u)
     return edges_at
 
 
@@ -355,28 +397,22 @@ def restrict(g: SColoredGraph, J) -> SColoredGraph:
 # rule checkers
 
 
-def check_admissible(g: SColoredGraph) -> CheckReport:
-    """Nonnegative integer weights, symmetric on incomparable colours, bipartite."""
-    bad = []
-    mu, tau = g.mu, g.tau
-    for u, v in sorted(mu):
-        if len(bad) >= _MAX_WITNESSES:
-            break
-        w = mu[u, v]
-        if not isinstance(w, int) or w < 0:
-            bad.append(("negative-weight", u, v, w))
-            continue
-        tu, tv = tau[u], tau[v]
-        if not tu <= tv and not tv <= tu and mu.get((v, u), 0) != w:
-            bad.append(("asymmetric", u, v, w, mu.get((v, u), 0)))
-    # the arcs v -> u in increasing (v, u), the order of g.arcs(): each set
-    # takes its members in that order, so the search visits them in it
-    adjacency: list[set[int]] = [set() for _ in tau]
-    for v, u in sorted([(v, u) for u, v in mu if not tau[u] <= tau[v]]):
-        adjacency[v].add(u)
-        adjacency[u].add(v)
-    colour = [-1] * len(tau)
-    for root in g.vertices():
+def _report(rule: str, witnesses, mu: dict) -> CheckReport:
+    """The report of a rule whose witnesses(items) yields the violations of
+    the weights items, in their order: a pass over mu in dict order that
+    finds none passes, and only then are the weights sorted, for the first
+    _MAX_WITNESSES violations in increasing key order."""
+    if next(witnesses(mu.items()), None) is None:
+        return CheckReport(rule, True)
+    return CheckReport(rule, False, tuple(islice(witnesses(sorted(mu.items())), _MAX_WITNESSES)))
+
+
+def _odd_cycles(adjacency):
+    """("odd-cycle", v, u) for each component of the graph adjacency[v]
+    lists the neighbours of, where the two-colouring search from its least
+    vertex first reaches an edge uv with both ends coloured alike."""
+    colour = [-1] * len(adjacency)
+    for root in range(len(adjacency)):
         if colour[root] >= 0:
             continue
         colour[root] = 0
@@ -388,41 +424,83 @@ def check_admissible(g: SColoredGraph) -> CheckReport:
                     colour[u] = 1 - colour[v]
                     frontier.append(u)
                 elif colour[u] == colour[v]:
-                    bad.append(("odd-cycle", v, u))
+                    yield ("odd-cycle", v, u)
                     frontier = []
                     break
-    return CheckReport("admissible", not bad, tuple(bad[:_MAX_WITNESSES]))
+
+
+def check_admissible(g: SColoredGraph) -> CheckReport:
+    """Nonnegative integer weights, symmetric on incomparable colours, bipartite."""
+    mu, masks = g.mu, g.colour_index().masks
+
+    def weights(items):
+        get = mu.get
+        for (u, v), w in items:
+            if not isinstance(w, int) or w < 0:
+                yield ("negative-weight", u, v, w)
+            elif masks[u] & ~masks[v] and masks[v] & ~masks[u] and get((v, u), 0) != w:
+                yield ("asymmetric", u, v, w, get((v, u), 0))
+
+    # whether the arcs make an odd cycle does not depend on the order the
+    # search takes them in, so a passing graph is searched on lists in the
+    # order of mu
+    adjacency: list[list[int]] = [[] for _ in masks]
+    for u, v in mu:
+        if masks[u] & ~masks[v]:
+            adjacency[v].append(u)
+            adjacency[u].append(v)
+    if next(chain(weights(mu.items()), _odd_cycles(adjacency)), None) is None:
+        return CheckReport("admissible", True)
+    # the arcs v -> u in increasing (v, u), the order of g.arcs(): each set
+    # takes its members in that order, so the search visits them in it
+    sets: list[set[int]] = [set() for _ in masks]
+    for v, u in sorted([(v, u) for u, v in mu if masks[u] & ~masks[v]]):
+        sets[v].add(u)
+        sets[u].add(v)
+    bad = chain(weights(sorted(mu.items())), _odd_cycles(sets))
+    return CheckReport("admissible", False, tuple(islice(bad, _MAX_WITNESSES)))
 
 
 def check_compatibility(g: SColoredGraph) -> CheckReport:
     """Colours across a nonzero weight differ only by bonded generators (|i-j| = 1)."""
-    bad = []
-    for (u, v), w in sorted(g.mu.items()):
-        for i in g.tau[u] - g.tau[v]:
-            for j in g.tau[v] - g.tau[u]:
-                if abs(i - j) != 1:
-                    bad.append((u, v, i, j))
-                    if len(bad) >= _MAX_WITNESSES:
-                        return CheckReport("compatibility", False, tuple(bad))
-    return CheckReport("compatibility", not bad, tuple(bad))
+    tau, masks = g.tau, g.colour_index().masks
+
+    def witnesses(items):
+        for (u, v), _ in items:
+            a = masks[u] & ~masks[v]
+            b = masks[v] & ~masks[u]
+            # every i of a is next to every j of b exactly when one of them
+            # is a single generator and the other lies among its neighbours
+            if a and b and (a & (a - 1) or b & ~(a << 1 | a >> 1)) and (
+                b & (b - 1) or a & ~(b << 1 | b >> 1)
+            ):
+                for i in tau[u] - tau[v]:
+                    for j in tau[v] - tau[u]:
+                        if abs(i - j) != 1:
+                            yield (u, v, i, j)
+
+    return _report("compatibility", witnesses, g.mu)
 
 
 def check_simplicity(g: SColoredGraph) -> CheckReport:
     """Each nonzero weight is a one-way arc into a larger colour or half a simple edge."""
-    bad = []
-    for (u, v), w in sorted(g.mu.items()):
-        tu, tv = g.tau[u], g.tau[v]
-        if tv < tu:
-            if g.weight(v, u) != 0:
-                bad.append(("two-way-cover", u, v))
-        elif not tu <= tv and not tv <= tu:
-            if w != 1 or g.weight(v, u) != 1:
-                bad.append(("non-simple-edge", u, v, w, g.weight(v, u)))
-        else:
-            bad.append(("weight-into-smaller-colour", u, v, w))
-        if len(bad) >= _MAX_WITNESSES:
-            break
-    return CheckReport("simplicity", not bad, tuple(bad))
+    mu, masks = g.mu, g.colour_index().masks
+
+    def witnesses(items):
+        get = mu.get
+        for (u, v), w in items:
+            mu_, mv = masks[u], masks[v]
+            if mv & ~mu_:
+                if not mu_ & ~mv:
+                    yield ("weight-into-smaller-colour", u, v, w)
+                elif w != 1 or get((v, u), 0) != 1:
+                    yield ("non-simple-edge", u, v, w, get((v, u), 0))
+            elif mu_ == mv:
+                yield ("weight-into-smaller-colour", u, v, w)
+            elif (v, u) in mu:
+                yield ("two-way-cover", u, v)
+
+    return _report("simplicity", witnesses, mu)
 
 
 def bonds(g: SColoredGraph) -> list[int]:
@@ -433,27 +511,40 @@ def bonds(g: SColoredGraph) -> list[int]:
 
 def check_bonding(g: SColoredGraph) -> CheckReport:
     """Simply-laced bonding: unique opposite-pattern neighbour across each
-    bond of bonds(g)."""
-    bad = []
+    bond of bonds(g).
+
+    Each vertex is tried at the bonds (i, i + 1) that its colour holds one
+    generator of, which are all in bonds(g).  A simple-edge neighbour has
+    the opposite pattern there exactly when its colour differs from the
+    vertex's at both i and i + 1, so one pass over the neighbours marks
+    the bonds met once and those met again.  The witnesses (v, i, i + 1,
+    count) come in increasing (i, v), sorted only when some vertex fails.
+    """
+    masks = g.colour_index().masks
     edges_at = _simple_adjacency(g)
-    for i in bonds(g):
-        j = i + 1
-        for v in g.vertices():
-            has_i = i in g.tau[v]
-            has_j = j in g.tau[v]
-            if has_i == has_j:
-                continue
-            want_i, want_j = (not has_i), (not has_j)
-            count = sum(
-                1
-                for u in edges_at[v]
-                if (i in g.tau[u]) == want_i and (j in g.tau[u]) == want_j
-            )
-            if count != 1:
-                bad.append((v, i, j, count))
-                if len(bad) >= _MAX_WITNESSES:
-                    return CheckReport("bonding", False, tuple(bad))
-    return CheckReport("bonding", not bad, tuple(bad))
+    inner = (1 << max(g.n - 1, 1)) - 2  # the i with 1 <= i <= n - 2
+
+    def witnesses(vertices):
+        for v in vertices:
+            m = masks[v]
+            touched = (m ^ m >> 1) & inner
+            once = twice = 0
+            for u in edges_at[v]:
+                d = m ^ masks[u]
+                hits = d & d >> 1 & touched
+                twice |= once & hits
+                once |= hits
+            failed = touched & ~(once & ~twice)
+            while failed:
+                i = (failed & -failed).bit_length() - 1
+                failed &= failed - 1
+                count = sum(1 for u in edges_at[v] if (m ^ masks[u]) >> i & 3 == 3)
+                yield (v, i, i + 1, count)
+
+    if next(witnesses(g.vertices()), None) is None:
+        return CheckReport("bonding", True)
+    bad = sorted(witnesses(g.vertices()), key=lambda x: (x[1], x[0]))
+    return CheckReport("bonding", False, tuple(bad[:_MAX_WITNESSES]))
 
 
 def polygon_pairs(g: SColoredGraph, r: int) -> list[tuple[int, int]]:
@@ -475,17 +566,13 @@ def polygon_pairs(g: SColoredGraph, r: int) -> list[tuple[int, int]]:
     """
     if r not in (2, 3):
         raise ValueError("only r = 2 and r = 3 occur in type A")
-    gens = sorted(set().union(*map(g.tau.__getitem__, {u for u, _ in g.mu})))
-    # group[i]: the colours that hold i, as a bit mask over the distinct
-    # colours; two generators colour the same vertices exactly when they
-    # are in the same colours
-    colours = set(g.tau)
-    group = dict.fromkeys(gens, 0)
-    for c, s in enumerate(colours):
-        for i in s:
-            if i in group:
-                group[i] |= 1 << c
-    everyone = (1 << len(colours)) - 1
+    index = g.colour_index()
+    rows = 0
+    for m in {index.masks[u] for u, _ in g.mu}:
+        rows |= m
+    gens = sorted(i for i in index.groups if rows >> i & 1)
+    group = {i: index.groups[i] for i in gens}
+    everyone = (1 << len(index.colours)) - 1
     if r == 2:
         # the smallest generator of each group, ascending
         firsts: dict[int, int] = {}
@@ -538,7 +625,7 @@ def polygon_sums(g: SColoredGraph, r: int):
         second[i] = second.get(i, 0) | 2 << 2 * k
     every = (1 << 2 * len(pairs)) - 1
     kinds = {}
-    for s in set(g.tau):
+    for s in g.colour_index().colours:
         # the sums whose first, and whose second, generator s holds
         one = two = 0
         for i in s:
@@ -631,6 +718,11 @@ def check_ordered(g: SColoredGraph) -> CheckReport:
     Dominance is the guarded subtraction builder.probable_pairs uses, on
     the keys of the column words (tb.dominance_keys), so every vertex needs
     a (molecule, tableau) label and the tableaux must hold the same entries.
+    The exchange is tested on the words packed one letter to a field, the
+    first letter lowest: the lowest bit in which two packed words differ
+    lies in the field of their first differing letter k, and exchanging
+    the letters d apart at k and k+1 takes d (2^b - 1) 2^(kb) off the
+    packed word, for fields of b bits.
     """
     if not g.is_labelled():
         raise ValueError("check_ordered requires labelled vertices")
@@ -639,27 +731,41 @@ def check_ordered(g: SColoredGraph) -> CheckReport:
     molecule = [m for m, _ in g.labels]
     words = [t.column_word for _, t in g.labels]
     keys, guard = tb.dominance_keys(words)
-    bad = []
-    for (cu, cv), w in sorted(g.mu.items()):
-        ku, kt = keys[cu], keys[cv]
-        if ku != kt and ((ku | guard) - kt) & guard == guard:
-            continue
-        if molecule[cu] == molecule[cv]:
-            uw, tw = words[cu], words[cv]
-            k = next((k for k, (a, b) in enumerate(zip(uw, tw)) if a != b), len(tw))
-            if k + 1 < len(tw) and tw[k] < tw[k + 1]:
-                if uw == tw[:k] + (tw[k + 1], tw[k]) + tw[k + 2 :]:
-                    continue
-        bad.append((cu, cv, w))
-        if len(bad) >= _MAX_WITNESSES:
-            break
-    return CheckReport("ordered", not bad, tuple(bad))
+    b = max(map(max, filter(None, words)), default=0).bit_length() or 1
+    shifts = range(0, b * len(words[0]), b) if words else ()
+    packed = [sum(map(int.__lshift__, w, shifts)) for w in words]
+    field = (1 << b) - 1
+
+    def witnesses(items):
+        for (cu, cv), w in items:
+            ku, kt = keys[cu], keys[cv]
+            if ku != kt and ((ku | guard) - kt) & guard == guard:
+                continue
+            if molecule[cu] == molecule[cv]:
+                pu, pt = packed[cu], packed[cv]
+                x = pu ^ pt
+                k = ((x & -x).bit_length() - 1) // b  # -1 for equal words
+                tw = words[cv]
+                if 0 <= k < len(tw) - 1 and tw[k] < tw[k + 1]:
+                    if pt - pu == (tw[k + 1] - tw[k]) * field << k * b:
+                        continue
+            yield (cu, cv, w)
+
+    return _report("ordered", witnesses, g.mu)
 
 
 ALL_RULES = ("admissible", "compatibility", "simplicity", "bonding", "polygon", "ordered")
 
 
 def run_checks(g: SColoredGraph, rules=ALL_RULES) -> list[CheckReport]:
+    """The reports of the rules named, in order; "polygon" gives two, r = 2
+    then r = 3.
+
+    Each report's witnesses come in increasing key order, at most
+    _MAX_WITNESSES of them; a rule sorts only to write a failing report.
+    The rules share the graph's colour index and columns, built by the
+    first rule that reads them.
+    """
     out = []
     for rule in rules:
         if rule == "admissible":

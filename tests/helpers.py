@@ -891,3 +891,75 @@ def check_admissible(g: wg.SColoredGraph) -> wg.CheckReport:
                     frontier = []
                     break
     return wg.CheckReport("admissible", not bad, tuple(bad[:wg._MAX_WITNESSES]))
+
+
+# ---------------------------------------------------------------------------
+# The compatibility, simplicity and bonding rules over sorted weights and the
+# sorted simple_edges(): the references for wgraph's checkers, which scan
+# g.mu in dict order on colour bit masks and sort only to write a failing
+# report.
+
+
+def check_compatibility(g: wg.SColoredGraph) -> wg.CheckReport:
+    """Colours across a nonzero weight differ only by bonded generators (|i-j| = 1)."""
+    bad = []
+    for (u, v), w in sorted(g.mu.items()):
+        for i in g.tau[u] - g.tau[v]:
+            for j in g.tau[v] - g.tau[u]:
+                if abs(i - j) != 1:
+                    bad.append((u, v, i, j))
+                    if len(bad) >= wg._MAX_WITNESSES:
+                        return wg.CheckReport("compatibility", False, tuple(bad))
+    return wg.CheckReport("compatibility", not bad, tuple(bad))
+
+
+def check_simplicity(g: wg.SColoredGraph) -> wg.CheckReport:
+    """Each nonzero weight is a one-way arc into a larger colour or half a simple edge."""
+    bad = []
+    for (u, v), w in sorted(g.mu.items()):
+        tu, tv = g.tau[u], g.tau[v]
+        if tv < tu:
+            if g.weight(v, u) != 0:
+                bad.append(("two-way-cover", u, v))
+        elif not tu <= tv and not tv <= tu:
+            if w != 1 or g.weight(v, u) != 1:
+                bad.append(("non-simple-edge", u, v, w, g.weight(v, u)))
+        else:
+            bad.append(("weight-into-smaller-colour", u, v, w))
+        if len(bad) >= wg._MAX_WITNESSES:
+            break
+    return wg.CheckReport("simplicity", not bad, tuple(bad))
+
+
+def simple_adjacency(g: wg.SColoredGraph) -> list[list[int]]:
+    """The simple-edge neighbours of each vertex."""
+    edges_at: list[list[int]] = [[] for _ in g.vertices()]
+    for u, v in g.simple_edges():
+        edges_at[u].append(v)
+        edges_at[v].append(u)
+    return edges_at
+
+
+def check_bonding(g: wg.SColoredGraph) -> wg.CheckReport:
+    """Simply-laced bonding: unique opposite-pattern neighbour across each
+    bond of wgraph.bonds(g)."""
+    bad = []
+    edges_at = simple_adjacency(g)
+    for i in wg.bonds(g):
+        j = i + 1
+        for v in g.vertices():
+            has_i = i in g.tau[v]
+            has_j = j in g.tau[v]
+            if has_i == has_j:
+                continue
+            want_i, want_j = (not has_i), (not has_j)
+            count = sum(
+                1
+                for u in edges_at[v]
+                if (i in g.tau[u]) == want_i and (j in g.tau[u]) == want_j
+            )
+            if count != 1:
+                bad.append((v, i, j, count))
+                if len(bad) >= wg._MAX_WITNESSES:
+                    return wg.CheckReport("bonding", False, tuple(bad))
+    return wg.CheckReport("bonding", not bad, tuple(bad))

@@ -1,5 +1,7 @@
 import importlib.util
+import json
 import os
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -51,3 +53,27 @@ def test_quartiles_are_inclusive_and_rounded():
     assert harness.quartiles([0.123456, 0.2, 0.3], digits=3) == {
         "median": 0.2, "q1": 0.162, "q3": 0.25
     }
+
+
+def test_write_names_the_commit_and_whether_the_tree_differs_from_it(tmp_path, monkeypatch):
+    def git(*argv):
+        return subprocess.run(
+            ["git", "-c", "user.name=t", "-c", "user.email=t@t", *argv],
+            cwd=tmp_path, capture_output=True, text=True, check=True,
+        ).stdout.strip()
+
+    git("init", "-q")
+    (tmp_path / "a.txt").write_text("one\n")
+    git("add", "a.txt")
+    git("commit", "-q", "-m", "one")
+    monkeypatch.chdir(tmp_path)
+    records = []
+    for change in (None, "two\n"):
+        if change:
+            (tmp_path / "a.txt").write_text(change)
+        harness.write("out.json", "what", "command", rows=[1])
+        records.append(json.loads((tmp_path / "out.json").read_text()))
+    head = git("rev-parse", "HEAD")
+    assert [(r["commit"], r["dirty"]) for r in records] == [(head, False), (head, True)]
+    assert list(records[0])[:4] == ["what", "command", "commit", "dirty"]
+    assert records[0]["rows"] == [1]

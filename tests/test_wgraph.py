@@ -1,9 +1,11 @@
+import builtins
 import json
 import random
 import time
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 from helpers import alternating_sum_slow, coloured_graphs, corruptions
@@ -51,6 +53,23 @@ def test_one_way_arc_when_colours_nest():
 def test_self_weights_rejected():
     with pytest.raises(ValueError):
         wg.SColoredGraph(2, [{1}], {(0, 0): 1})
+
+
+def test_constructor_names_the_first_bad_pair_of_mu_and_drops_zeros():
+    # the error names the first offending pair in the order of mu; zero
+    # weights are dropped from a copy, and the copy keeps the order of mu
+    for mu, message in [
+        ({(0, 1): 1, (0, 0): 1, (0, 5): 1}, "self-weights are not allowed"),
+        ({(0, 1): 1, (0, 5): 1, (0, 0): 1}, r"weight on unknown vertex pair \(0,5\)"),
+        ({(-1, 0): 1}, r"weight on unknown vertex pair \(-1,0\)"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            wg.SColoredGraph(2, [{1}, set()], mu)
+    mu = {(0, 1): 1, (0, 0): 0, (1, 0): 0}
+    g = wg.SColoredGraph(2, [{1}, set()], mu)
+    assert g.mu == {(0, 1): 1} and mu == {(0, 1): 1, (0, 0): 0, (1, 0): 0}
+    g = wg.SColoredGraph(2, [{1}, set()], {(1, 0): 2, (0, 1): 1})
+    assert list(g.mu.items()) == [((1, 0), 2), ((0, 1), 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -198,15 +217,15 @@ def test_one_cell_index_per_shape_in_typing(monkeypatch, n, shapes):
     assert len(calls) == shapes
 
 
-def test_simple_edges_read_once_per_typing(built, monkeypatch):
+def test_simple_adjacency_built_once_per_typing(built, monkeypatch):
+    # straight from g.mu, without the sorted simple_edges()
     g = built((3, 2, 1))
     calls = []
-    simple_edges = wg.SColoredGraph.simple_edges
-    monkeypatch.setattr(
-        wg.SColoredGraph, "simple_edges", lambda self: calls.append(1) or simple_edges(self)
-    )
+    simple_adjacency = wg._simple_adjacency
+    monkeypatch.setattr(wg, "_simple_adjacency", lambda h: calls.append(h) or simple_adjacency(h))
+    monkeypatch.setattr(wg.SColoredGraph, "simple_edges", None)
     wg.molecule_types(g)
-    assert len(calls) == 1
+    assert calls == [g]
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +303,106 @@ def test_admissible_reports_match_reference(built):
                     assert report == helpers.check_admissible(x), lam
                     kinds.update(w[0] for w in report.violations)
     assert kinds == {"negative-weight", "asymmetric", "odd-cycle"}
+
+
+_RULES = {
+    "admissible": (wg.check_admissible, helpers.check_admissible),
+    "compatibility": (wg.check_compatibility, helpers.check_compatibility),
+    "simplicity": (wg.check_simplicity, helpers.check_simplicity),
+    "bonding": (wg.check_bonding, helpers.check_bonding),
+    "ordered": (wg.check_ordered, helpers.check_ordered),
+}
+
+
+# what tells a rule's witnesses apart, and the values the corruptions must give
+_KINDS = {
+    "compatibility": (lambda w: w[2] < w[3], {True, False}),
+    "simplicity": (lambda w: w[0], {"two-way-cover", "non-simple-edge", "weight-into-smaller-colour"}),
+    "bonding": (lambda w: min(w[3], 2), {0, 2}),  # no neighbour, several
+}
+
+
+@pytest.mark.parametrize("rule", sorted(_KINDS))
+def test_local_rule_reports_match_reference(built, rule):
+    # as test_admissible_reports_match_reference: every shape with n <= 7 and
+    # 20 seeded single corruptions of each, also shuffled
+    fast, slow = _RULES[rule]
+    kind, kinds = _KINDS[rule]
+    rng = random.Random(1807)
+    seen, outcomes = set(), set()
+    for n in range(1, 8):
+        for lam in tb.partitions_of(n):
+            g = built(lam)
+            for h in [g] + corruptions(g, rng, 20):
+                for x in (h, _shuffled(h, rng)):
+                    report = fast(x)
+                    assert report == slow(x), lam
+                    seen.update(map(kind, report.violations))
+                    outcomes.add(report.ok)
+    assert seen == kinds and outcomes == {True, False}
+
+
+@settings(max_examples=300, deadline=None)
+@given(g=coloured_graphs(), data=st.data())
+def test_local_rule_reports_match_reference_on_any_graph(g, data):
+    size = data.draw(st.integers(1, 4))
+    tableaux = [t for lam in tb.partitions_of(size) for t in tb.enumerate_std(lam)]
+    labels = data.draw(st.lists(st.tuples(st.integers(0, 1), st.sampled_from(tableaux)),
+                                min_size=g.num_vertices, max_size=g.num_vertices))
+    labelled = wg.SColoredGraph(g.n, g.tau, g.mu, labels)
+    for rule, (fast, slow) in _RULES.items():
+        x = labelled if rule == "ordered" else g
+        assert fast(x) == slow(x), rule
+
+
+def _many_failures():
+    """30 vertices, their weights inserted in decreasing key order, that fail
+    every local rule more than 20 times."""
+    one = tb.from_text("1")
+    tau = [{1} if v % 2 else {3} for v in range(30)]
+    mu = {(u, u + 1): 1 for u in reversed(range(29))}
+    return wg.SColoredGraph(4, tau, mu, [(0, one)] * 30)
+
+
+@pytest.mark.parametrize("rule", sorted(_RULES))
+def test_reports_keep_the_first_twenty_witnesses_in_key_order(rule):
+    g = _many_failures()
+    fast, slow = _RULES[rule]
+    report = fast(g)
+    assert report == slow(g) and not report.ok
+    assert len(report.violations) == wg._MAX_WITNESSES
+    if rule == "bonding":
+        # (v, i, i + 1, 0): bond (1, 2) at the odd vertices, then (2, 3) at the even ones
+        assert report.violations[:2] == ((1, 1, 2, 0), (3, 1, 2, 0))
+        assert report.violations[15:17] == ((0, 2, 3, 0), (2, 2, 3, 0))
+    else:
+        keys = [tuple(w[1:3]) if isinstance(w[0], str) else tuple(w[:2]) for w in report.violations]
+        assert keys == [(u, u + 1) for u in range(20)]
+
+
+def test_passing_graphs_are_checked_without_sorting_their_weights(built, monkeypatch):
+    g = built((4, 3, 2, 1, 1))
+    lengths = []
+
+    def spy(items, **kwargs):
+        items = list(items)
+        lengths.append(len(items))
+        return builtins.sorted(items, **kwargs)
+
+    monkeypatch.setattr(wg, "sorted", spy, raising=False)
+    local = [rule for rule in wg.ALL_RULES if rule != "polygon"]
+    fresh = wg.SColoredGraph(g.n, g.tau, g.mu, g.labels)
+    assert all(wg.run_checks(fresh, local))
+    assert len(g.mu) not in lengths
+    # a simple edge of weight 2 fails admissible, simplicity and bonding
+    mu = dict(g.mu)
+    mu[next(key for key in mu if key[::-1] in mu)] = 2
+    bad = wg.SColoredGraph(g.n, g.tau, mu, g.labels)
+    reports = wg.run_checks(bad, local)
+    assert len(mu) in lengths
+    assert [report.ok for report in reports] == [False, True, False, False, True]
+    monkeypatch.undo()
+    assert reports == [_RULES[rule][1](bad) for rule in local]
 
 
 def test_compatibility_unbonded_pair_fails():
@@ -465,6 +584,8 @@ def test_polygon_rejects_an_r_outside_2_and_3(built, r):
         ([{1, 3, 5}, {2, 4}], {(0, 1): 1, (1, 0): 1}, ([], [])),
         # every vertex holds one of the groups: no path can start
         ([{1, 3}, {1, 2, 3}], {(1, 0): 1}, ([], [])),
+        # 2 colours no row of a weight, so no bonded pair (1, 2) is tried
+        ([set(), {1}, {1, 2}], {(1, 0): 1}, ([], [])),
     ],
 )
 def test_polygon_tries_each_pair_of_groups_once(monkeypatch, tau, mu, calls):

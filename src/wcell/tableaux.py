@@ -382,27 +382,31 @@ def enumerate_std(shape, offset: int = 0) -> list[StandardTableau]:
     shape = shape if isinstance(shape, SkewShape) else SkewShape(tuple(shape))
     outer = shape.outer
     width = len(outer)
-    start = [shape.inner_height(j) for j in range(1, width + 1)]
+    heights = [shape.inner_height(j) for j in range(1, width + 1)]
     results: list[StandardTableau] = []
     boxes: list[tuple[int, int]] = []
-
-    def grow(heights: list[int], remaining: int):
-        if remaining == 0:
+    # a depth-first search on an explicit stack rather than by recursion, so
+    # a column of thousands of boxes stays within the recursion limit:
+    # tries[d] is the first column not yet tried for the box after boxes[:d]
+    size = shape.size
+    tries = [0]
+    while tries:
+        j = tries.pop()
+        if len(boxes) == size:
             results.append(StandardTableau(shape, tuple(boxes), offset, _checked=True))
-            return
-        for j in range(width):
+            j = width
+        while j < width:
             h = heights[j]
             if h < outer[j] and (j == 0 or h + 1 <= heights[j - 1]):
+                tries += (j + 1, 0)
                 heights[j] += 1
                 boxes.append((h + 1, j + 1))
-                grow(heights, remaining - 1)
-                boxes.pop()
-                heights[j] -= 1
-
-    grow(start, shape.size)
-    # grow holds its own closure cell; dropping it breaks that cycle, so the
-    # tableaux are freed by reference counting once the caller drops them
-    del grow
+                break
+            j += 1
+        else:
+            # no column is left at this depth: take back the last box
+            if boxes:
+                heights[boxes.pop()[1] - 1] -= 1
     results.sort(key=lex_key)
     return results
 

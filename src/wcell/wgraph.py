@@ -31,7 +31,8 @@ tableau joined by "/", each row its positive entries in ASCII digits without
 leading zeros, joined by single spaces; ``""`` is the empty tableau.  It
 holds only digits, spaces and "/", so it needs no JSON escaping, and the
 loader accepts no other label text.  The loader also rejects a document with
-two weight entries for one (from, to) pair, whichever weights they give.
+two weight entries for one (from, to) pair, whichever weights they give, and
+one with a colour above MAX_COLOUR.
 """
 
 from __future__ import annotations
@@ -103,7 +104,7 @@ class SColoredGraph:
 
         Like the columns of column(), the index is made once per graph and
         kept: the rule checkers test subsets, strict subsets and bonds on
-        the masks, and both polygon checks share its colours and groups.
+        the masks, and the polygon check reads its colours and groups.
         """
         if self._colours is None:
             mask_of = {s: sum(1 << i for i in s) for s in dict.fromkeys(self.tau)}
@@ -324,7 +325,7 @@ def _try_type(g: SColoredGraph, part: frozenset[int], cell, edges_at) -> Optiona
     dk = [[u for u in col if t in cols[u]] for t, col in enumerate(cols)]
     if sum(map(len, dk)) != sum(len(edges_at[v]) for v in part):
         return None
-    colour = {v: sum(1 << d for d in g.tau[v]) for v in part}
+    colour = g.colour_index().masks
     # vertex 0 is the lex-minimal tableau
     for seed in (v for v in part if colour[v] == masks[0]):
         image: list[Optional[int]] = [None] * len(cols)
@@ -522,7 +523,7 @@ def check_bonding(g: SColoredGraph) -> CheckReport:
     """
     masks = g.colour_index().masks
     edges_at = _simple_adjacency(g)
-    inner = (1 << max(g.n - 1, 1)) - 2  # the i with 1 <= i <= n - 2
+    inner = sum(1 << i for i in bonds(g))
 
     def witnesses(vertices):
         for v in vertices:
@@ -547,25 +548,24 @@ def check_bonding(g: SColoredGraph) -> CheckReport:
     return CheckReport("bonding", False, tuple(bad[:_MAX_WITNESSES]))
 
 
-def polygon_pairs(g: SColoredGraph, r: int) -> list[tuple[int, int]]:
-    """The generator pairs (i, j), i < j, that check_polygon tries, ascending.
+def polygon_pairs(g: SColoredGraph) -> list[tuple[int, int, int]]:
+    """The triples (i, j, r), i < j, that check_polygon tries: those of r = 3
+    ascending in (i, j), then those of r = 2.
 
     Only generators in the colour of some row u of a nonzero weight mu(u, v)
     are tried.  A path sum can end only at such a vertex, and the rule
     compares only sums whose end is coloured by both i and j, so a pair
     with i or j outside those colours cannot fail.  The sums read i and j
     only through the vertex sets they colour, their groups, and swapping i
-    and j swaps N_ij and N_ji, so each pair of groups is tried once, at its
-    first pair (i, j): a pair of groups that passes passes for every such
-    pair.  For r = 2 that pair joins the smallest generators of the two
-    groups; r = 3 reads only bonded pairs (i, i + 1).  A pair of groups is
-    tried only if some vertex holds both (a path ends there) and some
-    vertex holds neither (a path starts there); one group paired with
+    and j swaps N_ij and N_ji, so for each r each pair of groups is tried
+    once, at its first pair (i, j): a pair of groups that passes passes for
+    every such pair.  For r = 2 that pair joins the smallest generators of
+    the two groups; r = 3 reads only bonded pairs (i, i + 1).  A pair of
+    groups is tried only if some vertex holds both (a path ends there) and
+    some vertex holds neither (a path starts there); one group paired with
     itself has neither kind of interior vertex.  So a document with
     thousands of generators on few vertices stays cheap.
     """
-    if r not in (2, 3):
-        raise ValueError("only r = 2 and r = 3 occur in type A")
     index = g.colour_index()
     rows = 0
     for m in {index.masks[u] for u, _ in g.mu}:
@@ -573,57 +573,58 @@ def polygon_pairs(g: SColoredGraph, r: int) -> list[tuple[int, int]]:
     gens = sorted(i for i in index.groups if rows >> i & 1)
     group = {i: index.groups[i] for i in gens}
     everyone = (1 << len(index.colours)) - 1
-    if r == 2:
-        # the smallest generator of each group, ascending
-        firsts: dict[int, int] = {}
-        for i in gens:
-            firsts.setdefault(group[i], i)
-        lows = list(firsts.values())
-        candidates = [(i, j) for a, i in enumerate(lows) for j in lows[a + 1 :]]
-    else:
-        candidates = [(i, i + 1) for i in gens if i + 1 in group]
-    pairs, tried = [], set()
-    for i, j in candidates:
+    # the smallest generator of each group, ascending
+    firsts: dict[int, int] = {}
+    for i in gens:
+        firsts.setdefault(group[i], i)
+    lows = list(firsts.values())
+    candidates = [(i, i + 1, 3) for i in gens if i + 1 in group]
+    candidates += [(i, j, 2) for a, i in enumerate(lows) for j in lows[a + 1 :]]
+    triples, tried = [], set()
+    for i, j, r in candidates:
         a, b = group[i], group[j]
-        if a == b or not a & b or a | b == everyone or (a, b) in tried:
+        if a == b or not a & b or a | b == everyone or (a, b, r) in tried:
             continue
-        tried.update(((a, b), (b, a)))
-        pairs.append((i, j))
-    return pairs
+        tried.update(((a, b, r), (b, a, r)))
+        triples.append((i, j, r))
+    return triples
 
 
-def polygon_sums(g: SColoredGraph, r: int):
-    """N^r_{i,j} and N^r_{j,i} from each start, for every pair of polygon_pairs.
+def polygon_sums(g: SColoredGraph):
+    """N^r_{i,j} and N^r_{j,i} from each start, for every triple of polygon_pairs.
 
-    Yields (u, sums) in increasing u, where sums maps a pair (i, j) to the
-    dicts (n_ij, n_ji) of the sums from u.  n_ij maps each end v with i, j
-    in tau(v) to the sum of the weight products over directed paths from u
-    to v whose r-1 interior vertices alternate between containing i but not
-    j and containing j but not i, starting with i; n_ji starts with j.
-    Only starts u with i, j outside tau(u) count.  Pairs, ends and starts
-    with no path are missing.  Every nonzero weight counts as a step,
-    whether or not it is an arc.
+    Yields (u, sums) in increasing u, where sums maps a triple (i, j, r) to
+    the dicts (n_ij, n_ji) of the sums from u.  n_ij maps each end v with
+    i, j in tau(v) to the sum of the weight products over directed paths
+    from u to v whose r-1 interior vertices alternate between containing i
+    but not j and containing j but not i, starting with i; n_ji starts with
+    j.  Only starts u with i, j outside tau(u) count.  Triples, ends and
+    starts with no path are missing.  Every nonzero weight counts as a
+    step, whether or not it is an arc.
 
-    Each alternating path is walked once for all pairs.  Bit 2k of a mask
-    stands for n_ij of the k-th pair (i, j) and bit 2k + 1 for its n_ji;
-    each vertex gets the mask of the sums it may start, be the first or
-    the second interior vertex of, or end.  A path counts in the sums of
-    the bits its vertices' masks share, so the walk keeps the running
-    intersection and drops a path once it is empty.
+    Each alternating path is walked once for all triples.  Bit 2k of a mask
+    stands for n_ij of the k-th triple (i, j, r) and bit 2k + 1 for its
+    n_ji; each vertex gets masks of the sums it may start, be the first or
+    the second interior vertex of, or end.  A path counts in the sums of the
+    bits its vertices' masks share, so the walk keeps the running
+    intersection and drops a path once it is empty.  An r = 2 path ends
+    after its first interior vertex; the r = 3 bits, the low ones, take one
+    more step, on masks that hold no r = 2 bit, so mostly small integers.
     """
-    pairs = polygon_pairs(g, r)
-    if not pairs:
+    triples = polygon_pairs(g)
+    if not triples:
         return
     # first[i]: the sums whose first generator is i, held by their first
     # interior vertex; second[i]: those whose second generator is i
     first: dict[int, int] = {}
     second: dict[int, int] = {}
-    for k, (i, j) in enumerate(pairs):
+    for k, (i, j, _) in enumerate(triples):
         first[i] = first.get(i, 0) | 1 << 2 * k
         first[j] = first.get(j, 0) | 2 << 2 * k
         second[j] = second.get(j, 0) | 1 << 2 * k
         second[i] = second.get(i, 0) | 2 << 2 * k
-    every = (1 << 2 * len(pairs)) - 1
+    every = (1 << 2 * len(triples)) - 1
+    r3 = (1 << 2 * sum(r == 3 for _, _, r in triples)) - 1  # the r = 3 bits
     kinds = {}
     for s in g.colour_index().colours:
         # the sums whose first, and whose second, generator s holds
@@ -633,29 +634,31 @@ def polygon_sums(g: SColoredGraph, r: int):
                 one |= first[i]
                 two |= second[i]
         # the sums a vertex of colour s may start, lead, follow and end
-        kinds[s] = (every & ~(one | two), one & ~two, two & ~one, one & two)
-    start, lead, follow, end = zip(*map(kinds.__getitem__, g.tau))
-    # roles[m]: (pair, 0 for n_ij or 1 for n_ji) for each bit of m
+        lead, end = one & ~two, one & two
+        kinds[s] = (every & ~(one | two), lead & ~r3, lead & r3, two & ~one & r3, end & ~r3, end & r3)
+    start, lead2, lead3, follow, end2, end3 = zip(*map(kinds.__getitem__, g.tau))
+    # roles[m]: (triple, 0 for n_ij or 1 for n_ji) for each bit of m
     roles: dict[int, list] = {}
     column = g.column
     for u in g.vertices():
         m0 = start[u]
         if not m0:
             continue
-        # (last interior vertex, weight product, mask) of the paths from u
+        m3 = m0 & r3
+        # (last interior vertex, weight product, mask, ends) of the paths from u
         lasts = []
         for x, w in column(u).items():
-            m1 = m0 & lead[x]
+            m1 = m0 & lead2[x]
             if m1:
-                if r == 2:
-                    lasts.append((x, w, m1))
-                else:
-                    for y, w2 in column(x).items():
-                        m2 = m1 & follow[y]
-                        if m2:
-                            lasts.append((y, w * w2, m2))
-        sums: dict[tuple[int, int], tuple[dict, dict]] = {}
-        for z, w, m1 in lasts:
+                lasts.append((x, w, m1, end2))
+            m1 = m3 & lead3[x]
+            if m1:
+                for y, w2 in column(x).items():
+                    m2 = m1 & follow[y]
+                    if m2:
+                        lasts.append((y, w * w2, m2, end3))
+        sums: dict[tuple[int, int, int], tuple[dict, dict]] = {}
+        for z, w, m1, end in lasts:
             for v, w2 in column(z).items():
                 m = m1 & end[v]
                 if m:
@@ -664,49 +667,48 @@ def polygon_sums(g: SColoredGraph, r: int):
                         ks = roles[m] = []
                         while m:
                             k = (m & -m).bit_length() - 1
-                            ks.append((pairs[k >> 1], k & 1))
+                            ks.append((triples[k >> 1], k & 1))
                             m &= m - 1
-                    for pair, side in ks:
-                        both = sums.get(pair)
+                    for triple, side in ks:
+                        both = sums.get(triple)
                         if both is None:
-                            both = sums[pair] = ({}, {})
+                            both = sums[triple] = ({}, {})
                         n = both[side]
                         n[v] = n.get(v, 0) + w * w2
         if sums:
             yield u, sums
 
 
-def check_polygon(g: SColoredGraph, r: int) -> CheckReport:
-    """N^r_{i,j} = N^r_{j,i} for the applicable generator pairs.
+def check_polygon(g: SColoredGraph) -> tuple[CheckReport, CheckReport]:
+    """The reports polygon-r2 and polygon-r3: N^r_{i,j} = N^r_{j,i}.
 
-    r = 2 applies to every ordered pair i != j; r = 3 only to bonded pairs;
-    any other r raises ValueError (from polygon_pairs, before the graph is
-    read).  Reports the first counterexample,
-    (u, v, i, j, r, N_ij, N_ji) with the smallest (u, v) for the smallest
-    failing pair (i, j).
+    r = 2 applies to every ordered pair i != j; r = 3 only to bonded pairs.
+    Each report gives the first counterexample, (u, v, i, j, r, N_ij, N_ji)
+    with the smallest (u, v) for the smallest failing pair (i, j).
 
     The rule compares N_ij(u, v) with N_ji(u, v) only where i, j are outside
-    tau(u) and inside tau(v).  The pairs tried are those of polygon_pairs,
+    tau(u) and inside tau(v).  The triples tried are those of polygon_pairs,
     and the whole check is one pass of polygon_sums: one walk of the
-    alternating paths, from the starts in increasing u, for all pairs at
-    once.  With W nonzero weights and at most d in a column, that walk costs
-    O(W d) for r = 2 and O(W d^2) for r = 3, in exact integers, plus the
-    pairs each summed path counts for.  The first start at which a pair
-    differs, and its smallest differing end, give that pair's smallest
-    differing (u, v).
+    alternating paths, from the starts in increasing u, for both r and all
+    pairs at once.  With W nonzero weights and at most d in a column, that
+    walk costs O(W d^2), in exact integers, plus the triples each summed
+    path counts for.  The first start at which a triple differs, and its
+    smallest differing end, give that triple's smallest differing (u, v).
     """
     found = {}
-    for u, sums in polygon_sums(g, r):
-        for pair, (n_ij, n_ji) in sums.items():
-            if pair in found or n_ij == n_ji:
+    for u, sums in polygon_sums(g):
+        for triple, (n_ij, n_ji) in sums.items():
+            if triple in found or n_ij == n_ji:
                 continue
             diff = [v for v in n_ij.keys() | n_ji.keys() if n_ij.get(v, 0) != n_ji.get(v, 0)]
             if diff:
                 v = min(diff)
-                found[pair] = (u, v, *pair, r, n_ij.get(v, 0), n_ji.get(v, 0))
-    if found:
-        return CheckReport(f"polygon-r{r}", False, (found[min(found)],))
-    return CheckReport(f"polygon-r{r}", True)
+                found[triple] = (u, v, *triple, n_ij.get(v, 0), n_ji.get(v, 0))
+    reports = []
+    for r in (2, 3):
+        bad = [found[t] for t in sorted(found) if t[2] == r][:1]
+        reports.append(CheckReport(f"polygon-r{r}", not bad, tuple(bad)))
+    return tuple(reports)
 
 
 def check_ordered(g: SColoredGraph) -> CheckReport:
@@ -759,7 +761,7 @@ ALL_RULES = ("admissible", "compatibility", "simplicity", "bonding", "polygon", 
 
 def run_checks(g: SColoredGraph, rules=ALL_RULES) -> list[CheckReport]:
     """The reports of the rules named, in order; "polygon" gives two, r = 2
-    then r = 3.
+    then r = 3, from one call of check_polygon.
 
     Each report's witnesses come in increasing key order, at most
     _MAX_WITNESSES of them; a rule sorts only to write a failing report.
@@ -777,8 +779,7 @@ def run_checks(g: SColoredGraph, rules=ALL_RULES) -> list[CheckReport]:
         elif rule == "bonding":
             out.append(check_bonding(g))
         elif rule == "polygon":
-            out.append(check_polygon(g, 2))
-            out.append(check_polygon(g, 3))
+            out.extend(check_polygon(g))
         elif rule == "ordered":
             out.append(check_ordered(g))
         else:
@@ -839,6 +840,12 @@ def _field(obj: dict, key: str, kind: type):
     return _expect(obj[key], kind, f"field {key!r}")
 
 
+# The rules hold a colour as an integer with one bit per generator, so a
+# document's colours are capped: a colour near 10**18 would need an integer
+# larger than any address space.
+MAX_COLOUR = 65535
+
+
 def from_json_obj(obj: dict) -> SColoredGraph:
     """The graph of a parsed document; raises ValueError on a document of the
     wrong shape."""
@@ -856,6 +863,8 @@ def from_json_obj(obj: dict) -> SColoredGraph:
         for c in colours:
             if type(c) is not int:
                 raise ValueError(f"colour must be int, got {c!r}")
+            if c > MAX_COLOUR:
+                raise ValueError(f"colour {c} is above {MAX_COLOUR}")
         tau.append(frozenset(colours))
     labels = []
     targets = set()  # (size, offset) of the label tableaux

@@ -56,6 +56,16 @@ def test_build_single_vertex(tmp_path, capsys):
     assert len(obj["vertices"]) == 1 and obj["mu"] == []
 
 
+def test_a_column_of_2000_boxes_builds_and_lists(tmp_path, capsys):
+    # far deeper than the recursion limit: the tableaux are enumerated on an
+    # explicit stack
+    out = tmp_path / "g.json"
+    assert run(["build", "--shape", "2000", "--out", str(out)]) == 0
+    assert len(json.loads(out.read_text())["vertices"]) == 1
+    assert run(["tableaux", "--shape", "2000", "--list"]) == 0
+    assert capsys.readouterr().out == "/".join(map(str, range(1, 2001))) + "\n"
+
+
 def test_build_verify_roundtrip_bit_identical(tmp_path):
     out = tmp_path / "g.json"
     dot = tmp_path / "g.dot"
@@ -149,6 +159,11 @@ _GOOD = {
         # document could not be written back byte for byte
         {**_GOOD, "vertices": [{"id": 0, "tau": [1], "label": {"molecule": 0, "tableau": text}}]}
         for text in (" 1", "1  2", "1\n2", "\u0661", "/")
+    ]
+    + [
+        # a colour above wg.MAX_COLOUR: its bit mask would not fit in memory
+        {"n": n, "vertices": [{"id": 0, "tau": [n - 1], "label": None}], "mu": []}
+        for n in (wg.MAX_COLOUR + 2, 10**18)
     ],
 )
 def test_malformed_graph_document_is_usage_error(tmp_path, capsys, doc):
@@ -165,7 +180,8 @@ def test_verify_of_a_wide_one_vertex_document_is_quick(tmp_path):
     # every colour but no weight, the Hecke check tries no commuting pair,
     # and with one weight out of the vertex coloured 1..2999 every generator
     # colours that vertex alone, so all A_s are equal and commute, and no
-    # pair of generators can fail the polygon rule
+    # pair of generators can fail the polygon rule; bonding makes a mask of
+    # the bonds next to a colour, not of every generator up to n
     path = tmp_path / "wide.json"
     five = "admissible,compatibility,simplicity,bonding,polygon"
     bare = {"id": 0, "tau": [], "label": None}
@@ -173,6 +189,7 @@ def test_verify_of_a_wide_one_vertex_document_is_quick(tmp_path):
     for n, vertices, mu, rules in (
         (3000, [bare], [], five),
         (10**9, [bare], [], five),
+        (10**18, [bare], [], five),
         (3000, [full], [], five),
         (3000, [full, {**bare, "id": 1}], [{"from": 0, "to": 1, "w": 1}], "admissible,polygon"),
     ):

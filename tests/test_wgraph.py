@@ -489,31 +489,36 @@ def test_polygon_sums_match_brute_force_sampled(built):
 def test_polygon_kernel_matches_reference_on_read_entries(built):
     # every entry the rule reads for each pair the pass tries: i, j outside
     # tau(u) and inside tau(v)
-    negative, tried = False, 0
+    negative, tried = False, set()
     for g in _polygon_test_graphs(built):
-        for r in (2, 3):
-            pairs = wg.polygon_pairs(g, r)
-            got = list(wg.polygon_sums(g, r))
-            assert [u for u, _ in got] == sorted({u for u, _ in got})
-            got = dict(got)
-            assert all(set(sums) <= set(pairs) for sums in got.values())
-            tried += len(pairs)
-            for i, j in pairs:
-                ref_ij = helpers.alternating_sums(g, r, i, j)
-                ref_ji = helpers.alternating_sums(g, r, j, i)
-                starts = [u for u in g.vertices() if not {i, j} & g.tau[u]]
-                ends = [v for v in g.vertices() if {i, j} <= g.tau[v]]
-                for u, sums in got.items():
-                    if (i, j) in sums:
-                        n_ij, n_ji = sums[i, j]
-                        assert u in starts and set(n_ij) | set(n_ji) <= set(ends)
-                for u in starts:
-                    n_ij, n_ji = got.get(u, {}).get((i, j), ({}, {}))
-                    for v in ends:
-                        assert n_ij.get(v, 0) == ref_ij[u, v], (g.n, u, v, i, j, r)
-                        assert n_ji.get(v, 0) == ref_ji[u, v], (g.n, u, v, j, i, r)
-                        negative |= ref_ij[u, v] < 0 or ref_ji[u, v] < 0
-    assert negative and tried
+        triples = wg.polygon_pairs(g)
+        # the r = 3 triples first, each r ascending in (i, j)
+        assert triples == sorted(triples, key=lambda t: (-t[2], t))
+        got = list(wg.polygon_sums(g))
+        assert [u for u, _ in got] == sorted({u for u, _ in got})
+        got = dict(got)
+        assert all(set(sums) <= set(triples) for sums in got.values())
+        for i, j, r in triples:
+            tried.add(r)
+            ref_ij = helpers.alternating_sums(g, r, i, j)
+            ref_ji = helpers.alternating_sums(g, r, j, i)
+            starts = [u for u in g.vertices() if not {i, j} & g.tau[u]]
+            ends = [v for v in g.vertices() if {i, j} <= g.tau[v]]
+            for u, sums in got.items():
+                if (i, j, r) in sums:
+                    n_ij, n_ji = sums[i, j, r]
+                    assert u in starts and set(n_ij) | set(n_ji) <= set(ends)
+            for u in starts:
+                n_ij, n_ji = got.get(u, {}).get((i, j, r), ({}, {}))
+                for v in ends:
+                    assert n_ij.get(v, 0) == ref_ij[u, v], (g.n, u, v, i, j, r)
+                    assert n_ji.get(v, 0) == ref_ji[u, v], (g.n, u, v, j, i, r)
+                    negative |= ref_ij[u, v] < 0 or ref_ji[u, v] < 0
+    assert negative and tried == {2, 3}
+
+
+def _polygon_reference(g):
+    return tuple(helpers.check_polygon(g, r) for r in (2, 3))
 
 
 def test_polygon_reports_match_reference(built):
@@ -524,15 +529,39 @@ def test_polygon_reports_match_reference(built):
         for lam in tb.partitions_of(n):
             g = built(lam)
             for h in [g] + corruptions(g, rng, 20):
-                for r in (2, 3):
-                    fast = wg.check_polygon(h, r)
-                    slow = helpers.check_polygon(h, r)
-                    assert (fast.ok, fast.violations) == (slow.ok, slow.violations), (lam, r)
-                    outcomes.add(fast.ok)
-                    huge |= any(abs(x) >= 2**70 for w in fast.violations for x in w[5:])
-                    recoloured |= not fast.ok and h.tau != g.tau
-    assert outcomes == {True, False}
+                reports = wg.check_polygon(h)
+                assert reports == _polygon_reference(h), lam
+                outcomes.add(tuple(report.ok for report in reports))
+                huge |= any(abs(x) >= 2**70 for rep in reports for w in rep.violations for x in w[5:])
+                recoloured |= not all(reports) and h.tau != g.tau
+    # each r fails where the other passes, and both fail together
+    assert outcomes == {(True, True), (False, True), (True, False), (False, False)}
     assert huge and recoloured
+
+
+@pytest.mark.parametrize(
+    "tau, mu, oks, witness",
+    [
+        # 0 -> 1 -> 2 has no matching 0 -> 2 -> ... path, and no vertex has
+        # 2 without 1, so there is no alternating 3-path either way
+        ([set(), {1}, {1, 2}], {(1, 0): 1, (2, 1): 1}, (False, True), (0, 2, 1, 2, 2, 1, 0)),
+        # the squares 0 -> 1 -> 3 and 0 -> 2 -> 3 balance N^2, but only
+        # 0 -> 1 -> 2 -> 3 of the two alternating 3-paths is there
+        (
+            [set(), {1}, {2}, {1, 2}],
+            {(1, 0): 1, (2, 0): 1, (3, 1): 1, (3, 2): 1, (2, 1): 1},
+            (True, False),
+            (0, 3, 1, 2, 3, 1, 0),
+        ),
+    ],
+)
+def test_polygon_fails_for_one_r_alone(tau, mu, oks, witness):
+    g = wg.SColoredGraph(3, tau, mu)
+    reports = wg.check_polygon(g)
+    assert reports == _polygon_reference(g)
+    assert [report.rule for report in reports] == ["polygon-r2", "polygon-r3"]
+    assert tuple(report.ok for report in reports) == oks
+    assert [w for report in reports for w in report.violations] == [witness]
 
 
 def test_polygon_reports_first_counterexample():
@@ -542,7 +571,7 @@ def test_polygon_reports_first_counterexample():
         [set(), {1}, {1, 2}],
         {(1, 0): 1, (2, 1): 1},
     )
-    report = wg.check_polygon(g, 2)
+    report = wg.check_polygon(g)[0]
     assert not report.ok
     u, v, i, j, r, nij, nji = report.violations[0]
     assert (u, v, r) == (0, 2, 2) and {i, j} == {1, 2}
@@ -553,55 +582,43 @@ def test_polygon_reports_first_counterexample():
 @given(g=coloured_graphs())
 def test_polygon_reports_match_reference_on_any_graph(g):
     # small graphs often give several generators one vertex set
-    for r in (2, 3):
-        fast, slow = wg.check_polygon(g, r), helpers.check_polygon(g, r)
-        assert (fast.ok, fast.violations) == (slow.ok, slow.violations)
+    assert wg.check_polygon(g) == _polygon_reference(g)
 
 
-@pytest.mark.parametrize("r", [0, 1, 4, 5])
-def test_polygon_rejects_an_r_outside_2_and_3(built, r):
-    # before reading the graph: even no graph at all gives ValueError
-    for g in (None, built((1,)), built((2, 1)), built((3, 2, 1))):
-        with pytest.raises(ValueError, match="only r = 2 and r = 3"):
-            wg.check_polygon(g, r)
-
-
-# calls: for r = 2 and r = 3, the pairs that one call of check_polygon tries
+# calls: the triples (i, j, r) that the one call of check_polygon tries
 @pytest.mark.parametrize(
     "tau, mu, calls",
     [
         # generators 1, 3, 5 colour vertex 2 alone and 2, 4 colour 1 and 2:
         # one pair of groups, and r = 2 fails there
-        ([set(), {2, 4}, {1, 2, 3, 4, 5}], {(1, 0): 1, (2, 1): 1}, ([(1, 2)], [(1, 2)])),
+        ([set(), {2, 4}, {1, 2, 3, 4, 5}], {(1, 0): 1, (2, 1): 1}, [(1, 2, 3), (1, 2, 2)]),
         # a balanced square on the groups {1, 3} and {2, 3}: six pairs of
         # generators for r = 2 and four bonded ones, all passing
         (
             [set(), {1, 3, 5}, {2, 4}, {1, 2, 3, 4, 5}],
             {(1, 0): 1, (2, 0): 1, (3, 1): 1, (3, 2): 1},
-            ([(1, 2)], [(1, 2)]),
+            [(1, 2, 3), (1, 2, 2)],
         ),
         # no vertex holds both groups: no path can end, nothing is tried
-        ([{1, 3, 5}, {2, 4}], {(0, 1): 1, (1, 0): 1}, ([], [])),
+        ([{1, 3, 5}, {2, 4}], {(0, 1): 1, (1, 0): 1}, []),
         # every vertex holds one of the groups: no path can start
-        ([{1, 3}, {1, 2, 3}], {(1, 0): 1}, ([], [])),
+        ([{1, 3}, {1, 2, 3}], {(1, 0): 1}, []),
         # 2 colours no row of a weight, so no bonded pair (1, 2) is tried
-        ([set(), {1}, {1, 2}], {(1, 0): 1}, ([], [])),
+        ([set(), {1}, {1, 2}], {(1, 0): 1}, []),
     ],
 )
 def test_polygon_tries_each_pair_of_groups_once(monkeypatch, tau, mu, calls):
     g = wg.SColoredGraph(6, tau, mu)
-    made = {}
+    made = []
     pairs_of = wg.polygon_pairs
 
-    def recorded(g, r):
-        made[r] = pairs_of(g, r)
-        return made[r]
+    def recorded(g):
+        made.append(pairs_of(g))
+        return made[-1]
 
     monkeypatch.setattr(wg, "polygon_pairs", recorded)
-    for r, want in zip((2, 3), calls):
-        fast, slow = wg.check_polygon(g, r), helpers.check_polygon(g, r)
-        assert (fast.ok, fast.violations) == (slow.ok, slow.violations)
-        assert made.pop(r) == want
+    assert wg.check_polygon(g) == _polygon_reference(g)
+    assert made == [calls]
 
 
 def test_polygon_rule_on_a_wide_document_is_quick():
@@ -609,10 +626,9 @@ def test_polygon_rule_on_a_wide_document_is_quick():
     # on the other: two groups, and no vertex holds both
     n = 3000
     g = wg.SColoredGraph(n, [set(range(1, n, 2)), set(range(2, n, 2))], {(0, 1): 1, (1, 0): 1})
-    for r in (2, 3):
-        start = time.perf_counter()
-        assert wg.check_polygon(g, r).ok
-        assert time.perf_counter() - start < 0.5
+    start = time.perf_counter()
+    assert all(wg.check_polygon(g))
+    assert time.perf_counter() - start < 0.5
 
 
 @pytest.mark.parametrize("balanced", [True, False])
@@ -626,12 +642,12 @@ def test_polygon_rule_on_overlapping_wide_groups_is_quick(balanced):
     if not balanced:
         del mu[3, 2]
     g = wg.SColoredGraph(n, [set(), odd, even, odd | even], mu)
-    for r, witness in ((2, (0, 3, 1, 2, 2, 1, 0)), (3, None)):
-        assert wg.polygon_pairs(g, r) == [(1, 2)]
-        start = time.perf_counter()
-        report = wg.check_polygon(g, r)
-        assert time.perf_counter() - start < 0.5
-        assert report.violations == (() if balanced or witness is None else (witness,))
+    assert wg.polygon_pairs(g) == [(1, 2, 3), (1, 2, 2)]
+    start = time.perf_counter()
+    r2, r3 = wg.check_polygon(g)
+    assert time.perf_counter() - start < 0.5
+    assert r2.violations == (() if balanced else ((0, 3, 1, 2, 2, 1, 0),))
+    assert r3.ok
 
 
 @pytest.mark.parametrize(
@@ -645,7 +661,7 @@ def test_polygon_rule_on_overlapping_wide_groups_is_quick(balanced):
 )
 def test_polygon_sums_are_exact_beyond_int64(mu):
     g = wg.SColoredGraph(3, [set(), {1}, {1, 2}], mu)
-    report = wg.check_polygon(g, 2)
+    report = wg.check_polygon(g)[0]
     assert not report.ok
     assert report.violations[0] == (0, 2, 1, 2, 2, 2**64, 0)
 

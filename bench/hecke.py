@@ -6,7 +6,8 @@ first.  Every child is a fresh interpreter that builds the cell graph once
 (not timed), then runs that tree's verify_hecke_relations REPEAT times and
 reports the best time, the peak RSS (ru_maxrss) after the build and after
 the checks, and the report.  Each side's row keeps the best time of every
-round and their median; speedup is the ratio of the two medians.  One more
+round with their median and quartiles; speedup is the ratio of the two
+medians, so read it against the quartiles.  One more
 child on this checkout's src runs verify_hecke_relations_composed of
 tests/helpers.py, which composes whole product matrices, once on the same
 graph.  The program stops with exit status 1, and writes no record, at the
@@ -19,8 +20,6 @@ somewhere, for example:
 """
 
 from __future__ import annotations
-
-import statistics
 
 import harness
 
@@ -69,12 +68,11 @@ def rows(trees):
         for side, results in runs.items():
             best = [r["best_s"] for r in results]
             row[side] = {
-                "best_s": best,
-                "median_best_s": statistics.median(best),
+                "best_s": {"runs": best, **harness.quartiles(best, 4)},
                 "peak_rss_mb": {stage: [r["peak_rss_mb"][stage] for r in results]
                                 for stage in ("build", "check")},
             }
-        row["speedup"] = round(row["before"]["median_best_s"] / row["after"]["median_best_s"], 2)
+        row["speedup"] = round(row["before"]["best_s"]["median"] / row["after"]["best_s"]["median"], 2)
         yield row
 
 
@@ -84,9 +82,9 @@ if __name__ == "__main__":
         "best of `repeat` seconds of hecke.verify_hecke_relations on the same built "
         "graph in each of `rounds` rounds, for the parent's src (before) and this "
         "checkout's src (after), the sides alternating, each run in a fresh interpreter; "
-        "their medians and speedup, the ratio of the medians; peak RSS (ru_maxrss) after "
-        "the build and after the checks; every report passes and equals tests/helpers.py "
-        "verify_hecke_relations_composed",
+        "their median and quartiles, and speedup, the ratio of the medians; peak RSS "
+        "(ru_maxrss) after the build and after the checks; every report passes and equals "
+        "tests/helpers.py verify_hecke_relations_composed",
         "python3 bench/hecke.py --before <parent>/src --out BENCH_hecke.json",
         rows,
         rounds=ROUNDS,

@@ -6,7 +6,9 @@ interpreter that builds the cell once with build_cell_graph (not timed),
 then streams wgraph.json_chunks to a file the way `wcell build` does
 (write seconds), reads the file back with wgraph.from_json_str (read
 seconds) and reports the SHA-256 of the written bytes and the peak RSS
-(ru_maxrss) after the build, the write and the read.  Both trees must write
+(ru_maxrss) after the build, the write and the read.  Each side's row keeps
+every run's seconds with their median and quartiles; a speedup is the ratio
+of the two medians, so read it against the quartiles.  Both trees must write
 the same bytes, the reloaded graph must write them again, and the digests
 must equal PINNED.
 
@@ -17,8 +19,6 @@ somewhere, for example:
 """
 
 from __future__ import annotations
-
-import statistics
 
 import harness
 
@@ -71,17 +71,17 @@ def rows(trees):
         if row["digest"] != PINNED[lam]:
             raise SystemExit(f"{lam}: digest {row['digest']} differs from the pinned one")
         for side, results in runs.items():
-            row[side] = {key: [r[key] for r in results] for key in ("write_s", "read_s")}
-            row[side].update(
-                {f"median_{key}": statistics.median(row[side][key]) for key in ("write_s", "read_s")}
-            )
+            row[side] = {}
+            for key in ("write_s", "read_s"):
+                times = [r[key] for r in results]
+                row[side][key] = {"runs": times, **harness.quartiles(times, 4)}
             row[side]["peak_rss_mb"] = {
                 stage: [r["peak_rss_mb"][stage] for r in results]
                 for stage in ("build", "write", "read")
             }
         for key in ("write_s", "read_s"):
             row[f"{key[:-2]}_speedup"] = round(
-                row["before"][f"median_{key}"] / row["after"][f"median_{key}"], 2
+                row["before"][key]["median"] / row["after"][key]["median"], 2
             )
         yield row
 
@@ -92,7 +92,8 @@ if __name__ == "__main__":
         "seconds to stream wgraph.json_chunks to a file and to load it with "
         "wgraph.from_json_str, and peak RSS (ru_maxrss) after the build, the write and "
         "the read, in a fresh interpreter, for the parent's src (before) and this "
-        "checkout's src (after), run alternately; both write the same bytes",
+        "checkout's src (after), run alternately; every run with the median and quartiles "
+        "of each side, and speedups, the ratios of the medians; both write the same bytes",
         "python3 bench/io.py --before <parent>/src --out BENCH_io.json",
         rows,
         repeat=REPEAT,

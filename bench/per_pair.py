@@ -6,8 +6,11 @@ interpreter that builds the cell once with build_cell_graph (seconds, peak
 RSS and the SHA-256 of to_json_str), then runs the phases one at a time:
 enumerate_std, cell_index, probable_pairs and the mu_probable loop, which
 evaluates the pairs build_cell_graph evaluates, those of opposite parity.
-Both trees must give the same digest, probable pairs and nonzero weights,
-and the digests of the two large shapes must equal PINNED.
+Each side's row keeps every run's seconds of each phase with their median
+and quartiles; build_speedup is the ratio of the two medians of the whole
+build, so read it against the quartiles.  Both trees must give the same
+digest, probable pairs and nonzero weights, and the digests of the two
+large shapes must equal PINNED.
 
 Run from the repository root, with the parent commit's tree unpacked
 somewhere, for example:
@@ -16,8 +19,6 @@ somewhere, for example:
 """
 
 from __future__ import annotations
-
-import statistics
 
 import harness
 
@@ -76,17 +77,20 @@ def rows(trees):
         if row["digest"] != PINNED.get(lam, row["digest"]):
             raise SystemExit(f"{lam}: digest {row['digest']} differs from the pinned one")
         for side, results in runs.items():
+            seconds = {}
+            for phase in results[0]["seconds"]:
+                times = [r["seconds"][phase] for r in results]
+                seconds[phase] = {"runs": times, **harness.quartiles(times, 4)}
             row[side] = {
                 "evaluated": results[0]["evaluated"],
-                "seconds": {
-                    phase: [r["seconds"][phase] for r in results] for phase in results[0]["seconds"]
-                },
-                "median_build_s": statistics.median(
-                    r["seconds"]["build_cell_graph"] for r in results
-                ),
+                "seconds": seconds,
                 "peak_rss_mb": [r["peak_rss_mb"] for r in results],
             }
-        row["build_speedup"] = round(row["before"]["median_build_s"] / row["after"]["median_build_s"], 2)
+        row["build_speedup"] = round(
+            row["before"]["seconds"]["build_cell_graph"]["median"]
+            / row["after"]["seconds"]["build_cell_graph"]["median"],
+            2,
+        )
         yield row
 
 
@@ -96,7 +100,8 @@ if __name__ == "__main__":
         "seconds of each phase and of the whole build_cell_graph, probable pairs, pairs "
         "evaluated, nonzero weights and peak RSS (ru_maxrss after the build, in a fresh "
         "interpreter), for the parent's src (before) and this checkout's src (after), "
-        "run alternately",
+        "run alternately; every run with the median and quartiles of each side, and "
+        "build_speedup, the ratio of the medians of the whole build",
         "python3 bench/per_pair.py --before <parent>/src --out BENCH_pairs.json",
         rows,
         repeat=REPEAT,

@@ -14,14 +14,13 @@ descent set.  Three classes of weights are populated:
 Every other weight is zero.  Tableaux are used only to enumerate and label
 the vertices 0..N-1, in increasing lexicographic order.  A CellIndex holds
 the column word of each vertex (the column of each entry 1..n, which
-determines the tableau), the same word packed into one integer with a
-fixed-width field per letter and the dict from packed word to vertex, the
-descent bitmasks (d is a descent when col(d) >= col(d+1)), which also give
-the colours, and the one weight table, cols[t] = {u: mu(u, t)}, the layout
-of SColoredGraph.column, with the parity and largest strong descent of each
-vertex and the two memos of mu_probable.  The rest runs on these integers:
-s_i t is the word with the letters of i and i+1 exchanged, two fields of
-the packed word.
+determines the tableau), the same word as one integer (tb.pack) and the
+dict from that integer to the vertex, the descent bitmasks (d is a descent
+when col(d) >= col(d+1)), which also give the colours, and the one weight
+table, cols[t] = {u: mu(u, t)}, the layout of SColoredGraph.column, with
+the parity and largest strong descent of each vertex and the two memos of
+mu_probable.  The rest runs on these integers: s_i t is the word with the
+letters of i and i+1 exchanged, tb.swap_packed of its integer.
 
 The probable-pair identity refers only to weights whose target is
 lexicographically smaller than t, once the pair is replaced by its
@@ -56,16 +55,13 @@ from . import wgraph as wg
 class CellIndex(NamedTuple):
     """The integer index of one cell, read from the column words of its tableaux alone.
 
-    Each word is also packed into one integer, letter by letter from the
-    first, each letter in a field of width bits, enough for the largest
-    letter.  Two words of one length first differ in the field of the
-    highest set bit of the XOR of their integers, and the words sharing
-    their first k letters are one range of integers.  prefixes and groups
-    are memos of mu_probable.
+    packed holds each word as tb.pack gives it, in fields of
+    tb.letter_width(words) bits.  prefixes and groups are memos of
+    mu_probable.
     """
 
     words: list[tuple[int, ...]]  # column word of each vertex
-    packed: list[int]  # each word as one integer, its first letter in the highest field
+    packed: list[int]  # tb.pack of each word
     vertex: dict[int, int]  # vertex of each packed word
     width: int  # bits of one letter's field
     masks: list[int]  # bit d set when d is a descent: word[d - 1] >= word[d]
@@ -77,21 +73,6 @@ class CellIndex(NamedTuple):
     prefixes: dict[int, int]
     # {it: {(it0, i): terms}}: the terms of _group_terms for one target it only
     groups: dict[int, dict[tuple[int, int], list[tuple[dict[int, int], int]]]]
-
-
-def _swap(p: int, word, e: int, width: int) -> int:
-    """The packed word of s_e t, from the packed word p of t and its letters
-    word: the fields of the entries e and e+1 exchanged."""
-    d = word[e - 1] ^ word[e]
-    return p ^ (d << width | d) << width * (len(word) - e - 1)
-
-
-def _pack(word, width: int) -> int:
-    """The letters of word in fields of width bits, the first letter highest."""
-    p = 0
-    for c in word:
-        p = p << width | c
-    return p
 
 
 def cell_index(tabs) -> CellIndex:
@@ -108,8 +89,8 @@ def cell_index(tabs) -> CellIndex:
     seen once.
     """
     words = [t.column_word for t in tabs]
-    width = max((max(w, default=1) for w in words), default=1).bit_length()
-    packed = [_pack(w, width) for w in words]
+    width = tb.letter_width(words)
+    packed = [tb.pack(w, width) for w in words]
     vertex = {p: v for v, p in enumerate(packed)}
     masks = [sum(1 << d for d in range(1, len(w)) if w[d - 1] >= w[d]) for w in words]
     cols: list[dict[int, int]] = [{} for _ in words]
@@ -117,7 +98,7 @@ def cell_index(tabs) -> CellIndex:
     for it, w in enumerate(words):
         for i in range(1, len(w)):
             if w[i - 1] < w[i]:
-                iu = vertex.get(_swap(packed[it], w, i, width))
+                iu = vertex.get(tb.swap_packed(packed[it], w, i, width))
                 if iu is not None:
                     cols[it][iu] = 1
                     if masks[it] & ~masks[iu]:
@@ -167,7 +148,7 @@ def mu_probable(iu: int, it: int, cell: CellIndex) -> int:
     high = cell.prefixes.get(key)
     if high is None:
         prefix = knuth.favourable_prefix(cell.words[iu], cell.words[it])[1]
-        high = cell.prefixes[key] = _pack(prefix, width) << tail
+        high = cell.prefixes[key] = tb.pack(prefix, width) << tail
     low = (1 << tail) - 1
     iu0, it0 = cell.vertex[high | pu & low], cell.vertex[high | pt & low]
     groups = cell.groups.get(it)
@@ -198,7 +179,7 @@ def _group_terms(it: int, it0: int, i: int, cell: CellIndex) -> list[tuple[dict[
     j = cell.strong[it]
     if j <= i:
         raise AssertionError("restriction number must precede max strong descent")
-    iv = vertex[_swap(packed[it0], t0, j, width)]
+    iv = vertex[tb.swap_packed(packed[it0], t0, j, width)]
     if j - i >= 2 or t0[j - 2] < t0[j]:
         if iv >= it:
             raise AssertionError("schedule violation: column of s_j t0 not final")
@@ -206,7 +187,7 @@ def _group_terms(it: int, it0: int, i: int, cell: CellIndex) -> list[tuple[dict[
     else:
         if t0[j - 2] == t0[j]:
             raise AssertionError("entries j-1 and j+1 cannot share a column here")
-        iw = vertex[_swap(packed[iv], words[iv], j - 1, width)]
+        iw = vertex[tb.swap_packed(packed[iv], words[iv], j - 1, width)]
         if iw >= it:
             raise AssertionError("schedule violation: column of s_{j-1} s_j t0 not final")
         base, plus, minus, skip, neighbour = iw, j, j - 1, iv, True
@@ -221,7 +202,7 @@ def _group_terms(it: int, it0: int, i: int, cell: CellIndex) -> list[tuple[dict[
         else:
             continue
         if neighbour:
-            x = vertex[_swap(packed[x], words[x], knuth.neighbour_swap(words[x], j - 1), width)]
+            x = vertex[tb.swap_packed(packed[x], words[x], knuth.neighbour_swap(words[x], j - 1), width)]
         if x >= it:
             raise AssertionError(
                 f"schedule violation: lookup of column {x} while building column {it}"

@@ -520,8 +520,9 @@ def dominance_keys(words) -> tuple[list[int], int]:
     m = max((max(w) for w in words if w), default=1)
     b = n.bit_length() + 1
     row = (m - 1) * b
-    # unit[c]: a letter c adds one to c(j, k) for every k >= c
-    unit = [0] + [sum(1 << (k - 1) * b for k in range(c, m)) for c in range(1, m + 1)]
+    # unit[c]: a letter c adds one to c(j, k) for every k >= c, the fields of ones from k = c up
+    ones = ((1 << row) - 1) // ((1 << b) - 1)
+    unit = [0] + [ones >> (c - 1) * b << (c - 1) * b for c in range(1, m + 1)]
     keys = []
     for w in words:
         counts = key = 0
@@ -529,8 +530,33 @@ def dominance_keys(words) -> tuple[list[int], int]:
             counts += unit[c]
             key |= counts << j * row
         keys.append(key)
-    guard = sum(1 << f * b + b - 1 for f in range(n * (m - 1)))
+    guard = ((1 << n * row) - 1) // ((1 << b) - 1) << b - 1
     return keys, guard
+
+
+def letter_width(words) -> int:
+    """Bits of one letter's field in pack: enough for the largest letter of words, at least 1."""
+    return max((max(w) for w in words if w), default=1).bit_length()
+
+
+def pack(word, width: int) -> int:
+    """The letters of word as one integer, each in a field of width bits, the first letter highest.
+
+    Two words of one length first differ in the field of the highest set bit of the XOR
+    of their integers: such integers are in lexicographic order of the words, and the
+    words sharing their first k letters are one range of them.
+    """
+    p = 0
+    for c in word:
+        p = p << width | c
+    return p
+
+
+def swap_packed(p: int, word, e: int, width: int) -> int:
+    """pack of word with the letters at e and e + 1 (1-based) exchanged,
+    from p = pack(word, width): two fields of p changed."""
+    d = word[e - 1] ^ word[e]
+    return p ^ (d << width | d) << width * (len(word) - e - 1)
 
 
 # ---------------------------------------------------------------------------

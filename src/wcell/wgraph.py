@@ -47,14 +47,17 @@ Label = tuple[int, StandardTableau]  # (molecule index, tableau)
 
 
 class SColoredGraph:
-    __slots__ = ("n", "tau", "mu", "labels", "_columns", "_colours", "_vrange")
+    __slots__ = ("n", "tau", "masks", "mu", "labels", "_columns", "_vrange")
 
     def __init__(self, n: int, tau, mu, labels=None):
-        """n is the rank plus one: generator indices run over {1, ..., n-1}."""
-        tau = tuple(frozenset(s) for s in tau)
-        for s in tau:
+        """n is the rank plus one: generator indices run over {1, ..., n-1}.
+        masks[v] is tau(v) as the integer with bit i set for each i in it."""
+        tau = tuple(map(frozenset, tau))
+        mask_of = dict.fromkeys(tau)
+        for s in mask_of:
             if any(not 1 <= i <= n - 1 for i in s):
                 raise ValueError(f"colour {set(s)} outside [1,{n-1}]")
+            mask_of[s] = sum(1 << i for i in s)
         mu = dict(mu)
         if 0 in mu.values():
             mu = {key: w for key, w in mu.items() if w != 0}
@@ -70,10 +73,10 @@ class SColoredGraph:
                 raise ValueError("one label per vertex required")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "tau", tau)
+        object.__setattr__(self, "masks", tuple(map(mask_of.__getitem__, tau)))
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "_columns", None)
-        object.__setattr__(self, "_colours", None)
         object.__setattr__(self, "_vrange", range(nv))
 
     def __setattr__(self, *a):
@@ -99,24 +102,6 @@ class SColoredGraph:
             object.__setattr__(self, "_columns", cols)
         return self._columns[v]
 
-    def colour_index(self) -> ColourIndex:
-        """The colours as integers, built the first time a rule reads them.
-
-        Like the columns of column(), the index is made once per graph and
-        kept: the rule checkers test subsets, strict subsets and bonds on
-        the masks, and the polygon check reads its colours and groups.
-        """
-        if self._colours is None:
-            mask_of = {s: sum(1 << i for i in s) for s in dict.fromkeys(self.tau)}
-            colours = tuple(mask_of)
-            groups: dict[int, int] = {}
-            for c, s in enumerate(colours):
-                for i in s:
-                    groups[i] = groups.get(i, 0) | 1 << c
-            masks = list(map(mask_of.__getitem__, self.tau))
-            object.__setattr__(self, "_colours", ColourIndex(masks, colours, groups))
-        return self._colours
-
     def is_labelled(self) -> bool:
         return self.labels is not None and all(l is not None for l in self.labels)
 
@@ -124,39 +109,20 @@ class SColoredGraph:
 
     def arcs(self):
         """Triples (v, u, weight): arc from v to u with weight mu(u, v)."""
+        masks = self.masks
         out = []
         for (u, v), w in sorted(self.mu.items(), key=lambda kv: (kv[0][1], kv[0][0])):
-            if not self.tau[u] <= self.tau[v]:
+            if masks[u] & ~masks[v]:
                 out.append((v, u, w))
         return out
 
     def simple_edges(self):
-        """Unordered pairs joined by opposite arcs of weight 1."""
-        out = []
-        for (u, v), w in self.mu.items():
-            if u < v and w == 1 and self.weight(v, u) == 1:
-                if not self.tau[u] <= self.tau[v] and not self.tau[v] <= self.tau[u]:
-                    out.append((u, v))
-        return sorted(out)
+        """Unordered pairs u < v joined by opposite arcs of weight 1, ascending."""
+        return sorted((u, v) for u, vs in enumerate(_simple_adjacency(self)) for v in vs if u < v)
 
     def out_neighbours(self, v: int):
-        return [u for u in self.column(v) if not self.tau[u] <= self.tau[v]]
-
-
-class ColourIndex:
-    """One graph's colours as integers (SColoredGraph.colour_index).
-
-    masks[v] is the sum of 1 << i over the i in tau(v); colours holds the
-    distinct colours, each once; groups[i], for each i in some colour, is
-    the set of colours that hold i, as a bit mask over their positions in
-    colours.  Two generators colour the same vertices exactly when their
-    groups are equal.
-    """
-
-    __slots__ = ("masks", "colours", "groups")
-
-    def __init__(self, masks: list[int], colours: tuple[frozenset[int], ...], groups: dict[int, int]):
-        self.masks, self.colours, self.groups = masks, colours, groups
+        masks, m = self.masks, self.masks[v]
+        return [u for u in self.column(v) if masks[u] & ~m]
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +231,7 @@ def cells(g: SColoredGraph) -> CellDecomposition:
 
 def _simple_adjacency(g: SColoredGraph) -> list[list[int]]:
     """The simple-edge neighbours of each vertex, in the order of g.mu."""
-    mu, masks = g.mu, g.colour_index().masks
+    mu, masks = g.mu, g.masks
     edges_at: list[list[int]] = [[] for _ in g.tau]
     for (u, v), w in mu.items():
         if w == 1 and u < v and mu.get((v, u)) == 1:
@@ -325,7 +291,7 @@ def _try_type(g: SColoredGraph, part: frozenset[int], cell, edges_at) -> Optiona
     dk = [[u for u in col if t in cols[u]] for t, col in enumerate(cols)]
     if sum(map(len, dk)) != sum(len(edges_at[v]) for v in part):
         return None
-    colour = g.colour_index().masks
+    colour = g.masks
     # vertex 0 is the lex-minimal tableau
     for seed in (v for v in part if colour[v] == masks[0]):
         image: list[Optional[int]] = [None] * len(cols)
@@ -432,7 +398,7 @@ def _odd_cycles(adjacency):
 
 def check_admissible(g: SColoredGraph) -> CheckReport:
     """Nonnegative integer weights, symmetric on incomparable colours, bipartite."""
-    mu, masks = g.mu, g.colour_index().masks
+    mu, masks = g.mu, g.masks
 
     def weights(items):
         get = mu.get
@@ -464,7 +430,7 @@ def check_admissible(g: SColoredGraph) -> CheckReport:
 
 def check_compatibility(g: SColoredGraph) -> CheckReport:
     """Colours across a nonzero weight differ only by bonded generators (|i-j| = 1)."""
-    tau, masks = g.tau, g.colour_index().masks
+    tau, masks = g.tau, g.masks
 
     def witnesses(items):
         for (u, v), _ in items:
@@ -485,7 +451,7 @@ def check_compatibility(g: SColoredGraph) -> CheckReport:
 
 def check_simplicity(g: SColoredGraph) -> CheckReport:
     """Each nonzero weight is a one-way arc into a larger colour or half a simple edge."""
-    mu, masks = g.mu, g.colour_index().masks
+    mu, masks = g.mu, g.masks
 
     def witnesses(items):
         get = mu.get
@@ -502,6 +468,13 @@ def check_simplicity(g: SColoredGraph) -> CheckReport:
                 yield ("two-way-cover", u, v)
 
     return _report("simplicity", witnesses, mu)
+
+
+def _bits(m: int):
+    """The i with bit i set in m >= 0, ascending."""
+    while m:
+        yield (m & -m).bit_length() - 1
+        m &= m - 1
 
 
 def bonds(g: SColoredGraph) -> list[int]:
@@ -521,7 +494,7 @@ def check_bonding(g: SColoredGraph) -> CheckReport:
     the bonds met once and those met again.  The witnesses (v, i, i + 1,
     count) come in increasing (i, v), sorted only when some vertex fails.
     """
-    masks = g.colour_index().masks
+    masks = g.masks
     edges_at = _simple_adjacency(g)
     inner = sum(1 << i for i in bonds(g))
 
@@ -566,13 +539,18 @@ def polygon_pairs(g: SColoredGraph) -> list[tuple[int, int, int]]:
     itself has neither kind of interior vertex.  So a document with
     thousands of generators on few vertices stays cheap.
     """
-    index = g.colour_index()
+    masks = g.masks
     rows = 0
-    for m in {index.masks[u] for u, _ in g.mu}:
+    for m in {masks[u] for u, _ in g.mu}:
         rows |= m
-    gens = sorted(i for i in index.groups if rows >> i & 1)
-    group = {i: index.groups[i] for i in gens}
-    everyone = (1 << len(index.colours)) - 1
+    # group[i], for each i in rows: the distinct colours that hold i, a bit for each
+    colours = dict.fromkeys(masks)
+    group: dict[int, int] = {}
+    for c, m in enumerate(colours):
+        for i in _bits(m & rows):
+            group[i] = group.get(i, 0) | 1 << c
+    gens = sorted(group)
+    everyone = (1 << len(colours)) - 1
     # the smallest generator of each group, ascending
     firsts: dict[int, int] = {}
     for i in gens:
@@ -625,18 +603,18 @@ def polygon_sums(g: SColoredGraph):
         second[i] = second.get(i, 0) | 2 << 2 * k
     every = (1 << 2 * len(triples)) - 1
     r3 = (1 << 2 * sum(r == 3 for _, _, r in triples)) - 1  # the r = 3 bits
-    kinds = {}
-    for s in g.colour_index().colours:
-        # the sums whose first, and whose second, generator s holds
+    kinds = dict.fromkeys(g.masks)
+    for s in kinds:
+        # the sums whose first, and whose second, generator the colour s holds
         one = two = 0
-        for i in s:
+        for i in _bits(s):
             if i in first:
                 one |= first[i]
                 two |= second[i]
         # the sums a vertex of colour s may start, lead, follow and end
         lead, end = one & ~two, one & two
         kinds[s] = (every & ~(one | two), lead & ~r3, lead & r3, two & ~one & r3, end & ~r3, end & r3)
-    start, lead2, lead3, follow, end2, end3 = zip(*map(kinds.__getitem__, g.tau))
+    start, lead2, lead3, follow, end2, end3 = zip(*map(kinds.__getitem__, g.masks))
     # roles[m]: (triple, 0 for n_ij or 1 for n_ji) for each bit of m
     roles: dict[int, list] = {}
     column = g.column
@@ -720,11 +698,9 @@ def check_ordered(g: SColoredGraph) -> CheckReport:
     Dominance is the guarded subtraction builder.probable_pairs uses, on
     the keys of the column words (tb.dominance_keys), so every vertex needs
     a (molecule, tableau) label and the tableaux must hold the same entries.
-    The exchange is tested on the words packed one letter to a field, the
-    first letter lowest: the lowest bit in which two packed words differ
-    lies in the field of their first differing letter k, and exchanging
-    the letters d apart at k and k+1 takes d (2^b - 1) 2^(kb) off the
-    packed word, for fields of b bits.
+    The exchange is tested on the words as tb.pack gives them: the highest
+    set bit of the XOR of two packed words lies in the field of their first
+    differing letter k, and the exchange at k and k+1 is tb.swap_packed.
     """
     if not g.is_labelled():
         raise ValueError("check_ordered requires labelled vertices")
@@ -733,10 +709,8 @@ def check_ordered(g: SColoredGraph) -> CheckReport:
     molecule = [m for m, _ in g.labels]
     words = [t.column_word for _, t in g.labels]
     keys, guard = tb.dominance_keys(words)
-    b = max(map(max, filter(None, words)), default=0).bit_length() or 1
-    shifts = range(0, b * len(words[0]), b) if words else ()
-    packed = [sum(map(int.__lshift__, w, shifts)) for w in words]
-    field = (1 << b) - 1
+    width = tb.letter_width(words)
+    packed = [tb.pack(w, width) for w in words]
 
     def witnesses(items):
         for (cu, cv), w in items:
@@ -744,12 +718,11 @@ def check_ordered(g: SColoredGraph) -> CheckReport:
             if ku != kt and ((ku | guard) - kt) & guard == guard:
                 continue
             if molecule[cu] == molecule[cv]:
-                pu, pt = packed[cu], packed[cv]
-                x = pu ^ pt
-                k = ((x & -x).bit_length() - 1) // b  # -1 for equal words
-                tw = words[cv]
-                if 0 <= k < len(tw) - 1 and tw[k] < tw[k + 1]:
-                    if pt - pu == (tw[k + 1] - tw[k]) * field << k * b:
+                pu, pt, tw = packed[cu], packed[cv], words[cv]
+                # 0-based; len(tw) for equal words
+                k = len(tw) - 1 - ((pu ^ pt).bit_length() - 1) // width
+                if k < len(tw) - 1 and tw[k] < tw[k + 1]:
+                    if pu == tb.swap_packed(pt, tw, k + 1, width):
                         continue
             yield (cu, cv, w)
 
@@ -765,8 +738,8 @@ def run_checks(g: SColoredGraph, rules=ALL_RULES) -> list[CheckReport]:
 
     Each report's witnesses come in increasing key order, at most
     _MAX_WITNESSES of them; a rule sorts only to write a failing report.
-    The rules share the graph's colour index and columns, built by the
-    first rule that reads them.
+    The rules share the graph's colour masks, made with the graph, and its
+    columns, built by the first rule that reads them.
     """
     out = []
     for rule in rules:

@@ -669,6 +669,35 @@ def dk_neighbours(t: StandardTableau):
     return seen
 
 
+# ---------------------------------------------------------------------------
+# The derived views on frozenset colours: the references for
+# SColoredGraph.arcs, simple_edges and out_neighbours, which read the colour
+# bit masks g.masks.
+
+
+def arcs(g: wg.SColoredGraph):
+    """Triples (v, u, weight): arc from v to u with weight mu(u, v)."""
+    out = []
+    for (u, v), w in sorted(g.mu.items(), key=lambda kv: (kv[0][1], kv[0][0])):
+        if not g.tau[u] <= g.tau[v]:
+            out.append((v, u, w))
+    return out
+
+
+def simple_edges(g: wg.SColoredGraph):
+    """Unordered pairs joined by opposite arcs of weight 1."""
+    out = []
+    for (u, v), w in g.mu.items():
+        if u < v and w == 1 and g.weight(v, u) == 1:
+            if not g.tau[u] <= g.tau[v] and not g.tau[v] <= g.tau[u]:
+                out.append((u, v))
+    return sorted(out)
+
+
+def out_neighbours(g: wg.SColoredGraph, v: int):
+    return [u for u in g.column(v) if not g.tau[u] <= g.tau[v]]
+
+
 def simple_parts(g: wg.SColoredGraph):
     """Connected components of the simple edges, by union-find."""
     parent = list(range(g.num_vertices))
@@ -679,7 +708,7 @@ def simple_parts(g: wg.SColoredGraph):
             x = parent[x]
         return x
 
-    for u, v in g.simple_edges():
+    for u, v in simple_edges(g):
         ru, rv = find(u), find(v)
         if ru != rv:
             parent[ru] = rv
@@ -695,7 +724,7 @@ def try_type(g: wg.SColoredGraph, part, lam):
     if len(tabs) != len(part):
         return None
     adj = {v: [] for v in part}
-    for u, v in g.simple_edges():
+    for u, v in simple_edges(g):
         if u in part and v in part:
             adj[u].append(v)
             adj[v].append(u)
@@ -854,7 +883,7 @@ def mu_probable(iu: int, it: int, cell, index, rep=None) -> int:
 
 
 # ---------------------------------------------------------------------------
-# The admissible rule through g.arcs(): the reference for
+# The admissible rule through arcs(g): the reference for
 # wgraph.check_admissible, which builds its adjacency straight from g.mu.
 
 
@@ -871,7 +900,7 @@ def check_admissible(g: wg.SColoredGraph) -> wg.CheckReport:
         if not tu <= tv and not tv <= tu and g.weight(v, u) != w:
             bad.append(("asymmetric", u, v, w, g.weight(v, u)))
     adjacency: dict[int, set[int]] = {v: set() for v in g.vertices()}
-    for v, u, _w in g.arcs():
+    for v, u, _w in arcs(g):
         adjacency[v].add(u)
         adjacency[u].add(v)
     colour: dict[int, int] = {}
@@ -895,7 +924,7 @@ def check_admissible(g: wg.SColoredGraph) -> wg.CheckReport:
 
 # ---------------------------------------------------------------------------
 # The compatibility, simplicity and bonding rules over sorted weights and the
-# sorted simple_edges(): the references for wgraph's checkers, which scan
+# sorted simple_edges(g): the references for wgraph's checkers, which scan
 # g.mu in dict order on colour bit masks and sort only to write a failing
 # report.
 
@@ -934,7 +963,7 @@ def check_simplicity(g: wg.SColoredGraph) -> wg.CheckReport:
 def simple_adjacency(g: wg.SColoredGraph) -> list[list[int]]:
     """The simple-edge neighbours of each vertex."""
     edges_at: list[list[int]] = [[] for _ in g.vertices()]
-    for u, v in g.simple_edges():
+    for u, v in simple_edges(g):
         edges_at[u].append(v)
         edges_at[v].append(u)
     return edges_at

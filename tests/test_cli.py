@@ -66,6 +66,16 @@ def test_a_column_of_2000_boxes_builds_and_lists(tmp_path, capsys):
     assert capsys.readouterr().out == "/".join(map(str, range(1, 2001))) + "\n"
 
 
+def test_a_row_of_600_boxes_builds_and_verifies_quickly(tmp_path):
+    # one vertex whose column word holds 600 letters: the dominance keys
+    # are made in time linear in their size, not quadratic
+    out = tmp_path / "g.json"
+    start = time.perf_counter()
+    assert run(["build", "--shape", ",".join(["1"] * 600), "--out", str(out)]) == 0
+    assert run(["verify", "--in", str(out), "--hecke"]) == 0
+    assert time.perf_counter() - start < 15
+
+
 def test_build_verify_roundtrip_bit_identical(tmp_path):
     out = tmp_path / "g.json"
     dot = tmp_path / "g.dot"
@@ -159,6 +169,11 @@ _GOOD = {
         # document could not be written back byte for byte
         {**_GOOD, "vertices": [{"id": 0, "tau": [1], "label": {"molecule": 0, "tableau": text}}]}
         for text in (" 1", "1  2", "1\n2", "\u0661", "/")
+    ]
+    + [
+        # a colour outside the generators 1..n-1: 0, -1 and n
+        {**_GOOD, "vertices": [{"id": 0, "tau": [c], "label": None}]}
+        for c in (0, -1, 3)
     ]
     + [
         # a colour above wg.MAX_COLOUR: its bit mask would not fit in memory

@@ -250,6 +250,44 @@ def test_extended_dominance_matches_prefix_matrix_reference():
     assert outcomes == {True, False}
 
 
+def _words_of_size(n):
+    return [t.column_word for lam in tb.partitions_of(n) for t in tb.enumerate_std(lam)]
+
+
+def test_pack_orders_words_of_one_length_lexicographically():
+    # every word of every shape of n <= 7, the shapes of one n packed together
+    for n in range(0, 8):
+        words = _words_of_size(n)
+        width = tb.letter_width(words)
+        assert width == max(map(max, filter(None, words)), default=1).bit_length()
+        packed = sorted((tb.pack(w, width), w) for w in words)
+        assert [w for _, w in packed] == sorted(words)
+        assert len({p for p, _ in packed}) == len(words)
+
+
+def test_swap_packed_equals_the_pack_of_the_exchanged_word():
+    for n in range(2, 8):
+        words = _words_of_size(n)
+        width = tb.letter_width(words)
+        for w in words:
+            p = tb.pack(w, width)
+            for e in range(1, n):
+                swapped = w[: e - 1] + (w[e], w[e - 1]) + w[e + 1 :]
+                assert tb.swap_packed(p, w, e, width) == tb.pack(swapped, width), (w, e)
+
+
+def test_first_differing_letter_is_the_field_of_the_highest_xor_bit():
+    for n in range(1, 8):
+        words = _words_of_size(n)
+        width = tb.letter_width(words)
+        packed = [tb.pack(w, width) for w in words]
+        for u, pu in zip(words, packed):
+            for t, pt in zip(words, packed):
+                k = n - 1 - ((pu ^ pt).bit_length() - 1) // width
+                first = next((i for i, (a, b) in enumerate(zip(u, t)) if a != b), n)
+                assert k == first, (u, t)
+
+
 def test_dominance_errors():
     with pytest.raises(ValueError):
         tb.extended_dominance_leq(tb.tau_min((2,)), tb.tau_min((3,)))

@@ -1,6 +1,7 @@
 import builtins
 import json
 import random
+import re
 import time
 
 import pytest
@@ -48,6 +49,48 @@ def test_one_way_arc_when_colours_nest():
     g = wg.SColoredGraph(3, [{1, 2}, {1}], {(0, 1): 1})
     assert g.arcs() == [(1, 0, 1)]
     assert g.simple_edges() == []
+
+
+@pytest.mark.parametrize(
+    "tau, bad",
+    [
+        ([{1}, {0, 2}, {3}], {0, 2}),  # 0, then n further on
+        ([{1, 2}, set(), {3}, {-1}], {3}),  # n, then -1
+        ([{-1, 1}], {-1, 1}),
+    ],
+)
+def test_colours_outside_the_generators_are_rejected(tau, bad):
+    # the first vertex whose colour is out of range names it
+    with pytest.raises(ValueError, match=f"^colour {re.escape(str(bad))} outside \\[1,2\\]$"):
+        wg.SColoredGraph(3, tau, {})
+
+
+def _assert_views_match_references(g):
+    assert g.masks == tuple(sum(1 << i for i in s) for s in g.tau)
+    assert g.arcs() == helpers.arcs(g)
+    assert g.simple_edges() == helpers.simple_edges(g)
+    assert [g.out_neighbours(v) for v in g.vertices()] == [
+        helpers.out_neighbours(g, v) for v in g.vertices()
+    ]
+
+
+def test_views_match_the_frozenset_references(built):
+    # built graphs of n <= 7, restricted and reloaded, and 20 seeded single
+    # corruptions of each built graph
+    rng = random.Random(1807)
+    for n in range(1, 8):
+        for lam in tb.partitions_of(n):
+            g = built(lam)
+            graphs = [g, wg.from_json_str(wg.to_json_str(g))] + corruptions(g, rng, 20)
+            graphs += [wg.restrict(g, J) for J in ({1}, set(range(2, n)), set(range(1, n, 2)))]
+            for h in graphs:
+                _assert_views_match_references(h)
+
+
+@settings(max_examples=300, deadline=None)
+@given(g=coloured_graphs())
+def test_views_match_the_frozenset_references_on_any_graph(g):
+    _assert_views_match_references(g)
 
 
 def test_self_weights_rejected():
@@ -713,6 +756,17 @@ def test_ordered_reports_match_reference(built):
         outcomes.add(fast.ok)
     assert outcomes == {True, False}
     assert not any(wg.check_ordered(g).ok for g in (twins, across, shapes))
+
+
+def test_ordered_reports_an_upward_weight_across_a_non_adjacent_exchange():
+    # t's word (1, 1, 1, 2, 2) first differs from u's (1, 1, 2, 2, 1) at an
+    # ascent, letter 3 of t, and u's letter there is t's next one; but u
+    # exchanges t's letters 3 and 5, so u is no s_i t, and u is not below t
+    t, u = tb.from_text("1 4/2 5/3"), tb.from_text("1 3/2 4/5")
+    assert not tb.extended_dominance_leq(u, t)
+    g = wg.SColoredGraph(5, [t.descents, u.descents], {(1, 0): 1}, [(0, t), (0, u)])
+    report = wg.check_ordered(g)
+    assert report.violations == ((1, 0, 1),) and report == helpers.check_ordered(g)
 
 
 def test_ordered_requires_labels():

@@ -262,5 +262,6 @@ def build_cell_graph(lam) -> wg.SColoredGraph:
                 cell.cols[it][iu] = w
     mu = {(u, t): w for t, col in enumerate(cell.cols) for u, w in col.items()}
     n = sum(lam) if lam else 1
-    tau = [[d for d in range(1, n) if mask >> d & 1] for mask in cell.masks]
-    return wg.SColoredGraph(n, tau, mu, tuple((0, t) for t in tabs))
+    # one colour per distinct descent mask, shared by its vertices
+    colour = {m: frozenset(wg._bits(m)) for m in set(cell.masks)}
+    return wg.SColoredGraph(n, map(colour.__getitem__, cell.masks), mu, tuple((0, t) for t in tabs))

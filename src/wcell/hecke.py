@@ -32,8 +32,8 @@ from __future__ import annotations
 import itertools
 import os
 from bisect import bisect_left
-from functools import partial
-from operator import add
+from functools import partial, reduce
+from operator import add, or_
 
 from . import tableaux as tb
 from . import wgraph as wg
@@ -181,14 +181,15 @@ def _generator_weights(g: wg.SColoredGraph) -> dict:
     colour, in increasing s: support is the set of vertices s colours, and
     weights[v] = {u: mu(u, v)} over the u that s colours, stored only at
     the v that s does not colour and that have such a u."""
-    tau = g.tau
-    gens = sorted({t for s in set().union(*tau) for t in (s - 1, s, s + 1) if 1 <= t <= g.n - 1})
+    masks = g.masks
+    used = reduce(or_, set(masks), 0)
+    gens = [t for t in wg._bits((used | used << 1 | used >> 1) & ~1) if t <= g.n - 1]
     table = {s: ({}, set()) for s in gens}
-    for v, colours in enumerate(tau):
-        for s in colours:
+    for v, m in enumerate(masks):
+        for s in wg._bits(m):
             table[s][1].add(v)
     for (u, v), w in g.mu.items():
-        for s in tau[u] - tau[v]:
+        for s in wg._bits(masks[u] & ~masks[v]):
             cols = table[s][0]
             col = cols.get(v)
             if col is None:
@@ -465,7 +466,7 @@ def graphs_equal_under(g1: wg.SColoredGraph, g2: wg.SColoredGraph, bijection) ->
     image = [bijection[v] for v in g1.vertices()]
     if sorted(image) != list(g2.vertices()):
         raise ValueError("not a bijection onto the second vertex set")
-    if g1.n != g2.n or any(g1.tau[v] != g2.tau[image[v]] for v in g1.vertices()):
+    if g1.n != g2.n or any(g1.masks[v] != g2.masks[image[v]] for v in g1.vertices()):
         return False
     mapped = {(image[u], image[v]): w for (u, v), w in g1.mu.items()}
     return mapped == g2.mu

@@ -19,7 +19,7 @@ to ``text()`` output: the minimal tableau of shape ``(2, 1)`` prints as
 from __future__ import annotations
 
 import re
-from functools import reduce
+from functools import lru_cache, reduce
 from math import factorial
 from operator import mul
 from typing import NamedTuple
@@ -608,13 +608,20 @@ def m_critical_tableau(shape: SkewShape, m: int) -> StandardTableau:
 # text round-trip
 
 
-def from_rows(rows, shapes=None) -> StandardTableau:
+@lru_cache(maxsize=1024)
+def _normal_shape(lengths: tuple[int, ...]) -> SkewShape:
+    """The normal shape with these row lengths, one object shared by the
+    tableaux from_rows makes of it while it stays among the recent ones."""
+    width = lengths[0] if lengths else 0
+    return SkewShape(tuple(sum(1 for L in lengths if L >= j) for j in range(1, width + 1)))
+
+
+def from_rows(rows) -> StandardTableau:
     """Build a normal-shape tableau from its internal rows.
 
     One pass checks that the row lengths weakly decrease, that the entries
     form a contiguous interval from the smallest of them and that they
-    increase along rows and down columns.  ``shapes``, when given, maps
-    row-length tuples to the SkewShape that calls share.
+    increase along rows and down columns.
     """
     rows = [list(r) for r in rows]
     lengths = tuple(map(len, rows))
@@ -633,13 +640,7 @@ def from_rows(rows, shapes=None) -> StandardTableau:
                 raise ValueError("entries must increase along rows")
             if i > 1 and e < rows[i - 2][j - 1]:
                 raise ValueError("entries must increase down columns")
-    shape = shapes.get(lengths) if shapes is not None else None
-    if shape is None:
-        width = lengths[0] if lengths else 0
-        shape = SkewShape(tuple(sum(1 for L in lengths if L >= j) for j in range(1, width + 1)))
-        if shapes is not None:
-            shapes[lengths] = shape
-    return StandardTableau(shape, boxes, offset, _checked=True)
+    return StandardTableau(_normal_shape(lengths), boxes, offset, _checked=True)
 
 
 def from_column_word(cols, offset: int = 0) -> StandardTableau:
@@ -658,15 +659,14 @@ _ROW = f"{_ENTRY}(?: {_ENTRY})*"
 _TEXT = re.compile(f"(?:{_ROW}(?:/{_ROW})*)?")
 
 
-def from_text(s: str, shapes=None) -> StandardTableau:
+def from_text(s: str) -> StandardTableau:
     """Parse the '/'-separated row form, e.g. ``"1 3/2"``.
 
     Accepts exactly what ``text()`` writes for a normal shape: positive
     ASCII integers without leading zeros, one space between the entries of a
     row and one '/' between non-empty rows; ``""`` is the empty tableau.
-    ``shapes`` is passed on to from_rows.
     """
     if _TEXT.fullmatch(s) is None:
         raise ValueError(f"malformed tableau text {s!r}")
     rows = [[int(x) for x in row.split(" ")] for row in s.split("/")] if s else []
-    return from_rows(rows, shapes=shapes)
+    return from_rows(rows)

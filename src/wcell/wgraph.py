@@ -37,7 +37,9 @@ one with a colour above MAX_COLOUR.
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import chain, islice
+from operator import or_
 from typing import NamedTuple, Optional
 
 from . import tableaux as tb
@@ -51,7 +53,8 @@ class SColoredGraph:
 
     def __init__(self, n: int, tau, mu, labels=None):
         """n is the rank plus one: generator indices run over {1, ..., n-1}.
-        masks[v] is tau(v) as the integer with bit i set for each i in it."""
+        masks[v] is tau(v) as the integer with bit i set for each i in it;
+        every algorithm reads the masks, and tau is the frozenset view."""
         tau = tuple(map(frozenset, tau))
         mask_of = dict.fromkeys(tau)
         for s in mask_of:
@@ -232,7 +235,7 @@ def cells(g: SColoredGraph) -> CellDecomposition:
 def _simple_adjacency(g: SColoredGraph) -> list[list[int]]:
     """The simple-edge neighbours of each vertex, in the order of g.mu."""
     mu, masks = g.mu, g.masks
-    edges_at: list[list[int]] = [[] for _ in g.tau]
+    edges_at: list[list[int]] = [[] for _ in masks]
     for (u, v), w in mu.items():
         if w == 1 and u < v and mu.get((v, u)) == 1:
             mu_, mv = masks[u], masks[v]
@@ -429,8 +432,9 @@ def check_admissible(g: SColoredGraph) -> CheckReport:
 
 
 def check_compatibility(g: SColoredGraph) -> CheckReport:
-    """Colours across a nonzero weight differ only by bonded generators (|i-j| = 1)."""
-    tau, masks = g.tau, g.masks
+    """Colours across a nonzero weight differ only by bonded generators
+    (|i-j| = 1); the witnesses (u, v, i, j) of one weight come in ascending (i, j)."""
+    masks = g.masks
 
     def witnesses(items):
         for (u, v), _ in items:
@@ -441,8 +445,8 @@ def check_compatibility(g: SColoredGraph) -> CheckReport:
             if a and b and (a & (a - 1) or b & ~(a << 1 | a >> 1)) and (
                 b & (b - 1) or a & ~(b << 1 | b >> 1)
             ):
-                for i in tau[u] - tau[v]:
-                    for j in tau[v] - tau[u]:
+                for i in _bits(a):
+                    for j in _bits(b):
                         if abs(i - j) != 1:
                             yield (u, v, i, j)
 
@@ -480,7 +484,8 @@ def _bits(m: int):
 def bonds(g: SColoredGraph) -> list[int]:
     """The i <= n - 2, ascending, of the bonds (i, i + 1) with i or i + 1 in
     some colour: at any other bond no vertex has either generator."""
-    return sorted({s for c in set().union(*g.tau) for s in (c - 1, c) if 1 <= s <= g.n - 2})
+    used = reduce(or_, set(g.masks), 0)
+    return [s for s in _bits((used | used >> 1) & ~1) if s <= g.n - 2]
 
 
 def check_bonding(g: SColoredGraph) -> CheckReport:
@@ -508,10 +513,7 @@ def check_bonding(g: SColoredGraph) -> CheckReport:
                 hits = d & d >> 1 & touched
                 twice |= once & hits
                 once |= hits
-            failed = touched & ~(once & ~twice)
-            while failed:
-                i = (failed & -failed).bit_length() - 1
-                failed &= failed - 1
+            for i in _bits(touched & ~(once & ~twice)):
                 count = sum(1 for u in edges_at[v] if (m ^ masks[u]) >> i & 3 == 3)
                 yield (v, i, i + 1, count)
 
@@ -540,9 +542,7 @@ def polygon_pairs(g: SColoredGraph) -> list[tuple[int, int, int]]:
     thousands of generators on few vertices stays cheap.
     """
     masks = g.masks
-    rows = 0
-    for m in {masks[u] for u, _ in g.mu}:
-        rows |= m
+    rows = reduce(or_, {masks[u] for u, _ in g.mu}, 0)
     # group[i], for each i in rows: the distinct colours that hold i, a bit for each
     colours = dict.fromkeys(masks)
     group: dict[int, int] = {}
@@ -642,11 +642,7 @@ def polygon_sums(g: SColoredGraph):
                 if m:
                     ks = roles.get(m)
                     if ks is None:
-                        ks = roles[m] = []
-                        while m:
-                            k = (m & -m).bit_length() - 1
-                            ks.append((triples[k >> 1], k & 1))
-                            m &= m - 1
+                        ks = roles[m] = [(triples[k >> 1], k & 1) for k in _bits(m)]
                     for triple, side in ks:
                         both = sums.get(triple)
                         if both is None:
@@ -777,8 +773,8 @@ def json_chunks(g: SColoredGraph):
     yield '{\n  "n": %d,\n  "vertices": [' % g.n
     labels = g.labels or (None,) * g.num_vertices
     sep = ""
-    for v, (tau, label) in enumerate(zip(g.tau, labels)):
-        colours = "[\n        %s\n      ]" % ",\n        ".join(map(str, sorted(tau))) if tau else "[]"
+    for v, (m, label) in enumerate(zip(g.masks, labels)):
+        colours = "[\n        %s\n      ]" % ",\n        ".join(map(str, _bits(m))) if m else "[]"
         label = "null" if label is None else _LABEL % (label[0], label[1].text())
         yield _VERTEX % (sep, v, colours, label)
         sep = ","
@@ -841,14 +837,13 @@ def from_json_obj(obj: dict) -> SColoredGraph:
         tau.append(frozenset(colours))
     labels = []
     targets = set()  # (size, offset) of the label tableaux
-    shapes = {}  # row lengths -> SkewShape, shared by the label tableaux
     for r in rows:
         label = r.get("label")
         if label is None:
             labels.append(None)
         else:
             _expect(label, dict, "label")
-            t = tb.from_text(_field(label, "tableau", str), shapes)
+            t = tb.from_text(_field(label, "tableau", str))
             targets.add((t.size, t.offset))
             labels.append((_field(label, "molecule", int), t))
     if len(targets) > 1:
@@ -883,7 +878,7 @@ def from_json_str(s: str) -> SColoredGraph:
 def to_dot(g: SColoredGraph) -> str:
     lines = ["digraph wgraph {"]
     for v in g.vertices():
-        tau = ",".join(map(str, sorted(g.tau[v])))
+        tau = ",".join(map(str, _bits(g.masks[v])))
         name = str(v)
         if g.labels is not None and g.labels[v] is not None:
             name = g.labels[v][1].text()

@@ -255,6 +255,29 @@ def corruptions(g, rng, count):
     return out
 
 
+def moved(g: wg.SColoredGraph, scale: int, shift: int) -> wg.SColoredGraph:
+    """g with each generator i moved to scale i + shift, on scale n + shift."""
+    tau = [{scale * i + shift for i in s} for s in g.tau]
+    return wg.SColoredGraph(scale * g.n + shift, tau, g.mu, g.labels)
+
+
+# (scale, shift) of moves to generators where a frozenset need not iterate
+# in ascending order, as list(frozenset({1, 8})) == [8, 1]: times 8, across
+# 64, and across 65528 near MAX_COLOUR
+MOVES = ((8, 0), (1, 60), (1, wg.MAX_COLOUR - 10))
+
+
+def moved_family(built, rng):
+    """Every built cell with 2 <= n <= 6 and 4 seeded corruptions of each,
+    each under every move of MOVES."""
+    graphs = []
+    for n in range(2, 7):
+        for lam in tb.partitions_of(n):
+            g = built(lam)
+            graphs += [moved(h, *move) for h in [g] + corruptions(g, rng, 4) for move in MOVES]
+    return graphs
+
+
 @st.composite
 def coloured_graphs(draw):
     """Any S-coloured graph with n <= 6 and at most 6 vertices: weights in
@@ -933,8 +956,8 @@ def check_compatibility(g: wg.SColoredGraph) -> wg.CheckReport:
     """Colours across a nonzero weight differ only by bonded generators (|i-j| = 1)."""
     bad = []
     for (u, v), w in sorted(g.mu.items()):
-        for i in g.tau[u] - g.tau[v]:
-            for j in g.tau[v] - g.tau[u]:
+        for i in sorted(g.tau[u] - g.tau[v]):
+            for j in sorted(g.tau[v] - g.tau[u]):
                 if abs(i - j) != 1:
                     bad.append((u, v, i, j))
                     if len(bad) >= wg._MAX_WITNESSES:
@@ -969,12 +992,18 @@ def simple_adjacency(g: wg.SColoredGraph) -> list[list[int]]:
     return edges_at
 
 
+def bonds(g: wg.SColoredGraph) -> list[int]:
+    """The i <= n - 2, ascending, of the bonds (i, i + 1) with i or i + 1 in
+    some colour."""
+    return sorted({s for c in set().union(*g.tau) for s in (c - 1, c) if 1 <= s <= g.n - 2})
+
+
 def check_bonding(g: wg.SColoredGraph) -> wg.CheckReport:
     """Simply-laced bonding: unique opposite-pattern neighbour across each
-    bond of wgraph.bonds(g)."""
+    bond of bonds(g)."""
     bad = []
     edges_at = simple_adjacency(g)
-    for i in wg.bonds(g):
+    for i in bonds(g):
         j = i + 1
         for v in g.vertices():
             has_i = i in g.tau[v]

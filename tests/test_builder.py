@@ -37,6 +37,11 @@ def test_vertices_are_lex_ordered_and_coloured_by_descents(built):
             assert all(g.tau[i] == tabs[i].descents for i in g.vertices()), lam
 
 
+def test_vertices_of_one_descent_set_share_one_colour(built):
+    g = built((4, 3, 2, 1, 1))
+    assert len({id(c) for c in g.tau}) == len(set(g.masks)) < g.num_vertices
+
+
 def test_no_probable_pairs_below_rank_five():
     for n in range(1, 5):
         for lam in tb.partitions_of(n):

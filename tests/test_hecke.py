@@ -3,6 +3,7 @@ import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 from helpers import (
@@ -136,8 +137,10 @@ def test_column_check_equals_composed_reference(built):
             graphs.append(built(lam))
             corrupted.extend(corruptions(built(lam), rng, 20))
     assert len(corrupted) >= 600
+    # and with generators at 8 i, across 64 and near MAX_COLOUR
+    moved = helpers.moved_family(built, rng)
     outcomes = set()
-    for g in graphs + corrupted:
+    for g in graphs + corrupted + moved:
         report = hecke.verify_hecke_relations(g)
         assert report == verify_hecke_relations_composed(g)
         outcomes.add((report.ok, len(report.violations) > 1))
@@ -147,6 +150,13 @@ def test_column_check_equals_composed_reference(built):
 @settings(max_examples=300, deadline=None)
 @given(g=coloured_graphs())
 def test_column_check_equals_composed_reference_on_any_graph(g):
+    assert hecke.verify_hecke_relations(g) == verify_hecke_relations_composed(g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(g=coloured_graphs(), move=st.sampled_from(helpers.MOVES))
+def test_column_check_equals_composed_reference_on_any_moved_graph(g, move):
+    g = helpers.moved(g, *move)
     assert hecke.verify_hecke_relations(g) == verify_hecke_relations_composed(g)
 
 
@@ -597,3 +607,16 @@ def test_graphs_equal_under_identity_and_flip(built):
     assert not hecke.graphs_equal_under(g, g, flip)
     with pytest.raises(ValueError):
         hecke.graphs_equal_under(g, g, {v: 0 for v in g.vertices()})
+
+
+@pytest.mark.parametrize("move", helpers.MOVES)
+def test_graphs_equal_under_notices_one_moved_generator(built, move):
+    g = helpers.moved(built((3, 2, 1)), *move)
+    ident = list(g.vertices())
+    assert hecke.graphs_equal_under(g, wg.from_json_str(wg.to_json_str(g)), ident)
+    top = g.n - 1  # the highest generator
+    for v in g.vertices():
+        for s in (top, max(g.tau[v], default=top)):
+            tau = list(g.tau)
+            tau[v] = tau[v] ^ {s}
+            assert not hecke.graphs_equal_under(g, wg.SColoredGraph(g.n, tau, g.mu, g.labels), ident)

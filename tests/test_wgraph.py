@@ -474,6 +474,45 @@ def test_rule_suite_passes_on_built_graphs(built):
                 assert report.ok, (lam, report.summary())
 
 
+def _assert_moved_graph_matches_references(g):
+    for rule, (fast, slow) in _RULES.items():
+        if rule != "ordered" or g.is_labelled():
+            assert fast(g) == slow(g), rule
+    assert wg.check_polygon(g) == tuple(helpers.check_polygon(g, r) for r in (2, 3))
+    assert wg.bonds(g) == helpers.bonds(g)
+    text = wg.to_json_str(g)
+    assert text == json.dumps(helpers.to_json_obj(g), indent=2) + "\n"  # tau lists ascending
+    assert wg.to_json_str(wg.from_json_str(text)) == text
+    dot = wg.to_dot(g)
+    for v in g.vertices():
+        assert f'|{{{",".join(map(str, sorted(g.tau[v])))}}}"]' in dot
+
+
+def test_moved_generators_match_the_references(built):
+    # generators at 8 i, across 64 and near MAX_COLOUR, where a colour's
+    # frozenset does not always iterate in ascending order
+    graphs = helpers.moved_family(built, random.Random(1807))
+    assert any(list(s) != sorted(s) for g in graphs for s in g.tau)
+    unsorted = False  # a failing weight whose colour difference is out of order
+    for g in graphs:
+        _assert_moved_graph_matches_references(g)
+        for u, v, _, _ in wg.check_compatibility(g).violations:
+            unsorted |= any(list(d) != sorted(d) for d in (g.tau[u] - g.tau[v], g.tau[v] - g.tau[u]))
+    assert unsorted
+
+
+@settings(max_examples=200, deadline=None)
+@given(g=coloured_graphs(), move=st.sampled_from(helpers.MOVES))
+def test_moved_generators_match_the_references_on_any_graph(g, move):
+    _assert_moved_graph_matches_references(helpers.moved(g, *move))
+
+
+def test_compatibility_witnesses_of_one_weight_come_in_ascending_generators():
+    # list(frozenset({1, 8})) == [8, 1]
+    g = wg.SColoredGraph(10, [{1, 8}, {3}], {(0, 1): 1})
+    assert wg.check_compatibility(g).violations == ((0, 1, 1, 3), (0, 1, 8, 3))
+
+
 # ---------------------------------------------------------------------------
 # polygon sums: fast vs brute force
 

@@ -62,7 +62,7 @@ def is_dk_edge(u: StandardTableau, t: StandardTableau) -> bool:
     """Whether u and t are related by a single dual Knuth move."""
     if u.shape != t.shape or u.offset != t.offset:
         return False
-    diff = [e for e in u.entries() if u.box_of(e) != t.box_of(e)]
+    diff = [e for e, a, b in zip(u.entries(), u.boxes, t.boxes) if a != b]
     if len(diff) != 2 or diff[1] != diff[0] + 1:
         return False
     k = diff[0]
@@ -104,9 +104,9 @@ def restriction_number(u: StandardTableau, t: StandardTableau) -> int:
     """Largest k such that the entries up to k occupy the same boxes in u and t."""
     if u.size != t.size or u.offset != t.offset:
         raise ValueError("pair must share the same target")
-    for e in u.entries():
-        if u.box_of(e) != t.box_of(e):
-            return e - 1 - u.offset
+    for k, (a, b) in enumerate(zip(u.boxes, t.boxes)):
+        if a != b:
+            return k
     return u.size
 
 
@@ -130,9 +130,9 @@ def _between_boxes(xi, bu, bt):
 
 
 def _graft(prefix: StandardTableau, t: StandardTableau, k: int) -> StandardTableau:
-    """Replace the first k boxes of t by those of prefix (same shape below k)."""
+    """Replace the first k letters of t's word by prefix's (same shape below k)."""
     return StandardTableau(
-        t.shape, prefix.boxes + t.boxes[k:], t.offset, _checked=True
+        t.shape, prefix.column_word + t.column_word[k:], t.offset, _checked=True
     )
 
 
@@ -141,7 +141,7 @@ def _prefix_with_top(xi, box, fill) -> StandardTableau:
     rest = list(xi)
     rest[box[1] - 1] -= 1
     base = fill(tb._trim(rest))
-    return StandardTableau(SkewShape(xi), base.boxes + (box,), 0, _checked=True)
+    return StandardTableau(SkewShape(xi), base.column_word + (box[1],), 0, _checked=True)
 
 
 def _prefix_shape(uw, tw):
@@ -176,7 +176,7 @@ def favourable_set(u: StandardTableau, t: StandardTableau):
     out = []
     for box in boxes:
         for wp in tb.enumerate_std(xi):
-            if wp.box_of(k) == box:
+            if wp.col_of(k) == box[1]:  # k, the largest entry, is on xi's box of that column
                 out.append((_graft(wp, u, k), _graft(wp, t, k)))
     return out
 

@@ -51,10 +51,11 @@ def rs_inverse(p: StandardTableau, q: StandardTableau) -> Permutation:
         raise ValueError("shape mismatch")
     if not (p.shape.is_normal and p.offset == 0 and q.offset == 0):
         raise ValueError("expected normal tableaux with target [1, n]")
-    prows = [list(r) for r in p.to_rows()]
+    prows = p.to_rows()
+    qboxes = q.boxes
     images = [0] * p.size
     for step in range(p.size, 0, -1):
-        r, c = q.box_of(step)
+        r = qboxes[step - 1][0]
         value = prows[r - 1].pop()
         for row in reversed(prows[: r - 1]):
             k = bisect_left(row, value) - 1
@@ -82,7 +83,7 @@ def jdt_slide(t: StandardTableau, c) -> SlideRecord:
     inner = t.shape.inner
     if c not in [(h, j) for (h, j) in tb.removable_boxes(inner)]:
         raise ValueError(f"{c} is not a removable box of the inner shape {inner}")
-    pos = {t.box_of(e): e for e in t.entries()}
+    pos = dict(zip(t.boxes, t.entries()))
     outer = t.shape.outer
     hole = c
     path = [c]
@@ -104,8 +105,8 @@ def jdt_slide(t: StandardTableau, c) -> SlideRecord:
     new_inner = list(inner)
     new_inner[c[1] - 1] -= 1
     shape = SkewShape(tb._trim(new_outer), tb._trim(new_inner))
-    order = sorted(pos, key=pos.get)
-    result = StandardTableau(shape, order, t.offset, _checked=True)
+    word = [j for _, j in sorted(pos, key=pos.get)]
+    result = StandardTableau(shape, word, t.offset, _checked=True)
     return SlideRecord(c, tuple(path), hole, result)
 
 

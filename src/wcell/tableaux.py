@@ -4,7 +4,10 @@ Shape parts count *columns*: the diagram of ``(3, 2)`` has three boxes in
 column 1 and two boxes in column 2, and ``(i, j)`` is the i-th box of the
 j-th column.  A standard tableau has entries increasing down each column and
 along each row, and its reading word concatenates the columns from left to
-right, each column read from bottom to top.
+right, each column read from bottom to top.  A standard tableau stores
+only its column word, the column of each entry, smallest entry first;
+since entries grow down a column, its boxes, rows and text are read off
+that word and the inner heights of its shape.
 
 Because parts index columns, the dominance order used throughout is the
 *reverse* of the row-convention textbook order: ``mu <= lam`` (lam dominates
@@ -187,66 +190,58 @@ class SkewShape:
     def inner_height(self, j: int) -> int:
         return self.inner[j - 1] if j <= len(self.inner) else 0
 
-    def outer_height(self, j: int) -> int:
-        return self.outer[j - 1] if j <= len(self.outer) else 0
-
     def boxes(self):
         for j in range(1, len(self.outer) + 1):
             for i in range(self.inner_height(j) + 1, self.outer[j - 1] + 1):
                 yield (i, j)
 
-    def __contains__(self, box) -> bool:
-        i, j = box
-        return 1 <= j <= len(self.outer) and self.inner_height(j) < i <= self.outer[j - 1]
-
 
 class StandardTableau:
-    """Bijection from the boxes of a (skew) diagram onto [m+1, m+n].
+    """Bijection from the boxes of a (skew) diagram onto [m+1, m+n], stored as
+    its column word.
 
-    ``boxes[k]`` is the (row, column) position of the entry ``offset+1+k``.
+    ``column_word[k]`` is the column of the entry ``offset+1+k``.  Entries
+    increase down a column, so the row of an entry is the inner height of
+    its column plus the number of entries up to it in that column: the
+    boxes, rows and text are views read off the shape and the word.
     Instances are immutable and hashable; equality is structural.
     """
 
-    __slots__ = ("shape", "offset", "boxes", "_cols", "_rows", "_dset")
+    __slots__ = ("shape", "offset", "column_word", "_dset")
 
-    def __init__(self, shape: SkewShape, boxes, offset: int = 0, _checked: bool = False):
-        boxes = tuple(boxes)
+    def __init__(self, shape: SkewShape, column_word, offset: int = 0, _checked: bool = False):
+        column_word = tuple(column_word)
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "offset", offset)
-        object.__setattr__(self, "boxes", boxes)
-        object.__setattr__(self, "_cols", tuple(b[1] for b in boxes))
-        object.__setattr__(self, "_rows", tuple(b[0] for b in boxes))
+        object.__setattr__(self, "column_word", column_word)
         object.__setattr__(self, "_dset", None)
         if not _checked:
             self._validate()
 
     def _validate(self):
-        if len(self.boxes) != self.shape.size:
-            raise ValueError("entry count does not match shape size")
-        seen = set(self.boxes)
-        if len(seen) != len(self.boxes):
-            raise ValueError("repeated box")
-        for b in self.boxes:
-            if b not in self.shape:
-                raise ValueError(f"box {b} outside shape")
-        pos = {b: e for e, b in zip(self.entries(), self.boxes)}
-        for (i, j), e in pos.items():
-            if (i + 1, j) in pos and pos[(i + 1, j)] < e:
-                raise ValueError("entries must increase down columns")
-            if (i, j + 1) in pos and pos[(i, j + 1)] < e:
+        """Each letter is a column not yet full and, with its entry, no taller than its left one."""
+        outer = self.shape.outer
+        heights = _inner_heights(self.shape)
+        for c in self.column_word:
+            if not (isinstance(c, int) and 0 < c <= len(outer) and heights[c - 1] < outer[c - 1]):
+                raise ValueError(f"column {c!r} outside shape")
+            heights[c - 1] += 1
+            if c > 1 and heights[c - 1] > heights[c - 2]:
                 raise ValueError("entries must increase along rows")
+        if len(self.column_word) != self.shape.size:
+            raise ValueError("entry count does not match shape size")
 
     def __setattr__(self, *a):
         raise AttributeError("StandardTableau is immutable")
 
     def __reduce__(self):
-        return StandardTableau, (self.shape, self.boxes, self.offset, True)
+        return StandardTableau, (self.shape, self.column_word, self.offset, True)
 
     # -- basic views
 
     @property
     def size(self) -> int:
-        return len(self.boxes)
+        return len(self.column_word)
 
     def entries(self):
         return range(self.offset + 1, self.offset + self.size + 1)
@@ -259,42 +254,46 @@ class StandardTableau:
     def max_entry(self) -> int:
         return self.offset + self.size
 
+    @property
+    def boxes(self) -> tuple[tuple[int, int], ...]:
+        """boxes[k] is the (row, column) position of the entry offset+1+k."""
+        heights = _inner_heights(self.shape)
+        out = []
+        for c in self.column_word:
+            heights[c - 1] += 1
+            out.append((heights[c - 1], c))
+        return tuple(out)
+
     def box_of(self, e: int):
         return self.boxes[e - self.offset - 1]
 
     def row_of(self, e: int) -> int:
-        return self._rows[e - self.offset - 1]
+        return self.box_of(e)[0]
 
     def col_of(self, e: int) -> int:
-        return self._cols[e - self.offset - 1]
-
-    @property
-    def column_word(self) -> tuple[int, ...]:
-        """The column of each entry, smallest entry first.
-
-        For a normal shape the word determines the tableau: the row of an
-        entry is the number of entries up to it in its column.
-        """
-        return self._cols
+        return self.column_word[e - self.offset - 1]
 
     def __eq__(self, other):
         return (
             isinstance(other, StandardTableau)
             and self.shape == other.shape
             and self.offset == other.offset
-            and self.boxes == other.boxes
+            and self.column_word == other.column_word
         )
 
     def __hash__(self):
-        return hash((self.shape, self.offset, self.boxes))
+        return hash((self.shape, self.offset, self.column_word))
 
     def to_rows(self):
         """Entries of each internal row, leftmost column first; taken in
         increasing order, they fill each row from the left.  For skew shapes
         the leading inner boxes of a row are omitted."""
-        rows: list[list[int]] = [[] for _ in range(max(self._rows, default=0))]
-        for e, r in enumerate(self._rows, self.offset + 1):
-            rows[r - 1].append(e)
+        heights = _inner_heights(self.shape)
+        depth = max((o for o, h in zip(self.shape.outer, heights) if o > h), default=0)
+        rows: list[list[int]] = [[] for _ in range(depth)]
+        for e, c in enumerate(self.column_word, self.offset + 1):
+            rows[heights[c - 1]].append(e)
+            heights[c - 1] += 1
         return rows
 
     def text(self) -> str:
@@ -308,9 +307,8 @@ class StandardTableau:
     def descent_data(self) -> "DescentData":
         if self._dset is None:
             sa, sd, wa, wd = set(), set(), set(), set()
-            for i in range(self.min_entry, self.max_entry):
-                ri, ci = self.row_of(i), self.col_of(i)
-                rn, cn = self.row_of(i + 1), self.col_of(i + 1)
+            boxes = self.boxes
+            for i, ((ri, ci), (rn, cn)) in enumerate(zip(boxes, boxes[1:]), self.min_entry):
                 if ci > cn:
                     sd.add(i)
                 elif ci == cn:
@@ -326,6 +324,11 @@ class StandardTableau:
     @property
     def descents(self) -> frozenset[int]:
         return self.descent_data().d
+
+
+def _inner_heights(shape: SkewShape) -> list[int]:
+    """The inner height of each column of the shape, a list to fill in."""
+    return list(shape.inner) + [0] * (len(shape.outer) - len(shape.inner))
 
 
 class DescentData(NamedTuple):
@@ -348,15 +351,18 @@ class DescentData(NamedTuple):
 def tau_min(shape, offset: int = 0) -> StandardTableau:
     """The column-by-column filling: the minimal standard tableau."""
     shape = shape if isinstance(shape, SkewShape) else SkewShape(tuple(shape))
-    boxes = sorted(shape.boxes(), key=lambda b: (b[1], b[0]))
-    return StandardTableau(shape, boxes, offset, _checked=True)
+    heights = zip(shape.outer, _inner_heights(shape))
+    word = [j for j, (o, h) in enumerate(heights, 1) for _ in range(h, o)]
+    return StandardTableau(shape, word, offset, _checked=True)
 
 
 def tau_max(shape, offset: int = 0) -> StandardTableau:
     """The row-by-row filling: transpose of the minimal filling of the transpose."""
     shape = shape if isinstance(shape, SkewShape) else SkewShape(tuple(shape))
-    boxes = sorted(shape.boxes(), key=lambda b: (b[0], b[1]))
-    return StandardTableau(shape, boxes, offset, _checked=True)
+    heights = list(zip(shape.outer, _inner_heights(shape)))
+    depth = shape.outer[0] if shape.outer else 0
+    word = [j for i in range(depth) for j, (o, h) in enumerate(heights, 1) if h <= i < o]
+    return StandardTableau(shape, word, offset, _checked=True)
 
 
 def swap_adjacent(t: StandardTableau, i: int) -> StandardTableau:
@@ -368,9 +374,9 @@ def swap_adjacent(t: StandardTableau, i: int) -> StandardTableau:
     if i not in dd.sa and i not in dd.sd:
         raise ValueError(f"swapping {i},{i+1} does not give a standard tableau")
     k = i - t.offset - 1
-    boxes = list(t.boxes)
-    boxes[k], boxes[k + 1] = boxes[k + 1], boxes[k]
-    return StandardTableau(t.shape, boxes, t.offset, _checked=True)
+    word = list(t.column_word)
+    word[k], word[k + 1] = word[k + 1], word[k]
+    return StandardTableau(t.shape, word, t.offset, _checked=True)
 
 
 # ---------------------------------------------------------------------------
@@ -382,31 +388,31 @@ def enumerate_std(shape, offset: int = 0) -> list[StandardTableau]:
     shape = shape if isinstance(shape, SkewShape) else SkewShape(tuple(shape))
     outer = shape.outer
     width = len(outer)
-    heights = [shape.inner_height(j) for j in range(1, width + 1)]
+    heights = _inner_heights(shape)
     results: list[StandardTableau] = []
-    boxes: list[tuple[int, int]] = []
+    word: list[int] = []
     # a depth-first search on an explicit stack rather than by recursion, so
     # a column of thousands of boxes stays within the recursion limit:
-    # tries[d] is the first column not yet tried for the box after boxes[:d]
+    # tries[d] is the first column not yet tried for the letter after word[:d]
     size = shape.size
     tries = [0]
     while tries:
         j = tries.pop()
-        if len(boxes) == size:
-            results.append(StandardTableau(shape, tuple(boxes), offset, _checked=True))
+        if len(word) == size:
+            results.append(StandardTableau(shape, tuple(word), offset, _checked=True))
             j = width
         while j < width:
             h = heights[j]
             if h < outer[j] and (j == 0 or h + 1 <= heights[j - 1]):
                 tries += (j + 1, 0)
                 heights[j] += 1
-                boxes.append((h + 1, j + 1))
+                word.append(j + 1)
                 break
             j += 1
         else:
-            # no column is left at this depth: take back the last box
-            if boxes:
-                heights[boxes.pop()[1] - 1] -= 1
+            # no column is left at this depth: take back the last letter
+            if word:
+                heights[word.pop() - 1] -= 1
     results.sort(key=lex_key)
     return results
 
@@ -419,13 +425,12 @@ def restrict_leq(t: StandardTableau, m: int) -> StandardTableau:
     """Remove all boxes with entries greater than m."""
     if m < t.offset:
         raise ValueError(f"cannot restrict below the target start {t.offset + 1}")
-    keep = min(m, t.max_entry) - t.offset
-    width = len(t.shape.outer)
-    heights = [t.shape.inner_height(j) for j in range(1, width + 1)]
-    for b in t.boxes[:keep]:
-        heights[b[1] - 1] += 1
+    word = t.column_word[: min(m, t.max_entry) - t.offset]
+    heights = _inner_heights(t.shape)
+    for c in word:
+        heights[c - 1] += 1
     new_shape = SkewShape(_trim(heights), t.shape.inner)
-    return StandardTableau(new_shape, t.boxes[:keep], t.offset, _checked=True)
+    return StandardTableau(new_shape, word, t.offset, _checked=True)
 
 
 def restrict_gt(t: StandardTableau, m: int) -> StandardTableau:
@@ -435,12 +440,11 @@ def restrict_gt(t: StandardTableau, m: int) -> StandardTableau:
     if m < t.offset:
         raise ValueError(f"cannot restrict below the target start {t.offset + 1}")
     drop = min(m, t.max_entry) - t.offset
-    width = len(t.shape.outer)
-    heights = [0] * width
-    for b in t.boxes[:drop]:
-        heights[b[1] - 1] += 1
+    heights = [0] * len(t.shape.outer)
+    for c in t.column_word[:drop]:
+        heights[c - 1] += 1
     new_shape = SkewShape(t.shape.outer, _trim(heights))
-    return StandardTableau(new_shape, t.boxes[drop:], m, _checked=True)
+    return StandardTableau(new_shape, t.column_word[drop:], m, _checked=True)
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +475,7 @@ def perm(t: StandardTableau) -> Permutation:
 
 def lex_key(t: StandardTableau):
     """Sort key realising the lexicographic order: bigger key = lex-bigger tableau."""
-    return tuple(-c for c in reversed(t._cols))
+    return tuple(-c for c in reversed(t.column_word))
 
 
 def lex_compare(u: StandardTableau, t: StandardTableau) -> int:
@@ -573,35 +577,21 @@ def is_m_critical(t: StandardTableau, m: int) -> bool:
         raise ValueError("m-critical tableaux need at least two boxes")
     if t.offset != m - 1:
         raise ValueError(f"target must start at {m}")
-    shape = t.shape
-    i = None
-    for j in range(1, len(shape.outer) + 1):
-        if shape.outer_height(j) > shape.inner_height(j):
-            i = j
-            break
+    i = min(t.column_word)  # the first nonempty column
     if t.col_of(m) != i or t.col_of(m + 1) != i + 1:
         return False
     return all(t.col_of(e) <= t.col_of(e + 1) for e in range(m + 2, t.max_entry))
 
 
 def m_critical_tableau(shape: SkewShape, m: int) -> StandardTableau:
-    """The m-critical tableau of the given skew shape, when it exists."""
-    i = None
-    for j in range(1, len(shape.outer) + 1):
-        if shape.outer_height(j) > shape.inner_height(j):
-            i = j
-            break
-    if i is None or shape.outer_height(i + 1) <= shape.inner_height(i + 1):
+    """The m-critical tableau of the given skew shape, when it exists: the
+    minimal filling with the first entry of column i+1 moved up to second,
+    where i is the first nonempty column."""
+    word = list(tau_min(shape).column_word)
+    if not word or word[0] + 1 not in word:
         raise ValueError("no m-critical tableau of this shape")
-    first = (shape.inner_height(i) + 1, i)
-    second = (shape.inner_height(i + 1) + 1, i + 1)
-    rest_inner = list(shape.inner) + [0] * (len(shape.outer) - len(shape.inner))
-    rest_inner[i - 1] += 1
-    rest_inner[i] += 1
-    rest = sorted(
-        SkewShape(shape.outer, _trim(rest_inner)).boxes(), key=lambda b: (b[1], b[0])
-    )
-    return StandardTableau(shape, [first, second] + rest, m - 1)
+    word.insert(1, word.pop(word.index(word[0] + 1)))
+    return StandardTableau(shape, word, m - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -629,29 +619,28 @@ def from_rows(rows) -> StandardTableau:
         raise ValueError("row lengths must weakly decrease")
     size = sum(lengths)
     offset = min(min(r) for r in rows if r) - 1 if size else 0
-    boxes = [None] * size
+    word = [0] * size
     for i, row in enumerate(rows, start=1):
         for j, e in enumerate(row, start=1):
             k = e - offset - 1
-            if not 0 <= k < size or boxes[k] is not None:
+            if not 0 <= k < size or word[k]:
                 raise ValueError("entries must form a contiguous interval")
-            boxes[k] = (i, j)
+            word[k] = j
             if j > 1 and e < row[j - 2]:
                 raise ValueError("entries must increase along rows")
             if i > 1 and e < rows[i - 2][j - 1]:
                 raise ValueError("entries must increase down columns")
-    return StandardTableau(_normal_shape(lengths), boxes, offset, _checked=True)
+    return StandardTableau(_normal_shape(lengths), word, offset, _checked=True)
 
 
 def from_column_word(cols, offset: int = 0) -> StandardTableau:
     """The normal-shape tableau whose entry offset+1+k lies in column cols[k]."""
+    cols = tuple(cols)
     heights: list[int] = []
-    boxes = []
     for c in cols:
         heights += [0] * (c - len(heights))
         heights[c - 1] += 1
-        boxes.append((heights[c - 1], c))
-    return StandardTableau(SkewShape(tuple(heights)), boxes, offset)
+    return StandardTableau(SkewShape(tuple(heights)), cols, offset)
 
 
 _ENTRY = "[1-9][0-9]*"

@@ -827,6 +827,7 @@ def from_json_obj(obj: dict) -> SColoredGraph:
     if [r["id"] for r in rows] != list(range(len(rows))):
         raise ValueError("vertex ids must be 0..N-1")
     tau = []
+    shared = {}  # one frozenset per distinct colour, as the builder hands over
     for r in rows:
         colours = _field(r, "tau", list)
         for c in colours:
@@ -834,7 +835,8 @@ def from_json_obj(obj: dict) -> SColoredGraph:
                 raise ValueError(f"colour must be int, got {c!r}")
             if c > MAX_COLOUR:
                 raise ValueError(f"colour {c} is above {MAX_COLOUR}")
-        tau.append(frozenset(colours))
+        s = frozenset(colours)
+        tau.append(shared.setdefault(s, s))
     labels = []
     targets = set()  # (size, offset) of the label tableaux
     for r in rows:

@@ -303,10 +303,10 @@ def skew_reading_word(t):
 
 def act(w, t):
     """Apply the permutation w to the entries of a normal tableau."""
-    boxes = [None] * t.size
+    word = [None] * t.size
     for e in t.entries():
-        boxes[w(e) - 1] = t.box_of(e)
-    return tb.StandardTableau(t.shape, boxes, 0)
+        word[w(e) - 1] = t.col_of(e)
+    return tb.StandardTableau(t.shape, word, 0)
 
 
 def all_skew_shapes(max_outer):

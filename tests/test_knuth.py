@@ -154,8 +154,8 @@ def test_favourable_set_against_direct_construction():
         d, m = box
         between = (g > d >= h and p <= m < q) or (h > d >= g and q <= m < p)
         if removable and between:
-            v = tb.StandardTableau(u.shape, wp.boxes + u.boxes[k:], 0)
-            x = tb.StandardTableau(t.shape, wp.boxes + t.boxes[k:], 0)
+            v = tb.StandardTableau(u.shape, wp.column_word + u.column_word[k:], 0)
+            x = tb.StandardTableau(t.shape, wp.column_word + t.column_word[k:], 0)
             expected.append((v, x))
     assert sorted(members, key=lambda p: tb.lex_key(p[0])) == sorted(
         expected, key=lambda p: tb.lex_key(p[0])

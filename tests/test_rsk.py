@@ -88,7 +88,7 @@ def test_slide_vacates_bottom_of_first_column_block():
     # vacates the box at the bottom of the last maximal-height column
     for lam in [(3, 2), (3, 3, 1), (4, 2, 2), (2, 2, 2)]:
         skew = tb.restrict_gt(tb.tau_min(lam), 1)
-        t = tb.StandardTableau(skew.shape, skew.boxes, 0)
+        t = tb.StandardTableau(skew.shape, skew.column_word, 0)
         rec = rsk.jdt_slide(t, (1, 1))
         m1 = sum(1 for h in lam if h == lam[0])
         assert rec.vacated == (lam[0], m1)
@@ -130,7 +130,7 @@ def test_rectify_is_insertion_of_reading_word():
             expect = rsk.rs(skew_reading_word(t))[0]
             got = rsk.rectify(t)
             assert got.offset == t.offset
-            shifted = tb.StandardTableau(got.shape, got.boxes, 0)
+            shifted = tb.StandardTableau(got.shape, got.column_word, 0)
             assert shifted == expect, (t.text(), shape)
 
 
@@ -143,7 +143,7 @@ def test_rectify_of_tails_matches_reading_word_insertion():
                     continue
                 got = rsk.rectify(tail)
                 expect = rsk.rs(skew_reading_word(tail))[0]
-                assert tb.StandardTableau(got.shape, got.boxes, 0) == expect
+                assert tb.StandardTableau(got.shape, got.column_word, 0) == expect
 
 
 def test_rectify_confluence_under_random_slide_orders():

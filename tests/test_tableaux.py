@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from helpers import act, all_skew_shapes, brute_partitions, compositions, lex_geq_composition
@@ -73,6 +75,56 @@ def test_enumerate_std_skew():
     shape2 = tb.SkewShape((2, 2, 1), (1, 1))
     for t in tb.enumerate_std(shape2, offset=3):
         assert list(t.entries()) == [4, 5, 6]
+
+
+# ---------------------------------------------------------------------------
+# the stored column word and the views read off it
+
+
+def test_constructor_accepts_exactly_the_standard_column_words():
+    tried = 0
+    for shape in all_skew_shapes(6):
+        width = len(shape.outer)
+        standard = {t.column_word for t in tb.enumerate_std(shape)}
+        accepted = set()
+        for word in product(range(1, width + 1), repeat=shape.size):
+            try:
+                tb.StandardTableau(shape, word)
+            except ValueError:
+                continue
+            accepted.add(word)
+        tried += width**shape.size
+        assert accepted == standard, shape
+        for word in standard:
+            for k in range(len(word)):
+                for bad in (0, width + 1):
+                    with pytest.raises(ValueError):
+                        tb.StandardTableau(shape, word[:k] + (bad,) + word[k + 1 :])
+            for short in (word[:-1], word + (1,)):
+                with pytest.raises(ValueError):
+                    tb.StandardTableau(shape, short)
+    assert tried == 99112
+
+
+def test_views_agree_with_the_boxes():
+    for shape in all_skew_shapes(6):
+        for t in tb.enumerate_std(shape, offset=2):
+            pos = dict(zip(t.boxes, t.entries()))
+            assert len(pos) == t.size and set(pos) == set(shape.boxes())
+            rows = {}
+            for (i, j), e in sorted(pos.items()):
+                assert t.box_of(e) == (t.row_of(e), t.col_of(e)) == (i, j)
+                assert pos.get((i + 1, j), e + 1) > e and pos.get((i, j + 1), e + 1) > e
+                rows.setdefault(i, []).append(e)
+            assert t.to_rows() == [rows.get(i, []) for i in range(1, max(rows) + 1)]
+            data = t.descent_data()
+            for e in range(t.min_entry, t.max_entry):
+                (i, j), (k, m) = t.box_of(e), t.box_of(e + 1)
+                expect = data.sd if j > m else data.wd if j == m else data.sa if i > k else data.wa
+                assert e in expect
+            if shape.is_normal:
+                assert tb.from_rows(t.to_rows()) == t
+                assert tb.from_text(t.text()) == t
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +205,7 @@ def test_restrict_leq_always_standard():
         for t in tb.enumerate_std(lam):
             for m in range(0, 7):
                 r = tb.restrict_leq(t, m)
-                tb.StandardTableau(r.shape, r.boxes, r.offset)  # revalidates
+                tb.StandardTableau(r.shape, r.column_word, r.offset)  # revalidates
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +373,7 @@ def test_constructed_critical_tableau_is_critical():
 def test_column_violation_is_not_critical():
     shape = tb.SkewShape((2, 2))
     for t in tb.enumerate_std(shape, offset=0):
-        shifted = tb.StandardTableau(shape, t.boxes, 0)
+        shifted = tb.StandardTableau(shape, t.column_word, 0)
         if shifted.col_of(2) != shifted.col_of(1) + 1:
             assert not tb.is_m_critical(shifted, 1)
 

@@ -836,6 +836,14 @@ def test_json_roundtrip_is_bit_identical(built):
         assert s == again
 
 
+def test_a_reloaded_graph_shares_one_colour_object_per_colour(built):
+    h = wg.from_json_str(wg.to_json_str(built((4, 3, 2, 1, 1))))
+    assert len({id(c) for c in h.tau}) == len(set(h.masks)) < h.num_vertices
+    # colour lists in any order and with repeats still share one object
+    g = wg.from_json_str('{"n": 3, "vertices": [{"id": 0, "tau": [2, 1]}, {"id": 1, "tau": [1, 2, 1]}], "mu": []}')
+    assert g.tau[0] is g.tau[1] and g.tau[0] == {1, 2}
+
+
 def test_json_text_equals_the_reference_encoding(built):
     one, two = tb.from_text("1 2/3"), tb.from_text("1 3/2")
     wide = tb.from_text("1 2 5 6 9 10/3 4 7 8 11/12")  # entries of two digits

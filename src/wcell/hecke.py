@@ -9,7 +9,7 @@ held.
 
 The Kazhdan-Lusztig polynomials P_{y,w} come from the usual recursion
 C_{sw} = C_s C_w - sum mu(y, w) C_y, one column P_{.,w} at a time, kept as
-coefficient tuples and keyed by the one-line images of the elements.  Each
+ints (see _Columns) and keyed by the one-line images of the elements.  Each
 column is made when first asked for, from the columns it needs, and kept
 only as long as the caller holds the store.  kl_left_cell_graph asks only
 for the columns of one cell's elements (or of their images under
@@ -33,7 +33,7 @@ import itertools
 import os
 from bisect import bisect_left
 from functools import partial, reduce
-from operator import add, or_
+from operator import or_
 
 from . import tableaux as tb
 from . import wgraph as wg
@@ -295,20 +295,17 @@ def _first_braid_failure(a, b, columns):
 # Kazhdan-Lusztig table
 
 
-def _add(a: tuple, b: tuple) -> tuple:
-    """The coefficient tuple of a + b, without trailing zeros."""
-    if len(a) < len(b):
-        a, b = b, a
-    out = [*map(add, a, b), *a[len(b):]]
-    while out and not out[-1]:
-        out.pop()
-    return tuple(out)
+_W = 64  # P is kept as P(2^_W): the coefficient of q^k is the field of bits [k _W, (k + 1) _W)
+_FIELD = (1 << _W) - 1
+_GUARDS = (1 << _W * _W // 2) // _FIELD << _W - 1  # the top bit of the lowest _W/2 fields
 
 
-def _mu(p: tuple, d: int) -> int:
-    """mu(y, w) from p = P_{y,w} and d = l(w) - l(y) > 0: the coefficient of
-    p at degree (d - 1)/2, or 0 when d is even."""
-    return p[d >> 1] if d & 1 and len(p) > d >> 1 else 0
+def _mu(p: int, d: int) -> int:
+    """mu(y, w) from p = P_{y,w}, packed as in _Columns, and d = l(w) - l(y) > 0:
+    the coefficient at degree (d - 1)/2, or 0 for even d; AssertionError on a guard bit."""
+    if d & 1 and p & _GUARDS:
+        raise AssertionError("a KL coefficient left its field")
+    return p >> (d >> 1) * _W & _FIELD if d & 1 else 0
 
 
 class _Memo(dict):
@@ -331,14 +328,26 @@ class _Columns(dict):
     lexicographically exactly when s + 1 comes before s in y, that is when
     s is a left descent of y.  Reading a column makes the columns it is
     built from first, and the columns live as long as the dict.
+
+    Each P_{y,w} = sum c_k q^k is the int P(2^_W), exact under int sums and
+    shifts.  ``bounds[w]`` bounds every |c_k| in column w: 1 at the identity,
+    and 2 bounds[v] + sum m bounds[y] over the terms of __missing__, which
+    raises AssertionError once it reaches 2^(_W - 2).  As it at least doubles
+    per step, a stored column has l(w) < _W - 2 and mu reads degrees below
+    _W/2.  In two's complement field k holds c_k + b_k mod 2^_W, its top bit
+    set iff c_k + b_k < 0, which is when the borrow b_{k+1} is -1, else 0
+    (b_0 = 0).  So clear top bits in the fields up to k prove c_0, ..., c_k
+    nonnegative and equal to their fields: each read first checks _GUARDS,
+    the top bits of the lowest _W/2 fields.
     """
 
     def __init__(self, n: int):
         identity = tuple(range(1, n + 1))
-        super().__init__({identity: {identity: (1,)}})
+        super().__init__({identity: {identity: 1}})
         self.n = n
         self.left = [_Memo(partial(apply_s_images, s)) for s in range(1, n)]
         self.lengths = _Memo(inversions)
+        self.bounds = {identity: 1}
 
     def __missing__(self, w):
         """P_{., w} via C_w = C_s C_v - sum mu(y, v) C_y over s y < y.
@@ -353,25 +362,32 @@ class _Columns(dict):
         s_times = next(row for row in self.left if row[w] < w)
         v = s_times[w]
         cv = self[v]
-        lengths = self.lengths
+        lengths, bounds, width = self.lengths, self.bounds, _W
         acc: dict = {}
         for y, p in cv.items():
             sy = s_times[y]
             if sy < y:
-                acc[sy] = acc[y] = _add(cv[sy], (0,) + p)
+                acc[sy] = acc[y] = cv[sy] + (p << width)
             elif sy not in cv:
                 acc[sy] = acc[y] = p
-        lv = lengths[v]
+        lv, bound = lengths[v], 2 * bounds[v]
         for y, p in cv.items():
             # mu(y, v) read inline: a _mu call per entry costs time here
             d = lv - lengths[y]
-            if d & 1 and len(p) > d >> 1 and s_times[y] < y:
-                shift = (0,) * ((d + 1) >> 1)
-                times_minus_mu = (-p[d >> 1]).__mul__
-                for z, pz in self[y].items():
-                    acc[z] = _add(acc[z], shift + tuple(map(times_minus_mu, pz)))
-        if acc.get(w) != (1,):
+            if d & 1 and s_times[y] < y:
+                if p & _GUARDS:
+                    raise AssertionError("a KL coefficient left its field")
+                m = p >> (d >> 1) * width & _FIELD
+                if m:
+                    shift = (d + 1) // 2 * width
+                    for z, pz in self[y].items():
+                        acc[z] -= m * pz << shift
+                    bound += m * bounds[y]
+        if acc.get(w) != 1:
             raise AssertionError("canonical recursion lost unitriangularity")
+        if bound >> width - 2:
+            raise AssertionError("a KL coefficient may outgrow its field")
+        bounds[w] = bound
         self[w] = acc
         return acc
 
@@ -379,13 +395,12 @@ class _Columns(dict):
 def kl_columns(n: int, wanted) -> _Columns:
     """P_{y,w} as columns[w][y] for each w in wanted, on one-line image tuples.
 
-    Each P_{y,w} is a tuple of coefficients from the constant term up to the
-    last nonzero one, for each y below w in the Bruhat order.  Only the
-    columns the recursion reaches from wanted are made, and the result
-    holds each of them.  Every call starts afresh, from the identity alone;
-    the result is the one store that keeps them, and later reads of it make
-    and keep whatever else they reach.  kl_columns(n, ()) is an empty store
-    for kl_left_cell_graph to share.
+    Each P_{y,w}, for each y below w in the Bruhat order, is one int packed
+    as in _Columns; _mu reads mu off it.  Only the columns the recursion
+    reaches from wanted are made, and the result holds each of them.  Every
+    call starts afresh, from the identity alone; the result is the one store
+    that keeps them, and later reads of it make and keep whatever else they
+    reach.  kl_columns(n, ()) is an empty store for kl_left_cell_graph.
     """
     columns = _Columns(n)
     for w in wanted:
@@ -422,7 +437,7 @@ def _oracle_graph(n: int, words, labels, columns, flip: bool) -> wg.SColoredGrap
             if tau[a] != tau[b]:
                 ka = keys[a]
                 d = lengths[kb] - lengths[ka]
-                m = _mu(columns[kb].get(ka, ()), d) if d > 0 else _mu(columns[ka].get(kb, ()), -d)
+                m = _mu(columns[kb].get(ka, 0), d) if d > 0 else _mu(columns[ka].get(kb, 0), -d)
                 if m:
                     if not tau[a] <= tau[b]:
                         mu[(a, b)] = m

@@ -327,6 +327,20 @@ def all_skew_shapes(max_outer):
     return shapes
 
 
+def coefficients(p: int) -> tuple:
+    """The coefficients of a KL polynomial packed as in hecke._Columns,
+    constant term first, without trailing zeros.  Each field must be
+    nonnegative: p >= 0 with no field's top bit set."""
+    assert p >= 0
+    out = []
+    while p:
+        c = p & hecke._FIELD
+        assert not c >> hecke._W - 1, "a field's top bit is set"
+        out.append(c)
+        p >>= hecke._W
+    return tuple(out)
+
+
 def _shift_add(acc: dict, h: dict, k: int, scale: int = 1) -> None:
     for e, c in h.items():
         e2 = e + k

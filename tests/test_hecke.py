@@ -295,7 +295,7 @@ def test_cover_polynomials_are_one():
     for w, column in table.items():
         for y, p in column.items():
             if inversions(w) - inversions(y) == 1:
-                assert p == (1,)
+                assert helpers.coefficients(p) == (1,)
 
 
 def test_table_respects_bruhat_support():
@@ -314,9 +314,10 @@ def test_degree_bound_and_constant_term():
             if y == w:
                 continue
             delta = inversions(w) - inversions(y)
-            assert p[0] == 1
-            assert p[-1] != 0
-            assert 2 * (len(p) - 1) <= delta - 1
+            c = helpers.coefficients(p)
+            assert c[0] == 1
+            assert c[-1] != 0
+            assert 2 * (len(c) - 1) <= delta - 1
 
 
 def _classical(hy, delta):
@@ -345,7 +346,9 @@ def test_fast_table_equals_fixed_point_table():
     for n in range(1, 6):
         fast = hecke.kl_table(n)
         slow_h, slow_mu = kl_table_slow(n)
-        assert dict(fast) == {
+        assert {
+            w: {y: helpers.coefficients(p) for y, p in column.items()} for w, column in fast.items()
+        } == {
             w.images: {y.images: _classical(hy, length(w) - length(y)) for y, hy in row.items()}
             for w, row in slow_h.items()
         }
@@ -375,7 +378,10 @@ def test_first_nontrivial_kl_polynomials():
     # the identity, all equal to 1 + q
     table = hecke.kl_table(4)
     nontrivial = {
-        (y, w): p for w, column in table.items() for y, p in column.items() if p != (1,)
+        (y, w): c
+        for w, column in table.items()
+        for y, c in ((y, helpers.coefficients(p)) for y, p in column.items())
+        if c != (1,)
     }
     assert nontrivial == {
         ((1, 2, 3, 4), (3, 4, 1, 2)): (1, 1),
@@ -393,6 +399,32 @@ def test_mu_values_only_on_odd_length_gaps():
     for (y, w), m in mus.items():
         assert m > 0
         assert (inversions(w) - inversions(y)) % 2 == 1
+
+
+def test_a_field_too_narrow_for_the_bound_makes_the_table_raise(monkeypatch):
+    # 8-bit fields hold coefficients below 2^6 only; the bound reaches that
+    # well inside S_6, so the table raises rather than misreads a field
+    monkeypatch.setattr(hecke, "_W", 8)
+    monkeypatch.setattr(hecke, "_FIELD", 0xFF)
+    monkeypatch.setattr(hecke, "_GUARDS", 0x80808080)
+    assert hecke._mu(3 << 8, 3) == 3
+    with pytest.raises(AssertionError, match="outgrow its field"):
+        hecke.kl_table(6)
+
+
+def test_an_entry_with_a_guard_bit_set_is_refused_when_read():
+    guard = 1 << hecke._W - 1
+    assert hecke._mu(1 << hecke._W, 3) == 1
+    for p, d in ((1 | guard, 1), (1 | guard, 3), (1 | guard << hecke._W, 3), (-1, 1)):
+        with pytest.raises(AssertionError, match="left its field"):
+            hecke._mu(p, d)
+    # the recursion reads mu((2,1,3), (3,1,2)) = 1 to make the column of w0 of S_3
+    columns = hecke.kl_columns(3, [(3, 1, 2)])
+    assert hecke._mu(columns[(3, 1, 2)][(2, 1, 3)], 1) == 1
+    columns[(3, 1, 2)][(2, 1, 3)] |= guard
+    with pytest.raises(AssertionError, match="left its field"):
+        columns[(3, 2, 1)]
+    assert (3, 2, 1) not in columns
 
 
 def test_oracle_bound(monkeypatch):

@@ -377,12 +377,10 @@ def test_first_nontrivial_kl_polynomials():
     # 4231: the classical pairs plus their left-descent propagations down to
     # the identity, all equal to 1 + q
     table = hecke.kl_table(4)
-    nontrivial = {
-        (y, w): c
-        for w, column in table.items()
-        for y, c in ((y, helpers.coefficients(p)) for y, p in column.items())
-        if c != (1,)
+    polys = {
+        (y, w): helpers.coefficients(p) for w, column in table.items() for y, p in column.items()
     }
+    nontrivial = {pair: c for pair, c in polys.items() if c != (1,)}
     assert nontrivial == {
         ((1, 2, 3, 4), (3, 4, 1, 2)): (1, 1),
         ((1, 3, 2, 4), (3, 4, 1, 2)): (1, 1),

@@ -7,14 +7,15 @@ interpreter that builds its graphs once (not timed), then times
 wgraph.run_checks on each graph for every rule alone, for the five local
 rules together ("local", the rules of a `cell-large` verify) and for every
 rule ("all"), each the best of the case's repetitions.  Each timed call
-makes, inside the timer, a copy of the graph from its weights, labels and
-one new colour frozenset a vertex, made outside the timer as the document
-loader makes them.  So the colour masks the constructor makes and whatever
-a checker builds lazily on the graph are paid in it, as `wcell verify`
-pays them after reading a document.  The child also checks, untimed, a
-corrupted copy of each graph, one of its simple-edge weights doubled, and
-reports both graphs' reports.  Each side's row keeps every round's best time with their
-median and quartiles; speedup is the ratio of the two medians, so read it
+makes, inside the timer, a new graph from the built graph's weight dict,
+its labels and one new colour frozenset a vertex, made outside the timer
+as the document loader makes them.  The graph keeps the weight dict it is
+handed, so the timed construction pays only for the colour masks and the
+scan for zero weights, as `wcell verify` pays them after reading a
+document.  The child also checks, untimed, a corrupted copy of each graph,
+one of its simple-edge weights doubled, and reports both graphs' reports.
+Each side's row keeps every round's best time with their median and
+quartiles; speedup is the ratio of the two medians, so read it
 against the quartiles.  The program stops with exit status 1, and writes
 no record, at the first case where the built graphs' reports do not all
 pass or the two sides' reports differ.
@@ -99,9 +100,10 @@ if __name__ == "__main__":
         __doc__,
         "best of `repeat` seconds of wgraph.run_checks(g, rules) for each rule alone, "
         "for the five local rules together (local) and for every rule (all), each timed "
-        "call including the construction of a fresh copy of the built graph (its colour "
-        "masks and weight table) from one new colour frozenset a vertex, made outside the "
-        "timer as the document loader makes them, summed over the "
+        "call including the construction of a new graph from the built graph's weight "
+        "dict and one new colour frozenset a vertex, made outside the timer as the "
+        "document loader makes them, which pays only for the colour masks and the scan "
+        "for zero weights, summed over the "
         "graphs of the case (one shape, or all 30 of n = 9), in each of `rounds` rounds, "
         "for the parent's src (before) and this checkout's src (after), the sides "
         "alternating, each run in a fresh interpreter; every round's best with their "

@@ -49,19 +49,20 @@ Label = tuple[int, StandardTableau]  # (molecule index, tableau)
 
 
 class SColoredGraph:
-    __slots__ = ("n", "tau", "masks", "mu", "labels", "_columns", "_vrange")
+    __slots__ = ("n", "tau", "masks", "mu", "labels")
 
-    def __init__(self, n: int, tau, mu, labels=None):
+    def __init__(self, n: int, tau, mu: dict, labels=None):
         """n is the rank plus one: generator indices run over {1, ..., n-1}.
         masks[v] is tau(v) as the integer with bit i set for each i in it;
-        every algorithm reads the masks, and tau is the frozenset view."""
+        every algorithm reads the masks, and tau is the frozenset view.
+        The graph keeps the dict mu it is handed, and makes a new one only
+        to drop zero weights, so the caller must not change mu afterwards."""
         tau = tuple(map(frozenset, tau))
         mask_of = dict.fromkeys(tau)
         for s in mask_of:
             if any(not 1 <= i <= n - 1 for i in s):
                 raise ValueError(f"colour {set(s)} outside [1,{n-1}]")
             mask_of[s] = sum(1 << i for i in s)
-        mu = dict(mu)
         if 0 in mu.values():
             mu = {key: w for key, w in mu.items() if w != 0}
         nv = len(tau)
@@ -79,8 +80,6 @@ class SColoredGraph:
         object.__setattr__(self, "masks", tuple(map(mask_of.__getitem__, tau)))
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "_columns", None)
-        object.__setattr__(self, "_vrange", range(nv))
 
     def __setattr__(self, *a):
         raise AttributeError("SColoredGraph is immutable")
@@ -90,20 +89,11 @@ class SColoredGraph:
         return len(self.tau)
 
     def vertices(self):
-        return self._vrange
+        return range(len(self.masks))
 
     def weight(self, u: int, v: int) -> int:
         """mu(u, v): the coefficient of u in the image of v."""
         return self.mu.get((u, v), 0)
-
-    def column(self, v: int) -> dict[int, int]:
-        """All u with mu(u, v) != 0, i.e. the weights pointing out of v."""
-        if self._columns is None:
-            cols: dict[int, dict[int, int]] = {x: {} for x in self.vertices()}
-            for (u, v2), w in self.mu.items():
-                cols[v2][u] = w
-            object.__setattr__(self, "_columns", cols)
-        return self._columns[v]
 
     def is_labelled(self) -> bool:
         return self.labels is not None and all(l is not None for l in self.labels)
@@ -122,10 +112,6 @@ class SColoredGraph:
     def simple_edges(self):
         """Unordered pairs u < v joined by opposite arcs of weight 1, ascending."""
         return sorted((u, v) for u, vs in enumerate(_simple_adjacency(self)) for v in vs if u < v)
-
-    def out_neighbours(self, v: int):
-        masks, m = self.masks, self.masks[v]
-        return [u for u in self.column(v) if masks[u] & ~m]
 
 
 # ---------------------------------------------------------------------------
@@ -169,8 +155,12 @@ class CellDecomposition(NamedTuple):
 
 def cells(g: SColoredGraph) -> CellDecomposition:
     """SCCs of the arc digraph, with the condensation reachability order."""
-    nv = g.num_vertices
-    succ = [g.out_neighbours(v) for v in g.vertices()]
+    nv, masks = g.num_vertices, g.masks
+    # succ[v]: the heads u of the arcs v -> u, in the order of g.mu
+    succ: list[list[int]] = [[] for _ in masks]
+    for u, v in g.mu:
+        if masks[u] & ~masks[v]:
+            succ[v].append(u)
     index = [-1] * nv
     low = [0] * nv
     on_stack = [False] * nv
@@ -617,7 +607,10 @@ def polygon_sums(g: SColoredGraph):
     start, lead2, lead3, follow, end2, end3 = zip(*map(kinds.__getitem__, g.masks))
     # roles[m]: (triple, 0 for n_ij or 1 for n_ji) for each bit of m
     roles: dict[int, list] = {}
-    column = g.column
+    # cols[v]: u -> mu(u, v) for each weight out of v, in the order of g.mu
+    cols: list[dict[int, int]] = [{} for _ in g.masks]
+    for (u, v), w in g.mu.items():
+        cols[v][u] = w
     for u in g.vertices():
         m0 = start[u]
         if not m0:
@@ -625,19 +618,19 @@ def polygon_sums(g: SColoredGraph):
         m3 = m0 & r3
         # (last interior vertex, weight product, mask, ends) of the paths from u
         lasts = []
-        for x, w in column(u).items():
+        for x, w in cols[u].items():
             m1 = m0 & lead2[x]
             if m1:
                 lasts.append((x, w, m1, end2))
             m1 = m3 & lead3[x]
             if m1:
-                for y, w2 in column(x).items():
+                for y, w2 in cols[x].items():
                     m2 = m1 & follow[y]
                     if m2:
                         lasts.append((y, w * w2, m2, end3))
         sums: dict[tuple[int, int, int], tuple[dict, dict]] = {}
         for z, w, m1, end in lasts:
-            for v, w2 in column(z).items():
+            for v, w2 in cols[z].items():
                 m = m1 & end[v]
                 if m:
                     ks = roles.get(m)
@@ -734,8 +727,8 @@ def run_checks(g: SColoredGraph, rules=ALL_RULES) -> list[CheckReport]:
 
     Each report's witnesses come in increasing key order, at most
     _MAX_WITNESSES of them; a rule sorts only to write a failing report.
-    The rules share the graph's colour masks, made with the graph, and its
-    columns, built by the first rule that reads them.
+    The rules share the graph's colour masks, made with the graph; the
+    polygon rule builds the weight columns it walks from g.mu on each call.
     """
     out = []
     for rule in rules:

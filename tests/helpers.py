@@ -167,6 +167,14 @@ def alternating_sum_slow(g, r, i, j, u, v):
     return total
 
 
+def columns(g: wg.SColoredGraph) -> list[dict[int, int]]:
+    """cols[v] maps each u with mu(u, v) != 0 to that weight, in the order of g.mu."""
+    cols: list[dict[int, int]] = [{} for _ in g.vertices()]
+    for (u, v), w in g.mu.items():
+        cols[v][u] = w
+    return cols
+
+
 def alternating_sums(g: wg.SColoredGraph, r: int, i: int, j: int) -> Counter:
     """N^r sums for colour pattern (i, j), keyed (u, v); missing keys read 0.
 
@@ -184,19 +192,20 @@ def alternating_sums(g: wg.SColoredGraph, r: int, i: int, j: int) -> Counter:
         raise ValueError("only r = 2 and r = 3 occur in type A")
     pat_i = [i in s and j not in s for s in g.tau]
     pat_j = [j in s and i not in s for s in g.tau]
+    cols = columns(g)
     sums: Counter = Counter()
     for u in g.vertices():
         # weight products of the alternating paths from u to each last interior vertex
-        ends = {x: w for x, w in g.column(u).items() if pat_i[x]}
+        ends = {x: w for x, w in cols[u].items() if pat_i[x]}
         if r == 3:
             step: Counter = Counter()
             for x, w in ends.items():
-                for y, w2 in g.column(x).items():
+                for y, w2 in cols[x].items():
                     if pat_j[y]:
                         step[y] += w * w2
             ends = step
         for x, w in ends.items():
-            for v, w2 in g.column(x).items():
+            for v, w2 in cols[x].items():
                 sums[u, v] += w * w2
     return sums
 
@@ -452,6 +461,7 @@ def module_matrices(g: wg.SColoredGraph):
     """
     mats = []
     minus_qinv = -QINV
+    cols_of = columns(g)
     for s in range(1, g.n):
         cols = []
         for v in g.vertices():
@@ -459,7 +469,7 @@ def module_matrices(g: wg.SColoredGraph):
                 col = {v: minus_qinv}
             else:
                 col = {v: Q}
-                for u, w in g.column(v).items():
+                for u, w in cols_of[v].items():
                     if s in g.tau[u]:
                         col[u] = col.get(u, LaurentPolynomial(0)) + w
             cols.append(col)
@@ -542,13 +552,14 @@ def integer_module_matrices(g: wg.SColoredGraph, q: int, gens):
     q^2 v plus q mu(u, v) u for every u coloured by s.
     """
     mats = []
+    cols_of = columns(g)
     for s in gens:
         cols = []
         for v in g.vertices():
             if s in g.tau[v]:
                 cols.append({v: -1})
             else:
-                col = {u: q * w for u, w in g.column(v).items() if s in g.tau[u]}
+                col = {u: q * w for u, w in cols_of[v].items() if s in g.tau[u]}
                 col[v] = q * q
                 cols.append(col)
         mats.append(cols)
@@ -583,8 +594,9 @@ def exact_q(g: wg.SColoredGraph, gens) -> int:
     each entry of a relation's LHS - RHS has coefficient sum at most 2 L^3,
     and a nonzero integer polynomial with coefficient sum at most B cannot
     vanish at an integer q > B: evaluating at this q is an exact test."""
+    cols = columns(g)
     norm = max(
-        (1 + sum(abs(w) for u, w in g.column(v).items() if s in g.tau[u])
+        (1 + sum(abs(w) for u, w in cols[v].items() if s in g.tau[u])
          for s in gens for v in g.vertices() if s not in g.tau[v]),
         default=1,
     )
@@ -708,8 +720,8 @@ def dk_neighbours(t: StandardTableau):
 
 # ---------------------------------------------------------------------------
 # The derived views on frozenset colours: the references for
-# SColoredGraph.arcs, simple_edges and out_neighbours, which read the colour
-# bit masks g.masks.
+# SColoredGraph.arcs, simple_edges and wg.cells, which read the colour bit
+# masks g.masks.
 
 
 def arcs(g: wg.SColoredGraph):
@@ -732,7 +744,25 @@ def simple_edges(g: wg.SColoredGraph):
 
 
 def out_neighbours(g: wg.SColoredGraph, v: int):
-    return [u for u in g.column(v) if not g.tau[u] <= g.tau[v]]
+    return [u for u in columns(g)[v] if not g.tau[u] <= g.tau[v]]
+
+
+def cells(g: wg.SColoredGraph):
+    """(blocks, reach): reach[v] is the set of vertices reachable from v
+    along arcs, v included, and the blocks are the mutual-reachability
+    classes, as a set of frozensets."""
+    succ = [out_neighbours(g, v) for v in g.vertices()]
+    reach = []
+    for v in g.vertices():
+        seen, frontier = {v}, [v]
+        while frontier:
+            for u in succ[frontier.pop()]:
+                if u not in seen:
+                    seen.add(u)
+                    frontier.append(u)
+        reach.append(seen)
+    blocks = {frozenset(u for u in reach[v] if v in reach[u]) for v in g.vertices()}
+    return blocks, reach
 
 
 def simple_parts(g: wg.SColoredGraph):

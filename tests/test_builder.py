@@ -139,8 +139,8 @@ def test_mu_probable_matches_oracle_values(built):
         g = built(lam)
         oracle = hecke.kl_left_cell_graph(lam)
         cell = builder.cell_index(tabs)
-        for it in g.vertices():
-            cell.cols[it].update(g.column(it))
+        for it, col in enumerate(helpers.columns(g)):
+            cell.cols[it].update(col)
         for iu, it in builder.probable_pairs(builder.cell_index(tabs)):
             got = builder.mu_probable(iu, it, cell)
             assert got == oracle.weight(iu, it), (lam, iu, it)
@@ -159,8 +159,8 @@ def test_mu_probable_independent_of_representative(built):
             tabs = tuple(tb.enumerate_std(lam))
             g = built(lam)
             cell = builder.cell_index(tabs)
-            for it in g.vertices():
-                cell.cols[it].update(g.column(it))
+            for it, col in enumerate(helpers.columns(g)):
+                cell.cols[it].update(col)
             index = {w: v for v, w in enumerate(cell.words)}
             calls = [
                 (iu, it, (tabs.index(u0), tabs.index(t0)))

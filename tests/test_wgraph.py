@@ -69,9 +69,13 @@ def _assert_views_match_references(g):
     assert g.masks == tuple(sum(1 << i for i in s) for s in g.tau)
     assert g.arcs() == helpers.arcs(g)
     assert g.simple_edges() == helpers.simple_edges(g)
-    assert [g.out_neighbours(v) for v in g.vertices()] == [
-        helpers.out_neighbours(g, v) for v in g.vertices()
-    ]
+    dec = wg.cells(g)
+    blocks, reach = helpers.cells(g)
+    assert len(dec.blocks) == len(blocks) and set(dec.blocks) == blocks
+    assert all(v in dec.blocks[b] for v, b in enumerate(dec.block_of))
+    for b1, block1 in enumerate(dec.blocks):
+        for b2, block2 in enumerate(dec.blocks):
+            assert dec.leq(b1, b2) == (min(block1) in reach[min(block2)])
 
 
 def test_views_match_the_frozenset_references(built):
@@ -113,6 +117,15 @@ def test_constructor_names_the_first_bad_pair_of_mu_and_drops_zeros():
     assert g.mu == {(0, 1): 1} and mu == {(0, 1): 1, (0, 0): 0, (1, 0): 0}
     g = wg.SColoredGraph(2, [{1}, set()], {(1, 0): 2, (0, 1): 1})
     assert list(g.mu.items()) == [((1, 0), 2), ((0, 1), 1)]
+
+
+def test_the_graph_keeps_a_zero_free_weight_dict_and_copies_one_with_zeros():
+    mu = {(1, 0): 2, (0, 1): 1}
+    assert wg.SColoredGraph(2, [{1}, set()], mu).mu is mu
+    mu = {(1, 0): 2, (0, 1): 0}
+    g = wg.SColoredGraph(2, [{1}, set()], mu)
+    assert g.mu is not mu and g.mu == {(1, 0): 2}
+    assert mu == {(1, 0): 2, (0, 1): 0}
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,9 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache, reduce
-from math import factorial
-from operator import mul
+from itertools import chain
+from math import factorial, inf
+from operator import itemgetter, lt, mul
 from typing import NamedTuple
 
 from .permutations import Permutation, inverse, multiply
@@ -297,7 +298,12 @@ class StandardTableau:
         return rows
 
     def text(self) -> str:
-        return "/".join(" ".join(map(str, row)) for row in self.to_rows())
+        template, base, inner = _text_layout(self.shape)
+        heights, slots = list(inner), [0] * len(self.column_word)
+        for e, c in enumerate(self.column_word, self.offset + 1):
+            slots[base[heights[c]] + c] = e
+            heights[c] += 1
+        return template % tuple(slots)
 
     def __repr__(self):
         return f"StandardTableau({self.text()!r})"
@@ -329,6 +335,21 @@ class StandardTableau:
 def _inner_heights(shape: SkewShape) -> list[int]:
     """The inner height of each column of the shape, a list to fill in."""
     return list(shape.inner) + [0] * (len(shape.outer) - len(shape.inner))
+
+
+@lru_cache(maxsize=1024)
+def _text_layout(shape: SkewShape) -> tuple[str, tuple[int, ...], tuple[int, ...]]:
+    """For text(): the "%d %d/%d" template of the rows, inner boxes left out as in
+    to_rows; base, with base[i] + c the row-major slot of the box in row i + 1 and
+    column c; and heights, with heights[c] the inner height of column c."""
+    inner, rows, base, start = _inner_heights(shape), [], [], 0
+    for i in range(max((o for o, h in zip(shape.outer, inner) if o > h), default=0)):
+        # row i + 1 spans the columns first + 1 .. last
+        first, last = sum(h > i for h in inner), sum(o > i for o in shape.outer)
+        rows.append(" ".join(["%d"] * (last - first)))
+        base.append(start - first - 1)
+        start += last - first
+    return "/".join(rows), tuple(base), (0, *inner)
 
 
 class DescentData(NamedTuple):
@@ -598,39 +619,37 @@ def m_critical_tableau(shape: SkewShape, m: int) -> StandardTableau:
 # text round-trip
 
 
-@lru_cache(maxsize=1024)
-def _normal_shape(lengths: tuple[int, ...]) -> SkewShape:
-    """The normal shape with these row lengths, one object shared by the
-    tableaux from_rows makes of it while it stays among the recent ones."""
-    width = lengths[0] if lengths else 0
-    return SkewShape(tuple(sum(1 for L in lengths if L >= j) for j in range(1, width + 1)))
+@lru_cache(maxsize=128)  # a layout holds about 90 bytes a box; a built document has one shape
+def _row_layout(lengths: tuple[int, ...]):
+    """The normal shape with rows of these lengths, one object while it is recent;
+    the column of each box in row-major order; and two itemgetters that, from the
+    entries in that order and a sentinel, give each entry's left and upper
+    neighbour, or the sentinel where there is none (and it twice more at the end)."""
+    if any(map(lt, lengths, lengths[1:])):
+        raise ValueError("row lengths must weakly decrease")
+    size = sum(lengths)
+    boxes = [(i, j) for i, length in enumerate(lengths) for j in range(length)]
+    left = itemgetter(*(p - 1 if j else size for p, (i, j) in enumerate(boxes)), size, size)
+    up = itemgetter(*(p - lengths[i - 1] if i else size for p, (i, j) in enumerate(boxes)), size, size)
+    return SkewShape(conjugate(_trim(lengths))), tuple(j + 1 for i, j in boxes), left, up
 
 
 def from_rows(rows) -> StandardTableau:
-    """Build a normal-shape tableau from its internal rows.
-
-    One pass checks that the row lengths weakly decrease, that the entries
-    form a contiguous interval from the smallest of them and that they
-    increase along rows and down columns.
-    """
-    rows = [list(r) for r in rows]
-    lengths = tuple(map(len, rows))
-    if any(a < b for a, b in zip(lengths, lengths[1:])):
-        raise ValueError("row lengths must weakly decrease")
-    size = sum(lengths)
-    offset = min(min(r) for r in rows if r) - 1 if size else 0
-    word = [0] * size
-    for i, row in enumerate(rows, start=1):
-        for j, e in enumerate(row, start=1):
-            k = e - offset - 1
-            if not 0 <= k < size or word[k]:
-                raise ValueError("entries must form a contiguous interval")
-            word[k] = j
-            if j > 1 and e < row[j - 2]:
-                raise ValueError("entries must increase along rows")
-            if i > 1 and e < rows[i - 2][j - 1]:
-                raise ValueError("entries must increase down columns")
-    return StandardTableau(_normal_shape(lengths), word, offset, _checked=True)
+    """Build a normal-shape tableau from its internal rows, lists of entries or
+    of their digit strings.  The row lengths must weakly decrease, the entries
+    increase along rows and down columns, and then form an interval."""
+    shape, cols, left, up = _row_layout(tuple(map(len, rows)))
+    flat = list(map(int, chain.from_iterable(rows)))
+    padded = [*flat, -inf]
+    if not all(map(lt, left(padded), flat)):
+        raise ValueError("entries must increase along rows")
+    if not all(map(lt, up(padded), flat)):
+        raise ValueError("entries must increase down columns")
+    offset = flat[0] - 1 if flat else 0  # the least entry, the rows and columns increasing
+    word = tuple(map(dict(zip(flat, cols)).get, range(offset + 1, offset + 1 + len(flat))))
+    if None in word:
+        raise ValueError("entries must form a contiguous interval")
+    return StandardTableau(shape, word, offset, _checked=True)
 
 
 def from_column_word(cols, offset: int = 0) -> StandardTableau:
@@ -657,5 +676,4 @@ def from_text(s: str) -> StandardTableau:
     """
     if _TEXT.fullmatch(s) is None:
         raise ValueError(f"malformed tableau text {s!r}")
-    rows = [[int(x) for x in row.split(" ")] for row in s.split("/")] if s else []
-    return from_rows(rows)
+    return from_rows(list(map(str.split, s.split("/"))))  # [[]] for ""

@@ -15,8 +15,9 @@ A rule scans the weights in the order of g.mu and sorts only to write a
 failing report, so a passing graph is never sorted.
 
 A graph document is the JSON text that ``json.dumps(obj, indent=2)`` gives
-for the object below, plus a newline; json_chunks writes it from templates
-and tests compare it with that encoding.  Keys come in this order:
+for the object below, plus a newline; json_chunks writes it from templates,
+formatting each distinct colour once, and tests compare it with that
+encoding.  Keys come in this order:
 
 - ``"n"``: the integer n;
 - ``"vertices"``: for each vertex v in order, ``{"id": v, "tau": [...],
@@ -26,13 +27,13 @@ and tests compare it with that encoding.  Keys come in this order:
 - ``"mu"``: for each nonzero weight, sorted by (from, to),
   ``{"from": u, "to": v, "w": mu(u, v)}``.
 
-The tableau text is StandardTableau.text(): the rows of a normal-shape
-tableau joined by "/", each row its positive entries in ASCII digits without
-leading zeros, joined by single spaces; ``""`` is the empty tableau.  It
-holds only digits, spaces and "/", so it needs no JSON escaping, and the
-loader accepts no other label text.  The loader also rejects a document with
-two weight entries for one (from, to) pair, whichever weights they give, and
-one with a colour above MAX_COLOUR.
+The tableau text is StandardTableau.text(), a template made once per shape
+and filled in: the rows of a normal-shape tableau joined by "/", each row its
+positive entries in ASCII digits without leading zeros, joined by single
+spaces; ``""`` is the empty tableau.  It holds only digits, spaces and "/",
+so it needs no JSON escaping, and the loader accepts no other label text.
+The loader checks each distinct colour list once; it rejects a colour above
+MAX_COLOUR, and two weight entries for one (from, to) pair, whatever weights.
 """
 
 from __future__ import annotations
@@ -765,11 +766,12 @@ def json_chunks(g: SColoredGraph):
     docstring."""
     yield '{\n  "n": %d,\n  "vertices": [' % g.n
     labels = g.labels or (None,) * g.num_vertices
+    colours = {m: "[\n        %s\n      ]" % ",\n        ".join(map(str, _bits(m))) for m in set(g.masks)}
+    colours[0] = "[]"
     sep = ""
     for v, (m, label) in enumerate(zip(g.masks, labels)):
-        colours = "[\n        %s\n      ]" % ",\n        ".join(map(str, _bits(m))) if m else "[]"
         label = "null" if label is None else _LABEL % (label[0], label[1].text())
-        yield _VERTEX % (sep, v, colours, label)
+        yield _VERTEX % (sep, v, colours[m], label)
         sep = ","
     yield '%s],\n  "mu": [' % ("\n  " if sep else "")
     mu = g.mu
@@ -810,37 +812,40 @@ MAX_COLOUR = 65535
 
 def from_json_obj(obj: dict) -> SColoredGraph:
     """The graph of a parsed document; raises ValueError on a document of the
-    wrong shape."""
+    wrong shape.  Each distinct colour list, keyed by its items and their types, is checked
+    once; the lists of one colour, in any order, get one frozenset, as the builder's do."""
     _expect(obj, dict, "graph document")
     n = _field(obj, "n", int)
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
-    rows = [_expect(r, dict, "vertex") for r in _field(obj, "vertices", list)]
-    rows.sort(key=lambda r: _field(r, "id", int))
-    if [r["id"] for r in rows] != list(range(len(rows))):
-        raise ValueError("vertex ids must be 0..N-1")
-    tau = []
-    shared = {}  # one frozenset per distinct colour, as the builder hands over
-    for r in rows:
-        colours = _field(r, "tau", list)
-        for c in colours:
-            if type(c) is not int:
-                raise ValueError(f"colour must be int, got {c!r}")
-            if c > MAX_COLOUR:
-                raise ValueError(f"colour {c} is above {MAX_COLOUR}")
-        s = frozenset(colours)
-        tau.append(shared.setdefault(s, s))
-    labels = []
-    targets = set()  # (size, offset) of the label tableaux
-    for r in rows:
+    vertices = _field(obj, "vertices", list)
+    tau, labels, targets, shared = [None] * len(vertices), [None] * len(vertices), set(), {}
+    for r in vertices:
+        if type(r) is not dict:
+            _expect(r, dict, "vertex")
+        v = r["id"] if type(r.get("id")) is int else _field(r, "id", int)
+        if not 0 <= v < len(tau) or tau[v] is not None:
+            raise ValueError("vertex ids must be 0..N-1")
+        colours = r["tau"] if type(r.get("tau")) is list else _field(r, "tau", list)
+        try:
+            tau[v] = shared[(*colours, *map(type, colours))]
+        except (KeyError, TypeError):  # a colour list not seen yet, or one holding a list or dict
+            for c in colours:
+                if type(c) is not int:
+                    raise ValueError(f"colour must be int, got {c!r}") from None
+                if c > MAX_COLOUR:
+                    raise ValueError(f"colour {c} is above {MAX_COLOUR}") from None
+            s = frozenset(colours)
+            tau[v] = shared[(*colours, *map(type, colours))] = shared.setdefault(s, s)
         label = r.get("label")
-        if label is None:
-            labels.append(None)
-        else:
-            _expect(label, dict, "label")
-            t = tb.from_text(_field(label, "tableau", str))
+        if label is not None:
+            if type(label) is not dict:
+                _expect(label, dict, "label")
+            text = label["tableau"] if type(label.get("tableau")) is str else _field(label, "tableau", str)
+            t = tb.from_text(text)
             targets.add((t.size, t.offset))
-            labels.append((_field(label, "molecule", int), t))
+            m = label["molecule"] if type(label.get("molecule")) is int else _field(label, "molecule", int)
+            labels[v] = (m, t)
     if len(targets) > 1:
         raise ValueError("label tableaux must all hold the same entries")
     mu = {}

@@ -7,6 +7,7 @@ kl_regular_graph is the exception: it is the library's KL oracle run on all
 of S_n, which only tests need.
 """
 
+import re
 from bisect import bisect_left
 from collections import Counter
 from heapq import merge
@@ -892,6 +893,70 @@ def to_json_obj(g: wg.SColoredGraph) -> dict:
         for (u, v), w in sorted(g.mu.items())
     ]
     return {"n": g.n, "vertices": vertices, "mu": mu}
+
+
+# ---------------------------------------------------------------------------
+# The row-based tableau text codec: the references for StandardTableau.text,
+# tableaux.from_text and tableaux.from_rows, which work on one row layout per
+# shape or per tuple of row lengths.
+
+
+def text(t: StandardTableau) -> str:
+    """The rows of t joined by "/", the entries of each row by single spaces."""
+    return "/".join(" ".join(map(str, row)) for row in t.to_rows())
+
+
+def from_rows(rows) -> StandardTableau:
+    """The normal-shape tableau of these internal rows, checked position by
+    position in row-major order: the entry must be new and inside the
+    interval from the least entry, then larger than its left and its upper
+    neighbour."""
+    rows = [list(r) for r in rows]
+    lengths = tuple(map(len, rows))
+    if any(a < b for a, b in zip(lengths, lengths[1:])):
+        raise ValueError("row lengths must weakly decrease")
+    size = sum(lengths)
+    offset = min(min(r) for r in rows if r) - 1 if size else 0
+    word = [0] * size
+    for i, row in enumerate(rows, start=1):
+        for j, e in enumerate(row, start=1):
+            k = e - offset - 1
+            if not 0 <= k < size or word[k]:
+                raise ValueError("entries must form a contiguous interval")
+            word[k] = j
+            if j > 1 and e < row[j - 2]:
+                raise ValueError("entries must increase along rows")
+            if i > 1 and e < rows[i - 2][j - 1]:
+                raise ValueError("entries must increase down columns")
+    width = lengths[0] if lengths else 0
+    shape = tb.SkewShape(tuple(sum(1 for L in lengths if L >= j) for j in range(1, width + 1)))
+    return StandardTableau(shape, word, offset)
+
+
+_ENTRY = "[1-9][0-9]*"
+_ROW = f"{_ENTRY}(?: {_ENTRY})*"
+_TEXT = re.compile(f"(?:{_ROW}(?:/{_ROW})*)?")
+
+
+def from_text(s: str) -> StandardTableau:
+    """Parse what text writes for a normal shape, by rows of entries."""
+    if _TEXT.fullmatch(s) is None:
+        raise ValueError(f"malformed tableau text {s!r}")
+    return from_rows([[int(x) for x in row.split(" ")] for row in s.split("/")] if s else [])
+
+
+def entry_faults(rows) -> list[str]:
+    """The messages of every fault of the entries of these rows, of weakly
+    decreasing lengths, in the order tableaux.from_rows checks them."""
+    flat = sorted(e for row in rows for e in row)
+    faults = {
+        "entries must increase along rows": any(a >= b for row in rows for a, b in zip(row, row[1:])),
+        "entries must increase down columns": any(
+            a >= b for upper, lower in zip(rows, rows[1:]) for a, b in zip(upper, lower)
+        ),
+        "entries must form a contiguous interval": flat != list(range(flat[0], flat[0] + len(flat))),
+    }
+    return [message for message, found in faults.items() if found]
 
 
 # ---------------------------------------------------------------------------

@@ -171,6 +171,17 @@ _GOOD = {
         for text in (" 1", "1  2", "1\n2", "\u0661", "/")
     ]
     + [
+        # colour lists the loader checks once per distinct list: an unhashable
+        # item must not escape as a TypeError, and a list equal to a checked
+        # one ([true] == [1], [1.0] == [1]) must not pass on its equality
+        {**_GOOD, "vertices": [{"id": 0, "tau": colours, "label": None}]}
+        for colours in ([[]], [{}], [1.5], [True], ["1"], [1, [2]])
+    ]
+    + [
+        {**_GOOD, "vertices": [_GOOD["vertices"][0], {"id": 1, "tau": colours, "label": None}]}
+        for colours in ([True], [1.0], [1, True])
+    ]
+    + [
         # a colour outside the generators 1..n-1: 0, -1 and n
         {**_GOOD, "vertices": [{"id": 0, "tau": [c], "label": None}]}
         for c in (0, -1, 3)

@@ -1,7 +1,10 @@
+import random
+from collections import Counter
 from itertools import product
 
 import pytest
 
+import helpers
 from helpers import act, all_skew_shapes, brute_partitions, compositions, lex_geq_composition
 from helpers import extended_dominance_leq as dominance_reference
 from wcell import tableaux as tb
@@ -401,10 +404,113 @@ def test_critical_remark_characterisation():
 # text round-trip
 
 
+def _every_tableau(max_n):
+    for n in range(max_n + 1):
+        for lam in tb.partitions_of(n):
+            yield from tb.enumerate_std(lam)
+
+
 def test_text_roundtrip():
-    for lam in tb.partitions_of(5):
-        for t in tb.enumerate_std(lam):
-            assert tb.from_text(t.text()) == t
+    for t in _every_tableau(8):
+        assert tb.from_text(t.text()) == t
+
+
+def test_text_equals_the_row_based_reference():
+    tried = 0
+    for t in _every_tableau(8):
+        assert t.text() == helpers.text(t)
+        for m in range(t.size + 1):
+            for part in (tb.restrict_gt(t, m), tb.restrict_leq(t, m)):
+                assert part.text() == helpers.text(part), (part.shape, part.column_word)
+                tried += 1
+    assert tried == sum(2 * (n + 1) * tb.hook_count(lam) for n in range(9) for lam in tb.partitions_of(n))
+
+
+def _mutations(text, rng):
+    """Texts made from a tableau's text: two entries swapped, one dropped or
+    duplicated, an entry moved to the end of a neighbouring row, the rows
+    rotated, and every entry, or one, raised past 9."""
+    rows = [row.split(" ") for row in text.split("/")] if text else []
+    flat = [e for row in rows for e in row]
+    lengths = [len(row) for row in rows]
+
+    def join(entries, lengths):
+        out, k = [], 0
+        for length in lengths:
+            out.append(" ".join(entries[k : k + length]))
+            k += length
+        return "/".join(r for r in out if r)
+
+    out = []
+    if len(flat) >= 2:
+        i, j = rng.sample(range(len(flat)), 2)
+        swapped = list(flat)
+        swapped[i], swapped[j] = swapped[j], swapped[i]
+        out.append(join(swapped, lengths))
+        out.append(join(flat[:i] + [flat[j]] + flat[i + 1 :], lengths))  # a duplicate
+    if flat:
+        i = rng.randrange(len(flat))
+        dropped_lengths = list(lengths)
+        k = next(r for r in range(len(lengths)) if sum(lengths[: r + 1]) > i)
+        dropped_lengths[k] -= 1
+        out.append(join(flat[:i] + flat[i + 1 :], dropped_lengths))
+        out.append(join([str(int(e) + 9) for e in flat], lengths))  # two-digit entries
+        out.append(join(flat[:i] + [str(int(flat[i]) + 10)] + flat[i + 1 :], lengths))
+    if len(rows) >= 2:
+        r = rng.randrange(len(rows) - 1)
+        down = [list(row) for row in rows]
+        down[r + 1].append(down[r].pop())  # the last entry of a row moved down
+        up = [list(row) for row in rows]
+        up[r].append(up[r + 1].pop())  # the last entry of a row moved up
+        out += ["/".join(" ".join(row) for row in moved if row) for moved in (down, up)]
+        out.append("/".join(" ".join(row) for row in rows[1:] + rows[:1]))
+    return out
+
+
+def _outcome(parse, arg):
+    try:
+        return parse(arg)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _agree(parse, reference, arg, rows=None) -> str:
+    """Check that parse gives on arg what the reference gives, a tableau or a
+    message, and return which it was.  Where the entries are at fault, the
+    reference names the first fault in row-major order, and parse the first
+    of its rows, columns and interval checks that fails; rows are arg's rows,
+    arg itself by default."""
+    expect, got = _outcome(reference, arg), _outcome(parse, arg)
+    if isinstance(expect, str) and expect.startswith("entries must"):
+        faults = helpers.entry_faults(arg if rows is None else rows(arg))
+        assert expect in faults and got == faults[0], (arg, expect, got)
+        return "entries"
+    assert got == expect, arg
+    return expect if isinstance(expect, str) else "tableau"
+
+
+def _rows_of_text(s):
+    return [list(map(int, row.split(" "))) for row in s.split("/")]
+
+
+def test_from_text_agrees_with_the_row_based_reference():
+    rng = random.Random(20181807)
+    corpus = [t.text() for t in _every_tableau(8)]
+    corpus += [m for s in list(corpus) for m in _mutations(s, rng)]
+    corpus += ["", "1", "2 3/4", "1 2/3 4 5", "1/2/3/", "0 1", "10 11/12"]
+    kinds = Counter()
+    for s in corpus:
+        kinds[_agree(tb.from_text, helpers.from_text, s, _rows_of_text)] += 1
+    # the corpus reaches every outcome
+    assert kinds["tableau"] > 1000 and kinds["entries"] > 1000
+    assert kinds["row lengths must weakly decrease"] > 100
+    assert kinds["malformed tableau text '1/2/3/'"] == 1
+
+
+def test_from_rows_agrees_with_the_row_based_reference():
+    cases = ([[0, 1], [2]], [[1], []], [[], [1]], [[-3, -1], [-2]], [[5, 6], [7]], [[1, 3], [2, 3]], [[2, 1]])
+    for rows in cases:
+        _agree(tb.from_rows, helpers.from_rows, rows)
 
 
 # text that StandardTableau.text() never writes: a document holding one

@@ -8,22 +8,24 @@ those two values wherever they occur in the image sequence.
 
 from __future__ import annotations
 
-from bisect import insort
-from itertools import combinations, permutations as _itperm
+from itertools import combinations
+from typing import NamedTuple
 
 
-class Permutation:
-    __slots__ = ("images",)
+class _PermutationFields(NamedTuple):
+    images: tuple[int, ...]
 
-    def __init__(self, images):
+
+class Permutation(_PermutationFields):
+    """A NamedTuple of exactly its one-line images, checked in ``__new__``."""
+
+    __slots__ = ()
+
+    def __new__(cls, images):
         images = tuple(images)
-        n = len(images)
-        if sorted(images) != list(range(1, n + 1)):
-            raise ValueError(f"not a permutation of [1,{n}]: {images}")
-        object.__setattr__(self, "images", images)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Permutation is immutable")
+        if sorted(images) != list(range(1, len(images) + 1)):
+            raise ValueError(f"not a permutation of [1,{len(images)}]: {images}")
+        return tuple.__new__(cls, (images,))
 
     @property
     def n(self) -> int:
@@ -31,12 +33,6 @@ class Permutation:
 
     def __call__(self, i: int) -> int:
         return self.images[i - 1]
-
-    def __eq__(self, other):
-        return isinstance(other, Permutation) and self.images == other.images
-
-    def __hash__(self):
-        return hash(self.images)
 
     def __repr__(self):
         return "Permutation(%s)" % (",".join(map(str, self.images)))
@@ -54,16 +50,6 @@ class Permutation:
 
 def identity(n: int) -> Permutation:
     return Permutation(range(1, n + 1))
-
-
-def longest_element(n: int) -> Permutation:
-    return Permutation(range(n, 0, -1))
-
-
-def all_permutations(n: int):
-    """All of S_n, in one-line lexicographic order."""
-    for images in _itperm(range(1, n + 1)):
-        yield Permutation(images)
 
 
 def multiply(x: Permutation, y: Permutation) -> Permutation:
@@ -115,31 +101,3 @@ def left_descents_images(images: tuple) -> frozenset[int]:
     """left_descents on one-line images."""
     pos = {v: p for p, v in enumerate(images)}
     return frozenset(i for i in range(1, len(images)) if pos[i] > pos[i + 1])
-
-
-def right_descents(w: Permutation) -> frozenset[int]:
-    """Indices i with l(w s_i) < l(w): a one-line descent w(i) > w(i+1)."""
-    img = w.images
-    return frozenset(i for i in range(1, w.n) if img[i - 1] > img[i])
-
-
-def bruhat_leq(x: Permutation, y: Permutation) -> bool:
-    """Bruhat order via the sorted-prefix (Ehresmann) criterion.
-
-    x <= y iff for every k, the sorted initial segments satisfy
-    sorted(x1..xk)[i] <= sorted(y1..yk)[i] componentwise.
-    """
-    if x.n != y.n:
-        raise ValueError("size mismatch")
-    if x == y:
-        return True
-    xi, yi = x.images, y.images
-    xs: list[int] = []
-    ys: list[int] = []
-    for k in range(x.n - 1):
-        insort(xs, xi[k])
-        insort(ys, yi[k])
-        for a, b in zip(xs, ys):
-            if a > b:
-                return False
-    return True

@@ -5,9 +5,11 @@ column 1 and two boxes in column 2, and ``(i, j)`` is the i-th box of the
 j-th column.  A standard tableau has entries increasing down each column and
 along each row, and its reading word concatenates the columns from left to
 right, each column read from bottom to top.  A standard tableau stores
-only its column word, the column of each entry, smallest entry first;
-since entries grow down a column, its boxes, rows and text are read off
-that word and the inner heights of its shape.
+only its shape, its offset and its column word, the column of each entry,
+smallest entry first; since entries grow down a column, its boxes, rows,
+text and descents are read off that word and the inner heights of its
+shape.  Shapes and tableaux are NamedTuple values: their checks run in
+``__new__`` and the tuple gives equality, hashing and pickling.
 
 Because parts index columns, the dominance order used throughout is the
 *reverse* of the row-convention textbook order: ``mu <= lam`` (lam dominates
@@ -23,9 +25,9 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache, reduce
-from itertools import chain
+from itertools import chain, compress, count
 from math import factorial, inf
-from operator import itemgetter, lt, mul
+from operator import ge, gt, itemgetter, lt, mul
 from typing import NamedTuple
 
 from .permutations import Permutation, inverse, multiply
@@ -139,46 +141,29 @@ def removable_boxes(lam: Partition):
 # shapes and tableaux
 
 
-class SkewShape:
+class _SkewShapeFields(NamedTuple):
+    outer: Partition
+    inner: Partition
+
+
+class SkewShape(_SkewShapeFields):
     """Outer/inner partition pair; the boxes are [outer] minus [inner].
 
-    Trailing zero parts are trimmed.  Instances are immutable and hashable;
-    equality is structural.
+    A NamedTuple of exactly ``(outer, inner)``, trailing zero parts trimmed:
+    immutable, hashable and equal by its two fields.
     """
 
-    __slots__ = ("outer", "inner")
+    __slots__ = ()
 
-    def __init__(self, outer: Partition, inner: Partition = ()):
-        trimmed_outer = _trim(outer)
-        trimmed_inner = _trim(inner)
-        if not is_partition(trimmed_outer) and trimmed_outer != ():
+    def __new__(cls, outer: Partition, inner: Partition = ()):
+        outer, inner = _trim(outer), _trim(inner)
+        if not is_partition(outer):
             raise ValueError(f"bad outer shape {outer}")
-        if not is_partition(trimmed_inner) and trimmed_inner != ():
+        if not is_partition(inner):
             raise ValueError(f"bad inner shape {inner}")
-        for j, p in enumerate(trimmed_inner):
-            if j >= len(trimmed_outer) or p > trimmed_outer[j]:
-                raise ValueError(
-                    f"inner {trimmed_inner} not contained in outer {trimmed_outer}"
-                )
-        object.__setattr__(self, "outer", trimmed_outer)
-        object.__setattr__(self, "inner", trimmed_inner)
-
-    def __setattr__(self, *a):
-        raise AttributeError("SkewShape is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, SkewShape):
-            return NotImplemented
-        return self.outer == other.outer and self.inner == other.inner
-
-    def __hash__(self):
-        return hash((self.outer, self.inner))
-
-    def __repr__(self):
-        return f"SkewShape(outer={self.outer!r}, inner={self.inner!r})"
-
-    def __reduce__(self):
-        return SkewShape, (self.outer, self.inner)
+        if len(inner) > len(outer) or any(map(gt, inner, outer)):
+            raise ValueError(f"inner {inner} not contained in outer {outer}")
+        return tuple.__new__(cls, (outer, inner))
 
     @property
     def size(self) -> int:
@@ -197,46 +182,44 @@ class SkewShape:
                 yield (i, j)
 
 
-class StandardTableau:
+class _TableauFields(NamedTuple):
+    shape: SkewShape
+    offset: int
+    column_word: tuple[int, ...]
+
+
+class StandardTableau(_TableauFields):
     """Bijection from the boxes of a (skew) diagram onto [m+1, m+n], stored as
     its column word.
 
-    ``column_word[k]`` is the column of the entry ``offset+1+k``.  Entries
-    increase down a column, so the row of an entry is the inner height of
-    its column plus the number of entries up to it in that column: the
-    boxes, rows and text are views read off the shape and the word.
-    Instances are immutable and hashable; equality is structural.
+    A NamedTuple of exactly ``(shape, offset, column_word)``: immutable,
+    hashable and equal by these fields.  ``column_word[k]`` is the column of
+    the entry ``offset+1+k``.  Entries increase down a column, so the row of
+    an entry is the inner height of its column plus the number of entries up
+    to it in that column: the boxes, rows, text and descent classes are read
+    off the shape and the word on each call.
     """
 
-    __slots__ = ("shape", "offset", "column_word", "_dset")
+    __slots__ = ()
 
-    def __init__(self, shape: SkewShape, column_word, offset: int = 0, _checked: bool = False):
-        column_word = tuple(column_word)
-        object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "offset", offset)
-        object.__setattr__(self, "column_word", column_word)
-        object.__setattr__(self, "_dset", None)
-        if not _checked:
-            self._validate()
-
-    def _validate(self):
-        """Each letter is a column not yet full and, with its entry, no taller than its left one."""
-        outer = self.shape.outer
-        heights = _inner_heights(self.shape)
+    def __new__(cls, shape: SkewShape, column_word, offset: int = 0, _checked: bool = False):
+        self = tuple.__new__(cls, (shape, offset, tuple(column_word)))
+        if _checked:
+            return self
+        # each letter is a column not yet full and, with its entry, no taller than its left one
+        outer, heights = shape.outer, _inner_heights(shape)
         for c in self.column_word:
             if not (isinstance(c, int) and 0 < c <= len(outer) and heights[c - 1] < outer[c - 1]):
                 raise ValueError(f"column {c!r} outside shape")
             heights[c - 1] += 1
             if c > 1 and heights[c - 1] > heights[c - 2]:
                 raise ValueError("entries must increase along rows")
-        if len(self.column_word) != self.shape.size:
+        if len(self.column_word) != shape.size:
             raise ValueError("entry count does not match shape size")
+        return self
 
-    def __setattr__(self, *a):
-        raise AttributeError("StandardTableau is immutable")
-
-    def __reduce__(self):
-        return StandardTableau, (self.shape, self.column_word, self.offset, True)
+    def __getnewargs__(self):
+        return self.shape, self.column_word, self.offset, True
 
     # -- basic views
 
@@ -274,17 +257,6 @@ class StandardTableau:
     def col_of(self, e: int) -> int:
         return self.column_word[e - self.offset - 1]
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, StandardTableau)
-            and self.shape == other.shape
-            and self.offset == other.offset
-            and self.column_word == other.column_word
-        )
-
-    def __hash__(self):
-        return hash((self.shape, self.offset, self.column_word))
-
     def to_rows(self):
         """Entries of each internal row, leftmost column first; taken in
         increasing order, they fill each row from the left.  For skew shapes
@@ -308,28 +280,29 @@ class StandardTableau:
     def __repr__(self):
         return f"StandardTableau({self.text()!r})"
 
-    # -- cached structure
+    # -- descent classes of the pairs (i, i+1)
 
     def descent_data(self) -> "DescentData":
-        if self._dset is None:
-            sa, sd, wa, wd = set(), set(), set(), set()
-            boxes = self.boxes
-            for i, ((ri, ci), (rn, cn)) in enumerate(zip(boxes, boxes[1:]), self.min_entry):
-                if ci > cn:
-                    sd.add(i)
-                elif ci == cn:
-                    wd.add(i)
-                elif ri > rn:
-                    sa.add(i)
-                else:
-                    wa.add(i)
-            data = DescentData(frozenset(sa), frozenset(sd), frozenset(wa), frozenset(wd))
-            object.__setattr__(self, "_dset", data)
-        return self._dset
+        """i+1 left of i: sd; below it: wd; right and higher: sa; right, not higher: wa."""
+        sa, sd, wa, wd = set(), set(), set(), set()
+        heights = _inner_heights(self.shape)
+        row = col = 0  # the box of i, none before the first entry
+        for i, c in enumerate(self.column_word, self.offset):
+            heights[c - 1] += 1
+            if col > c:
+                sd.add(i)
+            elif col == c:
+                wd.add(i)
+            elif col:
+                (sa if row > heights[c - 1] else wa).add(i)
+            row, col = heights[c - 1], c
+        return DescentData(frozenset(sa), frozenset(sd), frozenset(wa), frozenset(wd))
 
     @property
     def descents(self) -> frozenset[int]:
-        return self.descent_data().d
+        """The i with i+1 left of i or below it: col(i) >= col(i+1)."""
+        word = self.column_word
+        return frozenset(compress(count(self.offset + 1), map(ge, word, word[1:])))
 
 
 def _inner_heights(shape: SkewShape) -> list[int]:
@@ -389,14 +362,14 @@ def tau_max(shape, offset: int = 0) -> StandardTableau:
 def swap_adjacent(t: StandardTableau, i: int) -> StandardTableau:
     """The tableau s_i t, with the entries i and i+1 exchanged.
 
-    Valid only when i and i+1 lie in different rows and different columns.
+    Valid only when i and i+1 lie in different rows and different columns:
+    i+1 left of i, or right of i and higher up.
     """
-    dd = t.descent_data()
-    if i not in dd.sa and i not in dd.sd:
+    k, word = i - t.offset - 1, list(t.column_word)
+    a, b = word[k : k + 2] if 0 <= k < len(word) - 1 else (0, 0)  # (0, 0): i or i+1 not an entry
+    if a == b or (a < b and t.row_of(i) <= t.row_of(i + 1)):
         raise ValueError(f"swapping {i},{i+1} does not give a standard tableau")
-    k = i - t.offset - 1
-    word = list(t.column_word)
-    word[k], word[k + 1] = word[k + 1], word[k]
+    word[k], word[k + 1] = b, a
     return StandardTableau(t.shape, word, t.offset, _checked=True)
 
 

@@ -8,19 +8,58 @@ of S_n, which only tests need.
 """
 
 import re
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from collections import Counter
 from heapq import merge
+from itertools import permutations
 
 from hypothesis import strategies as st
 
-from wcell import hecke, knuth, rsk
+from wcell import builder, hecke, knuth, rsk
 from wcell import tableaux as tb
 from wcell import wgraph as wg
 from wcell.knuth import _between_boxes, _graft, _prefix_with_top, restriction_number
 from wcell.laurent import LaurentPolynomial, ONE, Q, QINV
-from wcell.permutations import Permutation, all_permutations, apply_s, left_descents, length
+from wcell.permutations import Permutation, apply_s, left_descents, length
 from wcell.tableaux import StandardTableau
+
+
+def longest_element(n: int) -> Permutation:
+    return Permutation(range(n, 0, -1))
+
+
+def all_permutations(n: int):
+    """All of S_n, in one-line lexicographic order."""
+    for images in permutations(range(1, n + 1)):
+        yield Permutation(images)
+
+
+def right_descents(w: Permutation) -> frozenset[int]:
+    """Indices i with l(w s_i) < l(w): a one-line descent w(i) > w(i+1)."""
+    img = w.images
+    return frozenset(i for i in range(1, w.n) if img[i - 1] > img[i])
+
+
+def bruhat_leq(x: Permutation, y: Permutation) -> bool:
+    """Bruhat order via the sorted-prefix (Ehresmann) criterion.
+
+    x <= y iff for every k, the sorted initial segments satisfy
+    sorted(x1..xk)[i] <= sorted(y1..yk)[i] componentwise.
+    """
+    if x.n != y.n:
+        raise ValueError("size mismatch")
+    if x == y:
+        return True
+    xi, yi = x.images, y.images
+    xs: list[int] = []
+    ys: list[int] = []
+    for k in range(x.n - 1):
+        insort(xs, xi[k])
+        insort(ys, yi[k])
+        for a, b in zip(xs, ys):
+            if a > b:
+                return False
+    return True
 
 
 def brute_partitions(n):
@@ -1130,3 +1169,54 @@ def check_bonding(g: wg.SColoredGraph) -> wg.CheckReport:
                 if len(bad) >= wg._MAX_WITNESSES:
                     return wg.CheckReport("bonding", False, tuple(bad))
     return wg.CheckReport("bonding", not bad, tuple(bad))
+
+
+# ---------------------------------------------------------------------------
+# Transpose duality: the cell of the conjugate shape is the cell of lam
+# tensored with the sign representation.  Each colour is complemented, each
+# weight mu(u, v) is read as mu(v, u), and each tableau is transposed.
+
+
+def transpose(t: StandardTableau) -> StandardTableau:
+    """The transposed tableau: the column of each entry is its old row."""
+    shape = tb.SkewShape(tb.conjugate(t.shape.outer), tb.conjugate(t.shape.inner))
+    return StandardTableau(shape, (r for r, c in t.boxes), t.offset)
+
+
+def twist(g: wg.SColoredGraph) -> wg.SColoredGraph:
+    """g tensored with the sign: colours complemented within {1..n-1}, each
+    mu(u, v) stored as mu(v, u), and the label tableaux transposed."""
+    full = frozenset(range(1, g.n))
+    mu = {(v, u): w for (u, v), w in g.mu.items()}
+    labels = [(m, transpose(t)) for m, t in g.labels]
+    return wg.SColoredGraph(g.n, [full - s for s in g.tau], mu, labels)
+
+
+def equal_by_labels(g: wg.SColoredGraph, h: wg.SColoredGraph) -> bool:
+    """Whether g and h have the same colours and weights under the vertex
+    bijection that matches equal labels."""
+    where = {label: v for v, label in enumerate(h.labels)}
+    image = [where.get(label) for label in g.labels]
+    if None in image or len(set(image)) != h.num_vertices:
+        return False
+    return hecke.graphs_equal_under(g, h, image)
+
+
+def duality_failures(n: int) -> list:
+    """The partitions lam of n on which build_cell_graph(conjugate(lam)) is
+    not twist(build_cell_graph(lam)) under t -> transpose(t).
+
+    Both sides of the duality are involutions, so it holds for lam exactly
+    when it holds for its conjugate: each conjugate pair is compared once,
+    from the lex-larger shape, and each shape is built once.
+    """
+    failures = []
+    for lam in tb.partitions_of(n):
+        dual = tb.conjugate(lam)
+        if dual > lam:
+            continue
+        g = builder.build_cell_graph(lam)
+        h = g if dual == lam else builder.build_cell_graph(dual)
+        if not equal_by_labels(twist(g), h):
+            failures += [lam] if dual == lam else [lam, dual]
+    return failures

@@ -302,3 +302,41 @@ def test_a_dropped_cell_leaves_no_cyclic_garbage():
             assert gc.collect() == 0, lam
         finally:
             gc.enable()
+
+
+# ---------------------------------------------------------------------------
+# transpose duality
+
+
+def test_conjugate_cells_are_twisted_transposes():
+    for n in range(1, 11):
+        assert helpers.duality_failures(n) == [], n
+
+
+def test_twist_is_an_involution():
+    for lam in [(3, 2, 1), (4, 2, 1, 1), (2, 2, 2)]:
+        g = builder.build_cell_graph(lam)
+        back = helpers.twist(helpers.twist(g))
+        assert (back.n, back.tau, back.mu, back.labels) == (g.n, g.tau, g.mu, g.labels)
+        assert helpers.twist(g).labels != g.labels
+
+
+def test_duality_fails_on_a_bumped_weight(monkeypatch):
+    # the first nonzero probable-pair weight of each build is one too big
+    build, weigh = builder.build_cell_graph, builder.mu_probable
+    bumped = []
+
+    def build_bumped(lam):
+        bumped.clear()
+        return build(lam)
+
+    def weigh_bumped(*args):
+        w = weigh(*args)
+        if w and not bumped:
+            bumped.append(args)
+            return w + 1
+        return w
+
+    monkeypatch.setattr(builder, "build_cell_graph", build_bumped)
+    monkeypatch.setattr(builder, "mu_probable", weigh_bumped)
+    assert helpers.duality_failures(6)

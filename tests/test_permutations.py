@@ -1,19 +1,7 @@
 import pytest
 
-from helpers import bruhat_closure
-from wcell.permutations import (
-    Permutation,
-    all_permutations,
-    apply_s,
-    bruhat_leq,
-    identity,
-    inverse,
-    left_descents,
-    length,
-    longest_element,
-    multiply,
-    right_descents,
-)
+from helpers import all_permutations, bruhat_closure, bruhat_leq, longest_element, right_descents
+from wcell.permutations import Permutation, apply_s, identity, inverse, left_descents, length, multiply
 
 
 def test_identity_has_no_descents():

@@ -3,10 +3,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import all_skew_shapes, dual_knuth_classes_on_group, skew_reading_word
+from helpers import all_permutations, all_skew_shapes, dual_knuth_classes_on_group, skew_reading_word
 from wcell import rsk
 from wcell import tableaux as tb
-from wcell.permutations import Permutation, all_permutations, inverse
+from wcell.permutations import Permutation, inverse
 
 
 def test_rs_on_trivial_group():

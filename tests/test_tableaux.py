@@ -5,10 +5,10 @@ from itertools import product
 import pytest
 
 import helpers
-from helpers import act, all_skew_shapes, brute_partitions, compositions, lex_geq_composition
+from helpers import act, all_skew_shapes, brute_partitions, bruhat_leq, compositions, lex_geq_composition
 from helpers import extended_dominance_leq as dominance_reference
 from wcell import tableaux as tb
-from wcell.permutations import bruhat_leq, identity
+from wcell.permutations import identity
 
 
 # ---------------------------------------------------------------------------
@@ -121,10 +121,19 @@ def test_views_agree_with_the_boxes():
                 rows.setdefault(i, []).append(e)
             assert t.to_rows() == [rows.get(i, []) for i in range(1, max(rows) + 1)]
             data = t.descent_data()
+            assert t.descents == data.d and sum(map(len, data)) == max(t.size - 1, 0)
             for e in range(t.min_entry, t.max_entry):
                 (i, j), (k, m) = t.box_of(e), t.box_of(e + 1)
                 expect = data.sd if j > m else data.wd if j == m else data.sa if i > k else data.wa
                 assert e in expect
+            # s_e t is standard exactly when e and e+1 share no row and no column
+            for e in range(t.offset - 1, t.max_entry + 2):
+                if e in data.sa | data.sd:
+                    u = tb.swap_adjacent(t, e)
+                    assert (u.box_of(e), u.box_of(e + 1)) == (t.box_of(e + 1), t.box_of(e))
+                else:
+                    with pytest.raises(ValueError):
+                        tb.swap_adjacent(t, e)
             if shape.is_normal:
                 assert tb.from_rows(t.to_rows()) == t
                 assert tb.from_text(t.text()) == t

@@ -8,12 +8,20 @@ import pytest
 from wcell import knuth, rsk
 from wcell import tableaux as tb
 from wcell import wgraph as wg
+from wcell.permutations import Permutation
 
 T21, T21_OTHER = tb.enumerate_std((2, 1))
 
-# (class, fields, a field to change, a different value for it)
+# (class, fields in constructor order, a field to change, a different value for it)
 VALUES = [
     (tb.SkewShape, {"outer": (3, 2), "inner": (1,)}, "inner", (2,)),
+    (
+        tb.StandardTableau,
+        {"shape": tb.SkewShape((2, 1)), "column_word": (1, 2, 1), "offset": 0},
+        "column_word",
+        (1, 1, 2),
+    ),
+    (Permutation, {"images": (2, 3, 1)}, "images", (1, 2, 3)),
     (
         tb.DescentData,
         {"sa": frozenset({2}), "sd": frozenset(), "wa": frozenset(), "wd": frozenset({1})},
@@ -36,6 +44,8 @@ VALUES = [
     ),
 ]
 NAMES = [cls.__name__ for cls, *_ in VALUES]
+# the classes whose repr is not the generated one, and the repr of their VALUES entry
+REPRS = {tb.StandardTableau: "StandardTableau('1 2/3')", Permutation: "Permutation(2,3,1)"}
 
 
 @pytest.mark.parametrize("cls, fields, key, other", VALUES, ids=NAMES)
@@ -48,7 +58,10 @@ def test_value_classes_compare_and_hash_by_their_fields(cls, fields, key, other)
     assert changed != value and getattr(changed, key) == other
     for clone in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
         assert clone == value and type(clone) is cls
-    assert repr(value).startswith(f"{cls.__name__}({next(iter(fields))}=")
+    if cls in REPRS:
+        assert repr(value) == REPRS[cls]
+    else:
+        assert repr(value).startswith(f"{cls.__name__}({next(iter(fields))}=")
 
 
 @pytest.mark.parametrize("cls, fields, key, other", VALUES, ids=NAMES)
@@ -59,6 +72,29 @@ def test_value_classes_are_immutable(cls, fields, key, other):
     with pytest.raises(AttributeError):
         value.extra = 1
     assert getattr(value, key) == fields[key]
+
+
+@pytest.mark.parametrize(
+    "cls, fields",
+    [
+        (tb.SkewShape, ("outer", "inner")),
+        (tb.StandardTableau, ("shape", "offset", "column_word")),
+        (Permutation, ("images",)),
+    ],
+    ids=["SkewShape", "StandardTableau", "Permutation"],
+)
+def test_tableau_values_are_bare_tuples(cls, fields):
+    # checks in __new__ only: the tuple gives equality, hashing, immutability and pickling
+    assert issubclass(cls, tuple) and cls._fields == fields and cls.__slots__ == ()
+    assert not {"__init__", "__setattr__", "__eq__", "__hash__", "__reduce__"} & set(vars(cls))
+
+
+def test_shapes_and_tableaux_hash_as_their_field_tuples():
+    # the order of the sets and dicts of them that the lemma code walks depends on these hashes
+    for shape in [tb.SkewShape((3, 2), (1,)), tb.SkewShape((4, 2, 1))]:
+        assert hash(shape) == hash((shape.outer, shape.inner))
+        for t in tb.enumerate_std(shape, offset=3):
+            assert hash(t) == hash((t.shape, t.offset, t.column_word))
 
 
 def test_value_class_defaults():

@@ -1192,16 +1192,6 @@ def twist(g: wg.SColoredGraph) -> wg.SColoredGraph:
     return wg.SColoredGraph(g.n, [full - s for s in g.tau], mu, labels)
 
 
-def equal_by_labels(g: wg.SColoredGraph, h: wg.SColoredGraph) -> bool:
-    """Whether g and h have the same colours and weights under the vertex
-    bijection that matches equal labels."""
-    where = {label: v for v, label in enumerate(h.labels)}
-    image = [where.get(label) for label in g.labels]
-    if None in image or len(set(image)) != h.num_vertices:
-        return False
-    return hecke.graphs_equal_under(g, h, image)
-
-
 def duality_failures(n: int) -> list:
     """The partitions lam of n on which build_cell_graph(conjugate(lam)) is
     not twist(build_cell_graph(lam)) under t -> transpose(t).
@@ -1215,8 +1205,12 @@ def duality_failures(n: int) -> list:
         dual = tb.conjugate(lam)
         if dual > lam:
             continue
-        g = builder.build_cell_graph(lam)
-        h = g if dual == lam else builder.build_cell_graph(dual)
-        if not equal_by_labels(twist(g), h):
+        h = builder.build_cell_graph(lam)
+        g = twist(h)
+        if dual != lam:
+            h = builder.build_cell_graph(dual)
+        where = {label: v for v, label in enumerate(h.labels)}
+        image = [where.get(label) for label in g.labels]  # labels are distinct tableaux
+        if None in image or not hecke.graphs_equal_under(g, h, image):
             failures += [lam] if dual == lam else [lam, dual]
     return failures

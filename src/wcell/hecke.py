@@ -372,12 +372,9 @@ class _Columns(dict):
                 acc[sy] = acc[y] = p
         lv, bound = lengths[v], 2 * bounds[v]
         for y, p in cv.items():
-            # mu(y, v) read inline: a _mu call per entry costs time here
-            d = lv - lengths[y]
-            if d & 1 and s_times[y] < y:
-                if p & _GUARDS:
-                    raise AssertionError("a KL coefficient left its field")
-                m = p >> (d >> 1) * width & _FIELD
+            if s_times[y] < y:
+                d = lv - lengths[y]
+                m = _mu(p, d)
                 if m:
                     shift = (d + 1) // 2 * width
                     for z, pz in self[y].items():

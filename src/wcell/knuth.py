@@ -32,29 +32,32 @@ class DKMove(NamedTuple):
     index: int
 
 
-def _move_kinds(a: StandardTableau, b: StandardTableau, k: int):
-    """Kinds i such that a ->*i b via the exchange of k and k+1."""
-    da, db = a.descents, b.descents
+def _move_kinds(w, r: int):
+    """Kinds i such that exchanging the ascent w[r-1] < w[r] of a column word
+    is a move ->*i, where k is the entry of w[r-1]: the descent pattern at
+    {k-1, k} flips from {k-1} to {k} (kind 1), or at {k, k+1} from {k+1} to
+    {k} (kind 2).  A descent e has col(e) >= col(e+1)."""
     kinds = []
-    # first kind: pattern at {k-1, k} flips from {k-1} to {k}
-    if da & {k - 1, k} == {k - 1} and db & {k - 1, k} == {k}:
+    if r > 1 and w[r - 1] <= w[r - 2] < w[r]:
         kinds.append(1)
-    # second kind: pattern at {k, k+1} flips from {k+1} to {k}
-    if da & {k, k + 1} == {k + 1} and db & {k, k + 1} == {k}:
+    if r + 1 < len(w) and w[r - 1] < w[r + 1] <= w[r]:
         kinds.append(2)
     return kinds
 
 
 def dk_moves_from(t: StandardTableau) -> list[DKMove]:
-    """All dual Knuth moves with t as source or target."""
+    """All dual Knuth moves with t as source or target.
+
+    A move at k starts from the tableau where k is an ascent, so each
+    strong pair is tested once, on the letters of that tableau's word."""
     moves = []
     dd = t.descent_data()
     for k in sorted(dd.sa | dd.sd):
         other = tb.swap_adjacent(t, k)
-        for kind in _move_kinds(t, other, k):
-            moves.append(DKMove(t, other, kind, k))
-        for kind in _move_kinds(other, t, k):
-            moves.append(DKMove(other, t, kind, k))
+        r = k - t.offset
+        source, target = (t, other) if t.column_word[r - 1] < t.column_word[r] else (other, t)
+        for kind in _move_kinds(source.column_word, r):
+            moves.append(DKMove(source, target, kind, k))
     return moves
 
 
@@ -62,11 +65,13 @@ def is_dk_edge(u: StandardTableau, t: StandardTableau) -> bool:
     """Whether u and t are related by a single dual Knuth move."""
     if u.shape != t.shape or u.offset != t.offset:
         return False
-    diff = [e for e, a, b in zip(u.entries(), u.boxes, t.boxes) if a != b]
+    uw, tw = u.column_word, t.column_word
+    diff = [r for r, (a, b) in enumerate(zip(uw, tw)) if a != b]
     if len(diff) != 2 or diff[1] != diff[0] + 1:
         return False
-    k = diff[0]
-    return bool(_move_kinds(u, t, k) or _move_kinds(t, u, k))
+    # within one shape, two consecutive differing letters are an exchange
+    r = diff[1]
+    return bool(_move_kinds(uw if uw[r - 1] < uw[r] else tw, r))
 
 
 def k_neighbour(t: StandardTableau, k: int) -> StandardTableau:

@@ -48,10 +48,6 @@ class Permutation(_PermutationFields):
         return Permutation(int(part) for part in s.split(","))
 
 
-def identity(n: int) -> Permutation:
-    return Permutation(range(1, n + 1))
-
-
 def multiply(x: Permutation, y: Permutation) -> Permutation:
     """The composite x∘y, acting on the left: i -> x(y(i))."""
     if x.n != y.n:
@@ -67,15 +63,9 @@ def inverse(w: Permutation) -> Permutation:
     return Permutation(inv)
 
 
-def apply_s(i: int, w: Permutation) -> Permutation:
-    """The product s_i * w: swap the values i and i+1 in the image sequence."""
-    if not 1 <= i <= w.n - 1:
-        raise IndexError(f"generator index {i} out of range for n={w.n}")
-    return Permutation(apply_s_images(i, w.images))
-
-
 def apply_s_images(i: int, images: tuple) -> tuple:
-    """apply_s on one-line images, for 1 <= i < len(images), unchecked."""
+    """s_i * w on the one-line images of w, for 1 <= i < len(images),
+    unchecked: the values i and i+1 swap places."""
     out = list(images)
     a, b = images.index(i), images.index(i + 1)
     out[a], out[b] = i + 1, i
@@ -87,17 +77,8 @@ def inversions(images) -> int:
     return sum(1 for a, b in combinations(images, 2) if a > b)
 
 
-def length(w: Permutation) -> int:
-    """Coxeter length = number of inversions."""
-    return inversions(w.images)
-
-
-def left_descents(w: Permutation) -> frozenset[int]:
-    """Indices i with l(s_i w) < l(w): the value i appears after i+1."""
-    return left_descents_images(w.images)
-
-
 def left_descents_images(images: tuple) -> frozenset[int]:
-    """left_descents on one-line images."""
+    """The left descents of w from its one-line images: the i with
+    l(s_i w) < l(w), where the value i appears after i+1."""
     pos = {v: p for p, v in enumerate(images)}
     return frozenset(i for i in range(1, len(images)) if pos[i] > pos[i + 1])

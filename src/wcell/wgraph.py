@@ -32,7 +32,7 @@ and filled in: the rows of a normal-shape tableau joined by "/", each row its
 positive entries in ASCII digits without leading zeros, joined by single
 spaces; ``""`` is the empty tableau.  It holds only digits, spaces and "/",
 so it needs no JSON escaping, and the loader accepts no other label text.
-The loader checks each distinct colour list once; it rejects a colour above
+The loader checks each colour list item by item; it rejects a colour above
 MAX_COLOUR, and two weight entries for one (from, to) pair, whatever weights.
 """
 
@@ -154,20 +154,15 @@ class CellDecomposition(NamedTuple):
         return b1 in self.closure[b2]
 
 
-def cells(g: SColoredGraph) -> CellDecomposition:
-    """SCCs of the arc digraph, with the condensation reachability order."""
-    nv, masks = g.num_vertices, g.masks
-    # succ[v]: the heads u of the arcs v -> u, in the order of g.mu
-    succ: list[list[int]] = [[] for _ in masks]
-    for u, v in g.mu:
-        if masks[u] & ~masks[v]:
-            succ[v].append(u)
+def _sccs(succ) -> list[frozenset[int]]:
+    """Tarjan's SCCs of the digraph succ[v] lists the heads of, on an explicit
+    stack, in the order emitted: each block comes after every block it reaches."""
+    nv = len(succ)
     index = [-1] * nv
     low = [0] * nv
     on_stack = [False] * nv
     stack: list[int] = []
     blocks: list[frozenset[int]] = []
-    block_of = [-1] * nv
     counter = 0
     for root in range(nv):
         if index[root] != -1:
@@ -199,25 +194,39 @@ def cells(g: SColoredGraph) -> CellDecomposition:
                     u = stack.pop()
                     on_stack[u] = False
                     comp.append(u)
-                    block_of[u] = len(blocks)
                     if u == v:
                         break
                 blocks.append(frozenset(comp))
             if work:
                 parent = work[-1][0]
                 low[parent] = min(low[parent], low[v])
-    nb = len(blocks)
-    succ_blocks: list[set[int]] = [set() for _ in range(nb)]
-    for v in range(nv):
-        for u in succ[v]:
+    return blocks
+
+
+def cells(g: SColoredGraph) -> CellDecomposition:
+    """SCCs of the arc digraph, with the condensation reachability order."""
+    masks = g.masks
+    # succ[v]: the heads u of the arcs v -> u, in the order of g.mu
+    succ: list[list[int]] = [[] for _ in masks]
+    for u, v in g.mu:
+        if masks[u] & ~masks[v]:
+            succ[v].append(u)
+    blocks = _sccs(succ)
+    block_of = [-1] * len(masks)
+    for b, block in enumerate(blocks):
+        for u in block:
+            block_of[u] = b
+    succ_blocks: list[set[int]] = [set() for _ in blocks]
+    for v, heads in enumerate(succ):
+        for u in heads:
             if block_of[u] != block_of[v]:
                 succ_blocks[block_of[v]].add(block_of[u])
-    closure: list[frozenset[int]] = [frozenset()] * nb
-    # Tarjan emits blocks in reverse topological order of the condensation,
+    closure: list[frozenset[int]] = [frozenset()] * len(blocks)
+    # _sccs emits blocks in reverse topological order of the condensation,
     # so successors are already closed when a block is processed.
-    for b in range(nb):
+    for b, succ_b in enumerate(succ_blocks):
         acc = {b}
-        for c in succ_blocks[b]:
+        for c in succ_b:
             acc.update(closure[c])
         closure[b] = frozenset(acc)
     return CellDecomposition(tuple(blocks), tuple(block_of), tuple(closure))
@@ -236,28 +245,9 @@ def _simple_adjacency(g: SColoredGraph) -> list[list[int]]:
     return edges_at
 
 
-def _components(edges_at) -> list[frozenset[int]]:
-    """Connected components of an adjacency list, ordered by least vertex."""
-    parts: list[frozenset[int]] = []
-    seen: set[int] = set()
-    for root in range(len(edges_at)):
-        if root in seen:
-            continue
-        part = {root}
-        frontier = [root]
-        while frontier:
-            for u in edges_at[frontier.pop()]:
-                if u not in part:
-                    part.add(u)
-                    frontier.append(u)
-        seen |= part
-        parts.append(frozenset(part))
-    return parts
-
-
 def simple_parts(g: SColoredGraph) -> list[frozenset[int]]:
-    """Connected components after deleting arcs and non-simple edges."""
-    return _components(_simple_adjacency(g))
+    """Connected components of the simple edges (SCCs of a symmetric graph), by least vertex."""
+    return sorted(_sccs(_simple_adjacency(g)), key=min)
 
 
 class MoleculeTypingError(ValueError):
@@ -323,7 +313,7 @@ def molecule_types(g: SColoredGraph):
     from .builder import cell_index  # builder imports this module
 
     edges_at = _simple_adjacency(g)
-    parts = _components(edges_at)
+    parts = sorted(_sccs(edges_at), key=min)
     indexes: dict = {}
     types = []
     for part in parts:
@@ -793,7 +783,7 @@ def to_json_str(g: SColoredGraph) -> str:
 
 def _expect(x, kind: type, what: str):
     """x itself, if it is a JSON value of the given type (a bool is no int)."""
-    if not isinstance(x, kind) or (kind is int and isinstance(x, bool)):
+    if type(x) is not kind and (not isinstance(x, kind) or (kind is int and isinstance(x, bool))):
         raise ValueError(f"{what} must be {kind.__name__}, got {x!r}")
     return x
 
@@ -812,8 +802,8 @@ MAX_COLOUR = 65535
 
 def from_json_obj(obj: dict) -> SColoredGraph:
     """The graph of a parsed document; raises ValueError on a document of the
-    wrong shape.  Each distinct colour list, keyed by its items and their types, is checked
-    once; the lists of one colour, in any order, get one frozenset, as the builder's do."""
+    wrong shape.  Each colour list is checked item by item; the lists of one
+    colour, in any order, get one frozenset, as the builder's do."""
     _expect(obj, dict, "graph document")
     n = _field(obj, "n", int)
     if n < 1:
@@ -821,31 +811,24 @@ def from_json_obj(obj: dict) -> SColoredGraph:
     vertices = _field(obj, "vertices", list)
     tau, labels, targets, shared = [None] * len(vertices), [None] * len(vertices), set(), {}
     for r in vertices:
-        if type(r) is not dict:
-            _expect(r, dict, "vertex")
-        v = r["id"] if type(r.get("id")) is int else _field(r, "id", int)
+        _expect(r, dict, "vertex")
+        v = _field(r, "id", int)
         if not 0 <= v < len(tau) or tau[v] is not None:
             raise ValueError("vertex ids must be 0..N-1")
-        colours = r["tau"] if type(r.get("tau")) is list else _field(r, "tau", list)
-        try:
-            tau[v] = shared[(*colours, *map(type, colours))]
-        except (KeyError, TypeError):  # a colour list not seen yet, or one holding a list or dict
-            for c in colours:
-                if type(c) is not int:
-                    raise ValueError(f"colour must be int, got {c!r}") from None
-                if c > MAX_COLOUR:
-                    raise ValueError(f"colour {c} is above {MAX_COLOUR}") from None
-            s = frozenset(colours)
-            tau[v] = shared[(*colours, *map(type, colours))] = shared.setdefault(s, s)
+        colours = _field(r, "tau", list)
+        for c in colours:
+            if type(c) is not int:
+                raise ValueError(f"colour must be int, got {c!r}")
+            if c > MAX_COLOUR:
+                raise ValueError(f"colour {c} is above {MAX_COLOUR}")
+        s = frozenset(colours)
+        tau[v] = shared.setdefault(s, s)
         label = r.get("label")
         if label is not None:
-            if type(label) is not dict:
-                _expect(label, dict, "label")
-            text = label["tableau"] if type(label.get("tableau")) is str else _field(label, "tableau", str)
-            t = tb.from_text(text)
+            _expect(label, dict, "label")
+            t = tb.from_text(_field(label, "tableau", str))
             targets.add((t.size, t.offset))
-            m = label["molecule"] if type(label.get("molecule")) is int else _field(label, "molecule", int)
-            labels[v] = (m, t)
+            labels[v] = (_field(label, "molecule", int), t)
     if len(targets) > 1:
         raise ValueError("label tableaux must all hold the same entries")
     mu = {}

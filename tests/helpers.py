@@ -10,6 +10,7 @@ of S_n, which only tests need.
 import re
 from bisect import bisect_left, insort
 from collections import Counter
+from functools import cache
 from heapq import merge
 from itertools import permutations
 
@@ -20,8 +21,29 @@ from wcell import tableaux as tb
 from wcell import wgraph as wg
 from wcell.knuth import _between_boxes, _graft, _prefix_with_top, restriction_number
 from wcell.laurent import LaurentPolynomial, ONE, Q, QINV
-from wcell.permutations import Permutation, apply_s, left_descents, length
+from wcell.permutations import Permutation, apply_s_images, inversions, left_descents_images
 from wcell.tableaux import StandardTableau
+
+
+def identity(n: int) -> Permutation:
+    return Permutation(range(1, n + 1))
+
+
+def apply_s(i: int, w: Permutation) -> Permutation:
+    """The product s_i * w: swap the values i and i+1 in the image sequence."""
+    if not 1 <= i <= w.n - 1:
+        raise IndexError(f"generator index {i} out of range for n={w.n}")
+    return Permutation(apply_s_images(i, w.images))
+
+
+def length(w: Permutation) -> int:
+    """Coxeter length = number of inversions."""
+    return inversions(w.images)
+
+
+def left_descents(w: Permutation) -> frozenset[int]:
+    """Indices i with l(s_i w) < l(w): the value i appears after i+1."""
+    return left_descents_images(w.images)
 
 
 def longest_element(n: int) -> Permutation:
@@ -1213,4 +1235,86 @@ def duality_failures(n: int) -> list:
         image = [where.get(label) for label in g.labels]  # labels are distinct tableaux
         if None in image or not hecke.graphs_equal_under(g, h, image):
             failures += [lam] if dual == lam else [lam, dual]
+    return failures
+
+
+# ---------------------------------------------------------------------------
+# Young-subgroup restriction: restricted to S_k x S_{n-k}, the cell of lam
+# splits into cells of product graphs.  A weight of the product joins two
+# pairs that agree in one factor and carries that factor's weight.
+
+
+def _descent_mask(t: StandardTableau) -> int:
+    return sum(1 << i for i in t.descents)
+
+
+def _restriction_fault(g: wg.SColoredGraph, k: int, factor):
+    """None if the restriction of g to J = {1..n-1} - {k} satisfies the
+    identity of restriction_failures, else what first fails; factor(shape)
+    is the built graph of shape."""
+    r = wg.restrict(g, set(range(1, g.n)) - {k})
+    pairs = []
+    for _, t in g.labels:
+        rect = rsk.rectify(tb.restrict_gt(t, k))
+        pairs.append((tb.restrict_leq(t, k), StandardTableau(rect.shape, rect.column_word)))
+    shapes = [(p.shape.outer, q.shape.outer) for p, q in pairs]
+    cells = wg.cells(r)
+    inside = [{} for _ in cells.blocks]
+    for (u, v), w in r.mu.items():
+        if cells.block_of[u] == cells.block_of[v]:
+            inside[cells.block_of[u]][u, v] = w
+    found = Counter()
+    for block, weights in zip(cells.blocks, inside):
+        if len({shapes[v] for v in block}) != 1:
+            return ("shapes", sorted(block))
+        mu, nu = shapes[min(block)]
+        hm, hn = factor(mu), factor(nu)
+        where = {pairs[v]: v for v in block}
+        if not len(where) == len(block) == hm.num_vertices * hn.num_vertices:
+            return ("not a bijection", mu, nu, sorted(block))
+        bad = [v for v in block if r.masks[v] != _descent_mask(pairs[v][0]) | _descent_mask(pairs[v][1]) << k]
+        if bad:
+            return ("masks", min(bad))
+        product = {}
+        for (a, b), w in hm.mu.items():
+            for _, q in hn.labels:
+                product[where[hm.labels[a][1], q], where[hm.labels[b][1], q]] = w
+        for (a, b), w in hn.mu.items():
+            for _, p in hm.labels:
+                product[where[p, hn.labels[a][1]], where[p, hn.labels[b][1]]] = w
+        if weights != product:
+            return ("weights", min(weights.items() ^ product.items()))
+        found[mu, nu] += 1
+    expected = Counter(
+        shape for (p, q), shape in zip(pairs, shapes) if p == tb.tau_min(p.shape) and q == tb.tau_min(q.shape)
+    )
+    if found != expected:
+        return ("cell counts", sorted(found.items()), sorted(expected.items()))
+    return None
+
+
+def restriction_failures(n: int, graphs=None) -> list:
+    """(lam, k, fault) for each lam of n and k in 1..n-1 at which the Young
+    restriction identity fails on build_cell_graph(lam), or on graphs[lam]
+    where graphs gives one.
+
+    Restrict to J = {1..n-1} - {k} with wg.restrict and map each vertex t to
+    the pair P = restrict_leq(t, k), R = rsk.rectify(restrict_gt(t, k)) with
+    its offset dropped.  Each block of wg.cells then maps bijectively onto
+    STD(mu) x STD(nu) for one pair of shapes; its colour masks are
+    m(P) | m(R) << k, m the descent mask; its weights are those of the
+    product of build_cell_graph(mu) and build_cell_graph(nu); and the blocks
+    of (mu, nu) number the t with P = tau_min(mu) and R = tau_min(nu), the
+    Littlewood-Richardson coefficient (Haiman).  Each factor graph is built
+    once, by the builder.
+    """
+    graphs = graphs or {}
+    factor = cache(builder.build_cell_graph)
+    failures = []
+    for lam in tb.partitions_of(n):
+        g = graphs[lam] if lam in graphs else builder.build_cell_graph(lam)
+        for k in range(1, n):
+            fault = _restriction_fault(g, k, factor)
+            if fault is not None:
+                failures.append((lam, k, fault))
     return failures

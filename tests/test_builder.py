@@ -340,3 +340,37 @@ def test_duality_fails_on_a_bumped_weight(monkeypatch):
     monkeypatch.setattr(builder, "build_cell_graph", build_bumped)
     monkeypatch.setattr(builder, "mu_probable", weigh_bumped)
     assert helpers.duality_failures(6)
+
+
+def test_twisted_cells_pass_every_rule_and_the_hecke_relations():
+    # a twisted cell is the cell of the conjugate shape, so it is ordered on
+    # its transposed labels too
+    for n in range(1, 9):
+        for lam in tb.partitions_of(n):
+            g = helpers.twist(builder.build_cell_graph(lam))
+            assert all(wg.run_checks(g)), lam
+            assert hecke.verify_hecke_relations(g), lam
+
+
+# ---------------------------------------------------------------------------
+# Young-subgroup restriction
+
+
+def test_young_restrictions_are_products_of_cells():
+    for n in range(1, 9):
+        assert helpers.restriction_failures(n) == [], n
+
+
+def test_restriction_fails_on_a_bumped_one_way_weight():
+    # one more on the first one-way weight of each graph of n = 6 that has
+    # one, the factor graphs built correctly: some k fails on each
+    bumped = {}
+    for lam in tb.partitions_of(6):
+        g = builder.build_cell_graph(lam)
+        key = next((key for key in g.mu if key[::-1] not in g.mu), None)
+        if key is not None:
+            mu = dict(g.mu)
+            mu[key] += 1
+            bumped[lam] = wg.SColoredGraph(g.n, g.tau, mu, g.labels)
+    assert len(bumped) == 5
+    assert {lam for lam, _, _ in helpers.restriction_failures(6, bumped)} == set(bumped)

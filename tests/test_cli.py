@@ -171,8 +171,8 @@ _GOOD = {
         for text in (" 1", "1  2", "1\n2", "\u0661", "/")
     ]
     + [
-        # colour lists the loader checks once per distinct list: an unhashable
-        # item must not escape as a TypeError, and a list equal to a checked
+        # colour lists, which the loader checks item by item: an unhashable
+        # item must not escape as a TypeError, and a list equal to a good
         # one ([true] == [1], [1.0] == [1]) must not pass on its equality
         {**_GOOD, "vertices": [{"id": 0, "tau": colours, "label": None}]}
         for colours in ([[]], [{}], [1.5], [True], ["1"], [1, [2]])

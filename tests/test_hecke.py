@@ -16,18 +16,15 @@ from helpers import (
     all_permutations,
     bruhat_leq,
     kl_table_slow,
+    left_descents,
+    length,
     verify_hecke_relations_composed,
 )
 from wcell import hecke
 from wcell import tableaux as tb
 from wcell import wgraph as wg
 from wcell.laurent import LaurentPolynomial, ONE, Q, QINV
-from wcell.permutations import (
-    Permutation,
-    inversions,
-    length,
-    left_descents,
-)
+from wcell.permutations import Permutation, inversions
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 import pytest
 
-from helpers import all_permutations, bruhat_closure, bruhat_leq, longest_element, right_descents
-from wcell.permutations import Permutation, apply_s, identity, inverse, left_descents, length, multiply
+from helpers import all_permutations, apply_s, bruhat_closure, bruhat_leq, identity, left_descents, length
+from helpers import longest_element, right_descents
+from wcell.permutations import Permutation, inverse, multiply
 
 
 def test_identity_has_no_descents():

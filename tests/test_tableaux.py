@@ -5,10 +5,10 @@ from itertools import product
 import pytest
 
 import helpers
-from helpers import act, all_skew_shapes, brute_partitions, bruhat_leq, compositions, lex_geq_composition
+from helpers import act, all_skew_shapes, brute_partitions, bruhat_leq, compositions, identity
+from helpers import lex_geq_composition
 from helpers import extended_dominance_leq as dominance_reference
 from wcell import tableaux as tb
-from wcell.permutations import identity
 
 
 # ---------------------------------------------------------------------------

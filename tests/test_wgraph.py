@@ -160,6 +160,35 @@ def test_cell_order_matches_reachability():
     assert dec.leq(b1, b0) and not dec.leq(b0, b1)
 
 
+def test_a_long_cycle_is_one_cell_and_one_simple_part():
+    # an even cycle of 10^5 simple edges, colours alternating {1} / {2}:
+    # cells and simple_parts share one search on explicit stacks, which a
+    # recursion 10^5 deep would not survive
+    nv = 10**5
+    mu = {}
+    for v in range(nv):
+        mu[v, (v + 1) % nv] = mu[(v + 1) % nv, v] = 1
+    g = wg.SColoredGraph(3, [{1 + v % 2} for v in range(nv)], mu)
+    start = time.perf_counter()
+    assert wg.cells(g).blocks == (frozenset(range(nv)),)
+    assert wg.simple_parts(g) == [frozenset(range(nv))]
+    assert time.perf_counter() - start < 5
+
+
+def test_young_restrictions_close_cells_downwards_and_order_parts(built):
+    # every block reaches only blocks emitted before it, and the simple
+    # parts come by least vertex, as the reference sorts them, on each
+    # Young restriction of n <= 7
+    for n in range(1, 8):
+        for lam in tb.partitions_of(n):
+            g = built(lam)
+            for k in range(n):
+                r = g if k == 0 else wg.restrict(g, set(range(1, n)) - {k})
+                dec = wg.cells(r)
+                assert all(c <= set(range(b + 1)) for b, c in enumerate(dec.closure)), (lam, k)
+                assert wg.simple_parts(r) == helpers.simple_parts(r), (lam, k)
+
+
 # ---------------------------------------------------------------------------
 # simple parts and molecule types
 

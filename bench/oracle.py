@@ -1,14 +1,14 @@
 """Time the KL oracle on every shape of n, and its peak RSS, before and after a change.
 
-For n = 6, 7 and 8, runs kl_left_cell_graph(lam) for every partition lam of
-n, on the --before source tree and on this checkout's src, ROUNDS rounds,
-the sides alternating which goes first.  Every run is a fresh interpreter
-that reports its own seconds, ru_maxrss, the KL columns it made (calls of
-_Columns.__missing__) and a digest of the graphs; every run of both trees
-must give the same digest and column count.  Each side's row keeps every
-run's seconds and peak RSS with their median and quartiles.  As
-`wcell oracle` does, the run shares one column store, kl_columns(n, ()),
-across the shapes.
+For n = 6, 7 and 8, runs kl_left_cell_graph(lam, columns) for every
+partition lam of n, on the --before source tree and on this checkout's src,
+ROUNDS rounds, the sides alternating which goes first.  As `wcell oracle`
+does, the run makes one column store, columns = kl_columns(n, ()), which
+checks the oracle bound, and shares it across the shapes.  Every run is a
+fresh interpreter that reports its own seconds, ru_maxrss, the KL columns
+it made (calls of _Columns.__missing__) and a digest of the graphs; every
+run of both trees must give the same digest and column count.  Each side's
+row keeps every run's seconds and peak RSS with their median and quartiles.
 
 Run from the repository root, with the parent commit's tree unpacked
 somewhere, for example:

@@ -17,7 +17,7 @@ the column word of each vertex (the column of each entry 1..n, which
 determines the tableau), the same word as one integer (tb.pack) and the
 dict from that integer to the vertex, the descent bitmasks (d is a descent
 when col(d) >= col(d+1)), which also give the colours, and the one weight
-table, cols[t] = {u: mu(u, t)}, the layout of SColoredGraph.column, with
+table, cols[t] = {u: mu(u, t)}, the weights into t, with
 the parity and largest strong descent of each vertex and the two memos of
 mu_probable.  The rest runs on these integers: s_i t is the word with the
 letters of i and i+1 exchanged, tb.swap_packed of its integer.

@@ -97,13 +97,13 @@ def _cmd_oracle(args) -> int:
     n = args.n
     if n < 1:
         raise _UsageError(f"--n must be at least 1, got {n}")
-    hecke.check_oracle_bound(n)
+    # one store for every shape, made first: it checks the bound before any
+    # work, their cells reach the same short elements, and each KL column is
+    # made once; it goes when the command returns
+    columns = hecke.kl_columns(n, ())
     shapes = tb.partitions_of(n) if args.shape is None else [_parse_shape(args.shape)]
     if args.shape is not None and sum(shapes[0]) != n:
         raise _UsageError(f"shape {args.shape} is not a partition of {n}")
-    # one store for every shape: their cells reach the same short elements,
-    # and each KL column is made once; it goes when the command returns
-    columns = hecke.kl_columns(n, ())
     failures = 0
     for lam in shapes:
         g = builder.build_cell_graph(lam)

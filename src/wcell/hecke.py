@@ -11,13 +11,14 @@ The Kazhdan-Lusztig polynomials P_{y,w} come from the usual recursion
 C_{sw} = C_s C_w - sum mu(y, w) C_y, one column P_{.,w} at a time, kept as
 ints (see _Columns) and keyed by the one-line images of the elements.  Each
 column is made when first asked for, from the columns it needs, and kept
-only as long as the caller holds the store.  kl_left_cell_graph asks only
-for the columns of one cell's elements (or of their images under
-w -> w w0, when those are shorter), in a store of its own or in one the
+only as long as the caller holds the store.  kl_columns makes the store,
+and is the one place that checks the bound WCELL_ORACLE_MAX on n.
+kl_left_cell_graph asks only for the columns of one cell's elements (or of
+their images under w -> w w0, when those are shorter), in the store the
 caller passes; the recursion takes every cell of S_n down through the same
 short elements, so a store shared by the shapes of one n makes each of
 those columns once.  kl_table asks for every column of S_n; only tests
-and benchmarks call it.  Both stop at the one bound WCELL_ORACLE_MAX on n.
+and benchmarks call it.
 None of this is consulted by the cell builder; it exists to validate
 builder output on small ranks.
 
@@ -52,14 +53,6 @@ def oracle_bound() -> int:
 
 class OracleBoundError(ValueError):
     pass
-
-
-def check_oracle_bound(n: int) -> None:
-    """Raise OracleBoundError when n exceeds oracle_bound()."""
-    bound = oracle_bound()
-    if n > bound:
-        msg = f"n={n} exceeds the oracle bound {bound}; raise WCELL_ORACLE_MAX to override"
-        raise OracleBoundError(msg)
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +391,12 @@ def kl_columns(n: int, wanted) -> _Columns:
     call starts afresh, from the identity alone; the result is the one store
     that keeps them, and later reads of it make and keep whatever else they
     reach.  kl_columns(n, ()) is an empty store for kl_left_cell_graph.
+    Raises OracleBoundError, before any work, when n exceeds oracle_bound().
     """
+    bound = oracle_bound()
+    if n > bound:
+        msg = f"n={n} exceeds the oracle bound {bound}; raise WCELL_ORACLE_MAX to override"
+        raise OracleBoundError(msg)
     columns = _Columns(n)
     for w in wanted:
         columns[w]  # made on first read
@@ -407,7 +405,6 @@ def kl_columns(n: int, wanted) -> _Columns:
 
 def kl_table(n: int) -> _Columns:
     """Every P_{y,w} of S_n: kl_columns over all of S_n, within the oracle bound."""
-    check_oracle_bound(n)
     return kl_columns(n, itertools.permutations(range(1, n + 1)))
 
 
@@ -415,7 +412,7 @@ def kl_table(n: int) -> _Columns:
 # oracle graphs
 
 
-def _oracle_graph(n: int, words, labels, columns, flip: bool) -> wg.SColoredGraph:
+def _oracle_graph(words, labels, columns, flip: bool) -> wg.SColoredGraph:
     """The W-graph on the one-line images words of elements of S_n: left
     descent sets as colours and mu values as weights, stored only where
     they define arcs.
@@ -441,10 +438,10 @@ def _oracle_graph(n: int, words, labels, columns, flip: bool) -> wg.SColoredGrap
                     if not tau[b] <= tau[a]:
                         mu[(b, a)] = m
     # n = 1 for S_0 as in build_cell_graph(()): a graph document needs n >= 1
-    return wg.SColoredGraph(max(n, 1), tau, mu, labels)
+    return wg.SColoredGraph(max(columns.n, 1), tau, mu, labels)
 
 
-def kl_left_cell_graph(lam, columns=None) -> wg.SColoredGraph:
+def kl_left_cell_graph(lam, columns) -> wg.SColoredGraph:
     """The left-cell graph on the reading words of STD(lam), labelled by tableaux.
 
     Vertices follow the lexicographic order of the tableaux.  Only the KL
@@ -452,23 +449,19 @@ def kl_left_cell_graph(lam, columns=None) -> wg.SColoredGraph:
     are longer than half of l(w0) on average, the columns of the shorter
     elements w w0 (one-line images reversed) are used instead.
 
-    columns, when given, is a store for S_n made by kl_columns(n, ()): the
-    columns are read from it, and whatever the recursion makes is added to
-    it, so the shapes of one n that share it make each column once.  None
-    gives the call a fresh store of its own.  A store for another n raises
-    ValueError.
+    columns is a store for S_n made by kl_columns(n, ()): the columns are
+    read from it, and whatever the recursion makes is added to it, so the
+    shapes of one n that share it make each column once.  A store for
+    another n raises ValueError.
     """
     lam = tb.check_partition(lam)
     n = sum(lam)
-    check_oracle_bound(n)
-    if columns is None:
-        columns = kl_columns(n, ())
-    elif columns.n != n:
+    if columns.n != n:
         raise ValueError(f"a KL column store for S_{columns.n} cannot serve the shape {lam} of {n}")
     tabs = tb.enumerate_std(lam)
     words = [tb.word_images(t) for t in tabs]
     flip = 2 * sum(map(columns.lengths.__getitem__, words)) > len(words) * (n * (n - 1) // 2)
-    return _oracle_graph(n, words, tuple((0, t) for t in tabs), columns, flip)
+    return _oracle_graph(words, tuple((0, t) for t in tabs), columns, flip)
 
 
 def graphs_equal_under(g1: wg.SColoredGraph, g2: wg.SColoredGraph, bijection) -> bool:

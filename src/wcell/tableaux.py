@@ -261,12 +261,10 @@ class StandardTableau(_TableauFields):
         """Entries of each internal row, leftmost column first; taken in
         increasing order, they fill each row from the left.  For skew shapes
         the leading inner boxes of a row are omitted."""
-        heights = _inner_heights(self.shape)
-        depth = max((o for o, h in zip(self.shape.outer, heights) if o > h), default=0)
-        rows: list[list[int]] = [[] for _ in range(depth)]
-        for e, c in enumerate(self.column_word, self.offset + 1):
-            rows[heights[c - 1]].append(e)
-            heights[c - 1] += 1
+        boxes = self.boxes
+        rows: list[list[int]] = [[] for _ in range(max((r for r, _ in boxes), default=0))]
+        for e, (r, _c) in enumerate(boxes, self.offset + 1):
+            rows[r - 1].append(e)
         return rows
 
     def text(self) -> str:
@@ -285,17 +283,15 @@ class StandardTableau(_TableauFields):
     def descent_data(self) -> "DescentData":
         """i+1 left of i: sd; below it: wd; right and higher: sa; right, not higher: wa."""
         sa, sd, wa, wd = set(), set(), set(), set()
-        heights = _inner_heights(self.shape)
         row = col = 0  # the box of i, none before the first entry
-        for i, c in enumerate(self.column_word, self.offset):
-            heights[c - 1] += 1
+        for i, (r, c) in enumerate(self.boxes, self.offset):
             if col > c:
                 sd.add(i)
             elif col == c:
                 wd.add(i)
             elif col:
-                (sa if row > heights[c - 1] else wa).add(i)
-            row, col = heights[c - 1], c
+                (sa if row > r else wa).add(i)
+            row, col = r, c
         return DescentData(frozenset(sa), frozenset(sd), frozenset(wa), frozenset(wd))
 
     @property

@@ -506,7 +506,7 @@ def kl_regular_graph(n: int) -> wg.SColoredGraph:
     for _p, qtab in pairs:
         q_index.setdefault(qtab, len(q_index))
     labels = tuple((q_index[qtab], p) for p, qtab in pairs)
-    return hecke._oracle_graph(n, [w.images for w in elements], labels, hecke.kl_table(n), False)
+    return hecke._oracle_graph([w.images for w in elements], labels, hecke.kl_table(n), False)
 
 
 # ---------------------------------------------------------------------------

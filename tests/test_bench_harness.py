@@ -1,14 +1,14 @@
 import importlib.util
 import json
 import os
+import shlex
 import subprocess
 from pathlib import Path
 
 import pytest
 
-_SPEC = importlib.util.spec_from_file_location(
-    "harness", Path(__file__).resolve().parents[1] / "bench" / "harness.py"
-)
+_ROOT = Path(__file__).resolve().parents[1]
+_SPEC = importlib.util.spec_from_file_location("harness", _ROOT / "bench" / "harness.py")
 harness = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(harness)
 
@@ -77,3 +77,14 @@ def test_write_names_the_commit_and_whether_the_tree_differs_from_it(tmp_path, m
     assert [(r["commit"], r["dirty"]) for r in records] == [(head, False), (head, True)]
     assert list(records[0])[:4] == ["what", "command", "commit", "dirty"]
     assert records[0]["rows"] == [1]
+
+
+def test_every_record_names_an_existing_script_that_writes_it():
+    records = sorted(_ROOT.glob("BENCH_*.json"))
+    assert records
+    for record in records:
+        argv = shlex.split(json.loads(record.read_text())["command"])
+        script = argv[1]
+        assert argv[0] == "python3" and script.startswith("bench/") and script.endswith(".py")
+        assert (_ROOT / script).is_file(), f"{record.name} runs {script}, which is gone"
+        assert argv[argv.index("--out") + 1] == record.name, record.name

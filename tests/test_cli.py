@@ -348,6 +348,20 @@ def test_oracle_rank_above_the_bound_fails_before_any_work(monkeypatch, capsys):
     assert "n=60 exceeds the oracle bound 6" in err
 
 
+def test_oracle_reads_the_bound_once(monkeypatch, capsys):
+    # the one column store of the run checks it; the shapes do not
+    bound, read = hecke.oracle_bound, []
+
+    def counted():
+        read.append(1)
+        return bound()
+
+    monkeypatch.setattr(hecke, "oracle_bound", counted)
+    assert run(["oracle", "--n", "5"]) == 0
+    assert capsys.readouterr().out.count("EQUAL") == 7
+    assert len(read) == 1
+
+
 def _fresh_interpreter(*argv, stdout=subprocess.PIPE, **env):
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))

@@ -454,9 +454,9 @@ def test_cell_columns_are_made_afresh_on_each_call(monkeypatch):
         return make(self, w)
 
     monkeypatch.setattr(hecke._Columns, "__missing__", counted)
-    hecke.kl_left_cell_graph((3, 2, 1))
+    hecke.kl_left_cell_graph((3, 2, 1), hecke.kl_columns(6, ()))
     first = list(made)
-    hecke.kl_left_cell_graph((3, 2, 1))
+    hecke.kl_left_cell_graph((3, 2, 1), hecke.kl_columns(6, ()))
     assert first and made == first + first
 
 
@@ -464,7 +464,8 @@ def test_a_shared_store_gives_the_graphs_of_fresh_stores():
     for n in range(1, 8):
         columns = hecke.kl_columns(n, ())
         for lam in tb.partitions_of(n):
-            shared, fresh = hecke.kl_left_cell_graph(lam, columns), hecke.kl_left_cell_graph(lam)
+            shared = hecke.kl_left_cell_graph(lam, columns)
+            fresh = hecke.kl_left_cell_graph(lam, hecke.kl_columns(n, ()))
             assert (shared.tau, shared.mu, shared.labels) == (fresh.tau, fresh.mu, fresh.labels)
 
 
@@ -475,7 +476,7 @@ def test_a_store_shared_by_the_shapes_of_n_makes_each_column_once(made_columns):
     separate = 0
     for lam in shapes:
         before = len(made)
-        hecke.kl_left_cell_graph(lam)
+        hecke.kl_left_cell_graph(lam, hecke.kl_columns(6, ()))
         separate += 1 + len(made) - before
     assert separate == 198
     made.clear()
@@ -496,14 +497,14 @@ def test_a_store_for_another_n_is_refused():
 
 
 def test_left_cell_graph_smallest_shapes():
-    assert hecke.kl_left_cell_graph((2,)).num_vertices == 1
-    g = hecke.kl_left_cell_graph((2, 1))
+    assert hecke.kl_left_cell_graph((2,), hecke.kl_columns(2, ())).num_vertices == 1
+    g = hecke.kl_left_cell_graph((2, 1), hecke.kl_columns(3, ()))
     assert g.num_vertices == 2
     assert g.simple_edges() == [(0, 1)]
 
 
 def test_empty_shape_oracle_equals_the_builder_and_round_trips(built):
-    g = hecke.kl_left_cell_graph(())
+    g = hecke.kl_left_cell_graph((), hecke.kl_columns(0, ()))
     assert hecke.graphs_equal_under(built(()), g, [0])
     for oracle in (g, helpers.kl_regular_graph(0)):
         assert oracle.n == 1
@@ -521,11 +522,11 @@ def test_both_orientations_give_the_same_cell_graph():
             words = [tb.word_images(t) for t in tabs]
             labels = tuple((0, t) for t in tabs)
             plain, flipped = (
-                hecke._oracle_graph(n, words, labels, hecke.kl_columns(n, ()), f)
+                hecke._oracle_graph(words, labels, hecke.kl_columns(n, ()), f)
                 for f in (False, True)
             )
             assert (plain.tau, plain.mu, plain.labels) == (flipped.tau, flipped.mu, flipped.labels)
-            g = hecke.kl_left_cell_graph(lam)
+            g = hecke.kl_left_cell_graph(lam, hecke.kl_columns(n, ()))
             assert (g.tau, g.mu, g.labels) == (plain.tau, plain.mu, plain.labels)
             flips.add(2 * sum(map(inversions, words)) > len(words) * n * (n - 1) // 2)
     assert flips == {False, True}
@@ -535,22 +536,25 @@ def test_left_cell_graph_checks_the_bound_before_any_work(monkeypatch):
     def boom(*_args):
         raise AssertionError("work done before the bound check")
 
+    # a left-cell graph reads its columns from a store, and the store checks
+    # the bound before it is made
     monkeypatch.delenv("WCELL_ORACLE_MAX", raising=False)
-    monkeypatch.setattr(tb, "enumerate_std", boom)
-    monkeypatch.setattr(hecke, "kl_columns", boom)
+    monkeypatch.setattr(hecke, "_Columns", boom)
     with pytest.raises(hecke.OracleBoundError, match="n=8 exceeds the oracle bound 7"):
-        hecke.kl_left_cell_graph((4, 2, 2))
+        hecke.kl_columns(8, ())
 
 
 def test_left_cell_graph_vertex_counts():
     for n in range(1, 7):
+        columns = hecke.kl_columns(n, ())
         for lam in tb.partitions_of(n):
-            assert hecke.kl_left_cell_graph(lam).num_vertices == tb.hook_count(lam)
+            assert hecke.kl_left_cell_graph(lam, columns).num_vertices == tb.hook_count(lam)
 
 
 def test_left_cell_graphs_store_only_arc_weights():
+    columns = hecke.kl_columns(5, ())
     for lam in tb.partitions_of(5):
-        g = hecke.kl_left_cell_graph(lam)
+        g = hecke.kl_left_cell_graph(lam, columns)
         for (u, v), w in g.mu.items():
             assert not g.tau[u] <= g.tau[v]
 

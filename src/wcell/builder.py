@@ -250,7 +250,7 @@ def build_cell_graph(lam) -> wg.SColoredGraph:
     (0, tableau); the output is strongly connected, satisfies all four
     combinatorial rules, and is ordered.
     """
-    lam = tb.check_partition(lam) if lam else ()
+    lam = tb.check_partition(lam)
     tabs = tuple(tb.enumerate_std(lam))
     cell = cell_index(tabs)
     # (c) probable pairs of opposite parity, one lex-column at a time
@@ -261,7 +261,7 @@ def build_cell_graph(lam) -> wg.SColoredGraph:
             if w:
                 cell.cols[it][iu] = w
     mu = {(u, t): w for t, col in enumerate(cell.cols) for u, w in col.items()}
-    n = sum(lam) if lam else 1
+    n = max(sum(lam), 1)
     # one colour per distinct descent mask, shared by its vertices
     colour = {m: frozenset(wg._bits(m)) for m in set(cell.masks)}
     return wg.SColoredGraph(n, map(colour.__getitem__, cell.masks), mu, tuple((0, t) for t in tabs))

@@ -178,9 +178,10 @@ def favourable_set(u: StandardTableau, t: StandardTableau):
     if u == t:
         raise ValueError("favourable_set needs a pair of distinct tableaux")
     k, xi, boxes = _prefix_shape(u.column_word, t.column_word)
+    prefixes = tb.enumerate_std(xi)
     out = []
     for box in boxes:
-        for wp in tb.enumerate_std(xi):
+        for wp in prefixes:
             if wp.col_of(k) == box[1]:  # k, the largest entry, is on xi's box of that column
                 out.append((_graft(wp, u, k), _graft(wp, t, k)))
     return out

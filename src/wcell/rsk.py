@@ -81,7 +81,7 @@ def jdt_slide(t: StandardTableau, c) -> SlideRecord:
     """Slide into the inner-removable box c; the path moves weakly down-right."""
     c = tuple(c)
     inner = t.shape.inner
-    if c not in [(h, j) for (h, j) in tb.removable_boxes(inner)]:
+    if c not in tb.removable_boxes(inner):
         raise ValueError(f"{c} is not a removable box of the inner shape {inner}")
     pos = dict(zip(t.boxes, t.entries()))
     outer = t.shape.outer

@@ -80,7 +80,7 @@ def conjugate(lam: Partition) -> Partition:
     >>> conjugate((3, 1))
     (2, 1, 1)
     """
-    lam = check_partition(lam) if lam else ()
+    lam = check_partition(lam)
     if not lam:
         return ()
     return tuple(sum(1 for p in lam if p >= i) for i in range(1, lam[0] + 1))
@@ -88,7 +88,7 @@ def conjugate(lam: Partition) -> Partition:
 
 def hook_count(lam: Partition) -> int:
     """Number of standard tableaux of shape lam, by the hook length formula."""
-    lam = check_partition(lam) if lam else ()
+    lam = check_partition(lam)
     n = sum(lam)
     if n == 0:
         return 1

@@ -402,10 +402,11 @@ def check_admissible(g: SColoredGraph) -> CheckReport:
             adjacency[u].append(v)
     if next(chain(weights(mu.items()), _odd_cycles(adjacency)), None) is None:
         return CheckReport("admissible", True)
-    # the arcs v -> u in increasing (v, u), the order of g.arcs(): each set
-    # takes its members in that order, so the search visits them in it
+    # sets filled from g.arcs(), as helpers.check_admissible fills its own:
+    # a set of ints iterates in an order fixed by what was added and when,
+    # so both searches visit the same neighbours in the same order
     sets: list[set[int]] = [set() for _ in masks]
-    for v, u in sorted([(v, u) for u, v in mu if masks[u] & ~masks[v]]):
+    for v, u, _ in g.arcs():
         sets[v].add(u)
         sets[u].add(v)
     bad = chain(weights(sorted(mu.items())), _odd_cycles(sets))

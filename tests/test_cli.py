@@ -1,7 +1,10 @@
 import ast
+import doctest
+import importlib
 import json
 import os
 import pathlib
+import pkgutil
 import subprocess
 import sys
 import time
@@ -9,6 +12,7 @@ import time
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import wcell
 from wcell import builder
 from wcell import hecke
 from wcell import tableaux as tb
@@ -249,7 +253,7 @@ def test_hecke_check_stops_at_the_tenth_failing_pair(tmp_path, capsys):
     assert "hecke-relations: FAIL first witness: ('commuting', 1, 4, 0, 0)" in out
 
 
-_FUZZ_SHAPES = ((1,), (2,), (1, 1), (2, 1), (3, 1), (2, 2), (2, 1, 1), (3, 2), (3, 1, 1))
+_FUZZ_SHAPES = tuple(lam for n in range(1, 7) for lam in tb.partitions_of(n))
 _JUNK = st.one_of(
     st.none(),
     st.booleans(),
@@ -464,6 +468,15 @@ def test_only_the_laurent_module_imports_it():
             if any(name.split(".")[-1] == "laurent" for name in names):
                 importers.add(path.name)
     assert importers <= {"laurent.py"}
+
+
+def test_docstring_examples_pass():
+    modules = [wcell] + [importlib.import_module(f"wcell.{m.name}") for m in pkgutil.iter_modules(wcell.__path__)]
+    attempted = {}
+    for module in modules:
+        failed, attempted[module.__name__] = doctest.testmod(module)
+        assert failed == 0, module.__name__
+    assert all(attempted[f"wcell.{name}"] for name in ("laurent", "tableaux", "rsk"))
 
 
 def test_oracle_small_rank(capsys):

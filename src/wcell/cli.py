@@ -108,7 +108,7 @@ def _cmd_oracle(args) -> int:
     for lam in shapes:
         g = builder.build_cell_graph(lam)
         o = hecke.kl_left_cell_graph(lam, columns)
-        same = hecke.graphs_equal_under(g, o, {v: v for v in g.vertices()})
+        same = hecke.graphs_equal_under(g, o, g.vertices())
         print(f"shape {','.join(map(str, lam))}: {'EQUAL' if same else 'DIFFER'}")
         failures += 0 if same else 1
     return 0 if failures == 0 else 1

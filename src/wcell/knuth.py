@@ -145,7 +145,7 @@ def _prefix_with_top(xi, box, fill) -> StandardTableau:
     """Fill [xi] minus {box} by `fill`, then put the top entry at box."""
     rest = list(xi)
     rest[box[1] - 1] -= 1
-    base = fill(tb._trim(rest))
+    base = fill(rest)
     return StandardTableau(SkewShape(xi), base.column_word + (box[1],), 0, _checked=True)
 
 

@@ -104,7 +104,7 @@ def jdt_slide(t: StandardTableau, c) -> SlideRecord:
     new_outer[hole[1] - 1] -= 1
     new_inner = list(inner)
     new_inner[c[1] - 1] -= 1
-    shape = SkewShape(tb._trim(new_outer), tb._trim(new_inner))
+    shape = SkewShape(new_outer, new_inner)
     word = [j for _, j in sorted(pos, key=pos.get)]
     result = StandardTableau(shape, word, t.offset, _checked=True)
     return SlideRecord(c, tuple(path), hole, result)

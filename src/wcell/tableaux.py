@@ -419,7 +419,7 @@ def restrict_leq(t: StandardTableau, m: int) -> StandardTableau:
     heights = _inner_heights(t.shape)
     for c in word:
         heights[c - 1] += 1
-    new_shape = SkewShape(_trim(heights), t.shape.inner)
+    new_shape = SkewShape(heights, t.shape.inner)
     return StandardTableau(new_shape, word, t.offset, _checked=True)
 
 
@@ -433,7 +433,7 @@ def restrict_gt(t: StandardTableau, m: int) -> StandardTableau:
     heights = [0] * len(t.shape.outer)
     for c in t.column_word[:drop]:
         heights[c - 1] += 1
-    new_shape = SkewShape(t.shape.outer, _trim(heights))
+    new_shape = SkewShape(t.shape.outer, heights)
     return StandardTableau(new_shape, t.column_word[drop:], m, _checked=True)
 
 

@@ -1076,8 +1076,9 @@ def mu_probable(iu: int, it: int, cell, index, rep=None) -> int:
 
 
 # ---------------------------------------------------------------------------
-# The admissible rule through arcs(g): the reference for
-# wgraph.check_admissible, which builds its adjacency straight from g.mu.
+# The admissible rule on frozenset colours over the sorted weights: the
+# reference for wgraph.check_admissible, which reads the colour bit masks.
+# Both take each vertex's arcs in the order of sorted(g.mu) on a failing graph.
 
 
 def check_admissible(g: wg.SColoredGraph) -> wg.CheckReport:
@@ -1092,10 +1093,11 @@ def check_admissible(g: wg.SColoredGraph) -> wg.CheckReport:
         tu, tv = g.tau[u], g.tau[v]
         if not tu <= tv and not tv <= tu and g.weight(v, u) != w:
             bad.append(("asymmetric", u, v, w, g.weight(v, u)))
-    adjacency: dict[int, set[int]] = {v: set() for v in g.vertices()}
-    for v, u, _w in arcs(g):
-        adjacency[v].add(u)
-        adjacency[u].add(v)
+    adjacency: dict[int, list[int]] = {v: [] for v in g.vertices()}
+    for u, v in sorted(g.mu):
+        if not g.tau[u] <= g.tau[v]:
+            adjacency[v].append(u)
+            adjacency[u].append(v)
     colour: dict[int, int] = {}
     for root in g.vertices():
         if root in colour:

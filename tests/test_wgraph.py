@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import helpers
 from helpers import alternating_sum_slow, coloured_graphs, corruptions
+from wcell import hecke
 from wcell import tableaux as tb
 from wcell import wgraph as wg
 
@@ -390,6 +391,19 @@ def test_admissible_reports_match_reference(built):
     assert kinds == {"negative-weight", "asymmetric", "odd-cycle"}
 
 
+def test_one_component_can_give_several_odd_cycle_witnesses():
+    # triangles 0-1-2 and 3-4-5 joined by the edge 2-3: one cell, but the
+    # search from 0 stops at its conflict before reaching 3, so the search
+    # from 3 finds the second triangle's
+    tau = [{1}, {2}, {3}, {1}, {2}, {3}]
+    edges = [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (3, 5)]
+    g = wg.SColoredGraph(4, tau, {key: 1 for u, v in edges for key in ((u, v), (v, u))})
+    assert len(wg.cells(g).blocks) == 1
+    report = wg.check_admissible(g)
+    assert report.violations == (("odd-cycle", 2, 1), ("odd-cycle", 5, 4))
+    assert report == helpers.check_admissible(g)
+
+
 _RULES = {
     "admissible": (wg.check_admissible, helpers.check_admissible),
     "compatibility": (wg.check_compatibility, helpers.check_compatibility),
@@ -490,6 +504,26 @@ def test_passing_graphs_are_checked_without_sorting_their_weights(built, monkeyp
     assert reports == [_RULES[rule][1](bad) for rule in local]
 
 
+def test_reports_do_not_depend_on_the_order_of_mu(built):
+    # every shape with n <= 7 and 10 seeded single corruptions of each, their
+    # weights inserted again in a shuffled order
+    rng = random.Random(1807)
+    graphs = failing = 0
+    for n in range(1, 8):
+        for lam in tb.partitions_of(n):
+            g = built(lam)
+            for h in [g] + corruptions(g, rng, 10):
+                keys = list(h.mu)
+                rng.shuffle(keys)
+                x = wg.SColoredGraph(h.n, h.tau, {key: h.mu[key] for key in keys}, h.labels)
+                reports = wg.run_checks(h)
+                assert reports == wg.run_checks(x), lam
+                assert hecke.verify_hecke_relations(h) == hecke.verify_hecke_relations(x), lam
+                graphs += 1
+                failing += not all(reports)
+    assert (graphs, failing) == (474, 399)
+
+
 def test_compatibility_unbonded_pair_fails():
     g = wg.SColoredGraph(4, [{1}, {3}], {(1, 0): 1})
     assert not wg.check_compatibility(g).ok
@@ -514,6 +548,25 @@ def test_rule_suite_passes_on_built_graphs(built):
         for lam in tb.partitions_of(n):
             for report in wg.run_checks(built(lam)):
                 assert report.ok, (lam, report.summary())
+
+
+def test_run_checks_calls_the_checkers_the_module_holds_now(built, monkeypatch):
+    # a wrapper set on the module after import, as a tracer sets one, is called
+    g = built((3, 2, 1))
+    calls = []
+
+    def counted(rule, check):
+        def wrapper(g):
+            calls.append(rule)
+            return check(g)
+
+        return wrapper
+
+    for rule in wg.ALL_RULES:
+        name = f"check_{rule}"
+        monkeypatch.setattr(wg, name, counted(rule, getattr(wg, name)))
+    assert all(wg.run_checks(g))
+    assert calls == list(wg.ALL_RULES)
 
 
 def _assert_moved_graph_matches_references(g):
